@@ -242,7 +242,7 @@ def _cmd_realizable(args, override):
 
 def _cmd_construct(args, override):
     lat = _load(args, ("lattice",)).value
-    complex_, predicted = realizing_complex(lat)
+    complex_, predicted = realizing_complex(lat, override=override)
     verified = None
     if args.verify:
         verify_realizing_complex(lat, override=override)

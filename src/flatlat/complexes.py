@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._util import bit_indices, maximal_masks, submasks
+from ._util import bit_indices, maximal_masks, next_closure, submasks
 from .errors import AllLoops, EmptyRestriction, UnknownVertex
 
 
@@ -69,6 +69,11 @@ class SimplicialComplex:
         for facet in self.facet_masks:
             out.update(submasks(facet))
         return frozenset(out)
+
+    @cached_property
+    def flat_closure(self):
+        """The closure operator whose closed sets are the flats."""
+        return FlatClosure(self.facet_masks, len(self.vertices))
 
     @cached_property
     def faces(self):
@@ -197,6 +202,84 @@ class SimplicialComplex:
 
     def is_isomorphic(self, other):
         return self.isomorphism(other) is not None
+
+
+class FlatClosure:
+    """Closure operator on vertex masks whose closed sets are the flats.
+
+    A set X is a flat iff it respects every implication N - p -> p, for N a
+    minimal non-face and p in N, so cl(X) is the least superset of X that
+    respects them all.  They come from the facets alone: ext[I], the union
+    of the facets containing the face I, leaves bad(I) = V - ext[I], the
+    vertices p with I + p not a face, and I + p is a minimal non-face iff p
+    lies in bad(I) but in no bad(I - v).  Implications sharing a premise are
+    stored as one, and closures are memoized.
+    """
+
+    def __init__(self, facet_masks, n):
+        self._full = full = (1 << n) - 1
+        # bit k of premises[v] (concluders[v]) is set when the premise
+        # (conclusion) of the k-th implication contains v
+        self._premises = [0] * n
+        self._concluders = [0] * n
+        self._conclusions = []
+        by_size = {}
+        for facet in facet_masks:
+            by_size.setdefault(facet.bit_count(), []).append(facet)
+        # level maps the faces of one size to their ext; each face passes its
+        # ext on to the faces one smaller, so every face is visited once
+        level = {}
+        for size in range(max(by_size), -1, -1):
+            level.update((facet, facet) for facet in by_size.get(size, ()))
+            below = {}
+            for face, ext in level.items():
+                rest = face
+                while rest:
+                    low = rest & -rest
+                    below[face ^ low] = below.get(face ^ low, 0) | ext
+                    rest ^= low
+            for face, ext in level.items():
+                adds = full & ~ext
+                rest = face
+                while rest and adds:
+                    low = rest & -rest
+                    adds &= below[face ^ low]
+                    rest ^= low
+                if adds:
+                    bit = 1 << len(self._conclusions)
+                    for v in bit_indices(face):
+                        self._premises[v] |= bit
+                    for v in bit_indices(adds):
+                        self._concluders[v] |= bit
+                    self._conclusions.append(adds)
+            level = below
+        self._cache = {}
+
+    def __call__(self, mask):
+        got = self._cache.get(mask)
+        if got is None:
+            got = mask
+            while True:
+                # an implication still adds to the set when a vertex of its
+                # conclusion is missing from it and none of its premise is
+                blocked = useful = 0
+                for v in bit_indices(self._full & ~got):
+                    blocked |= self._premises[v]
+                    useful |= self._concluders[v]
+                ready = useful & ~blocked
+                if not ready:
+                    break
+                for k in bit_indices(ready):
+                    got |= self._conclusions[k]
+            self._cache[mask] = got
+        return got
+
+    @cached_property
+    def flat_masks(self):
+        """Every closed set by NextClosure, sorted by size then vertex order."""
+        return tuple(
+            sorted(next_closure(self, self._full.bit_length()), key=_mask_sort_key)
+        )
 
 
 def _mask_sort_key(mask):

@@ -9,20 +9,28 @@ A face is a transversal of successive differences when it can be enumerated
 x_1 .. x_k along a chain F_0 < F_1 < ... < F_k of flats with x_i in
 F_i - F_{i-1}.  The complex is boolean representable when every face is such
 a transversal.
+
+Everything here goes through one closure operator, held on the complex as
+SimplicialComplex.flat_closure: cl(X) is the smallest flat containing X.
+all_flats lists its closed sets by NextClosure (Ganter 1984), with at most
+one closure per vertex for each flat found; closure, the transversal search,
+simplification and is_flat query the same operator and share its memo.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from ._util import bit_indices
+from .complexes import SimplicialComplex
 from .errors import LimitExceeded, LoopsPresent
 from .lattice import FiniteLattice
 
-# all_flats scans every subset of the ground set; past 24 vertices that is
-# no longer a desk-scale computation
+# flats come from NextClosure over the closure operator, whose implications
+# are derived from every face; past 24 vertices neither the faces nor the
+# flats are desk scale any more
 FLATS_SOFT_LIMIT = 24
 # the transversal oracle tries every ordering of X against every flat chain
 ORACLE_SIZE_LIMIT = 8
@@ -71,63 +79,24 @@ def _flat_label(complex_, mask):
     return "{" + ",".join(complex_.vertices[i] for i in bit_indices(mask)) + "}"
 
 
-def _check_scan_limit(complex_, override):
+def _check_flats_limit(complex_, override):
     n = len(complex_.vertices)
     if n > FLATS_SOFT_LIMIT and not override:
         raise LimitExceeded(
-            f"flat enumeration scans 2^{n} subsets, over the soft limit of "
-            f"2^{FLATS_SOFT_LIMIT}; pass override=True to lift"
+            f"flat enumeration on {n} vertices is over the soft limit of "
+            f"{FLATS_SOFT_LIMIT} vertices; pass override=True to lift"
         )
 
 
 def is_flat(complex_, candidate):
-    """Decide the flat property for one subset directly from the definition."""
+    """Decide the flat property for one subset: it is its own closure."""
     x = complex_.mask_of(candidate)
-    faces = complex_.face_masks
-    outside = complex_.full_mask & ~x
-    for face in faces:
-        if face & ~x:
-            continue
-        for p in bit_indices(outside):
-            if (face | (1 << p)) not in faces:
-                return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _flat_masks(complex_):
-    """All flat masks, sorted by size then vertex order.
-
-    Naive scan over every subset X: X is a flat iff every face I inside X
-    has its non-extending vertices inside X as well.  The per-face mask of
-    non-extending vertices is precomputed once.
-    """
-    faces = complex_.face_masks
-    full = complex_.full_mask
-    constraints = []
-    for face in faces:
-        bad = 0
-        for p in bit_indices(full & ~face):
-            if (face | (1 << p)) not in faces:
-                bad |= 1 << p
-        if bad:
-            constraints.append((face, bad))
-    constraints.sort(key=lambda c: c[0].bit_count())
-    flats = []
-    for x in range(full + 1):
-        not_x = ~x
-        for face, bad in constraints:
-            if not face & not_x and bad & not_x:
-                break
-        else:
-            flats.append(x)
-    flats.sort(key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
-    return tuple(flats)
+    return complex_.flat_closure(x) == x
 
 
 def all_flats(complex_, override=False):
-    _check_scan_limit(complex_, override)
-    return FlatFamily(complex_, _flat_masks(complex_))
+    _check_flats_limit(complex_, override)
+    return FlatFamily(complex_, complex_.flat_closure.flat_masks)
 
 
 def flats_lattice(complex_, override=False):
@@ -135,83 +104,55 @@ def flats_lattice(complex_, override=False):
 
 
 def closure(complex_, subset, override=False):
-    """Smallest flat containing the subset (flats are intersection-closed)."""
-    _check_scan_limit(complex_, override)
-    return complex_.set_of(_context(complex_).closure(complex_.mask_of(subset)))
+    """Smallest flat containing the subset."""
+    _check_flats_limit(complex_, override)
+    return complex_.set_of(complex_.flat_closure(complex_.mask_of(subset)))
 
 
-@lru_cache(maxsize=None)
-def _context(complex_):
-    return _FlatContext(complex_)
+def _transversal_order(cl, x_mask):
+    """A valid enumeration of x_mask as vertex indices, or None.
 
+    An ordering works iff each x_i avoids the closure of its prefix:
+    the closure chain F_i = cl(x_1..x_i) is then strictly increasing with
+    x_i in F_i - F_{i-1}; conversely any witness chain dominates the
+    closure chain prefix by prefix.  Whether a partial choice can be
+    completed depends only on the chosen set, so failed sets are memoized.
+    """
+    dead = set()
+    order = []
 
-class _FlatContext:
-    """Shared closure cache over the flats of one complex."""
-
-    def __init__(self, complex_):
-        self.complex = complex_
-        self.flat_masks = _flat_masks(complex_)
-        self._closures = {}
-
-    def closure(self, mask):
-        got = self._closures.get(mask)
-        if got is None:
-            got = self.complex.full_mask
-            for f in self.flat_masks:
-                if mask & ~f == 0:
-                    got &= f
-            self._closures[mask] = got
-        return got
-
-    def transversal_order(self, x_mask):
-        """A valid enumeration of x_mask as vertex indices, or None.
-
-        An ordering works iff each x_i avoids the closure of its prefix:
-        the closure chain F_i = cl(x_1..x_i) is then strictly increasing with
-        x_i in F_i - F_{i-1}; conversely any witness chain dominates the
-        closure chain prefix by prefix.  Whether a partial choice can be
-        completed depends only on the chosen set, so failed sets are memoized.
-        """
-        dead = set()
-        order = []
-
-        def extend(s):
-            if s == x_mask:
-                return True
-            if s in dead:
-                return False
-            cl = self.closure(s)
-            for v in bit_indices(x_mask & ~s):
-                if not (cl >> v) & 1:
-                    order.append(v)
-                    if extend(s | (1 << v)):
-                        return True
-                    order.pop()
-            dead.add(s)
+    def extend(s):
+        if s == x_mask:
+            return True
+        if s in dead:
             return False
+        closed = cl(s)
+        for v in bit_indices(x_mask & ~s):
+            if not (closed >> v) & 1:
+                order.append(v)
+                if extend(s | (1 << v)):
+                    return True
+                order.pop()
+        dead.add(s)
+        return False
 
-        if extend(0):
-            return tuple(order)
-        return None
+    if extend(0):
+        return tuple(order)
+    return None
 
 
 def transversal_witness(complex_, subset, override=False):
     """A TransversalWitness for the subset, or None if it is not one."""
-    _check_scan_limit(complex_, override)
-    ctx = _context(complex_)
-    order = ctx.transversal_order(complex_.mask_of(subset))
+    _check_flats_limit(complex_, override)
+    cl = complex_.flat_closure
+    order = _transversal_order(cl, complex_.mask_of(subset))
     if order is None:
         return None
-    return _witness_from_order(complex_, ctx, order)
-
-
-def _witness_from_order(complex_, ctx, order):
-    chain = []
+    chain = [complex_.set_of(cl(0))]
     acc = 0
-    chain.append(complex_.set_of(ctx.closure(acc)))
     for v in order:
         acc |= 1 << v
-        chain.append(complex_.set_of(ctx.closure(acc)))
+        chain.append(complex_.set_of(cl(acc)))
     ordering = tuple(complex_.vertices[v] for v in order)
     return TransversalWitness(ordering, tuple(chain))
 
@@ -225,8 +166,8 @@ def is_transversal_bruteforce(complex_, subset, override=False):
             f"transversal oracle on {k} vertices exceeds soft limit "
             f"{ORACLE_SIZE_LIMIT}; pass override=True to lift"
         )
-    _check_scan_limit(complex_, override)
-    flat_list = _flat_masks(complex_)
+    _check_flats_limit(complex_, override)
+    flat_list = complex_.flat_closure.flat_masks
 
     def chain_from(pos, prev, perm):
         if pos > k:
@@ -250,10 +191,10 @@ def is_transversal_bruteforce(complex_, subset, override=False):
 
 def br_violation(complex_, override=False):
     """First face (by size, then vertex order) that is not a transversal."""
-    _check_scan_limit(complex_, override)
-    ctx = _context(complex_)
+    _check_flats_limit(complex_, override)
+    cl = complex_.flat_closure
     for face in complex_.faces:
-        if ctx.transversal_order(complex_.mask_of(face)) is None:
+        if _transversal_order(cl, complex_.mask_of(face)) is None:
             return face
     return None
 
@@ -269,17 +210,16 @@ def simplification(complex_, override=False):
     Requires every singleton to be a face.  Returns the quotient complex
     (vertices renamed to the first vertex of each class) and the classes.
     """
-    _check_scan_limit(complex_, override)
+    _check_flats_limit(complex_, override)
     if complex_.loops():
         raise LoopsPresent(
             "simplification needs every singleton to be a face; loops: "
             + " ".join(sorted(complex_.loops()))
         )
-    ctx = _context(complex_)
-    n = len(complex_.vertices)
+    cl = complex_.flat_closure
     by_closure = {}
-    for v in range(n):
-        by_closure.setdefault(ctx.closure(1 << v), []).append(v)
+    for v in range(len(complex_.vertices)):
+        by_closure.setdefault(cl(1 << v), []).append(v)
     classes = sorted(by_closure.values(), key=lambda c: c[0])
     rep = {}
     for cls in classes:
@@ -289,8 +229,6 @@ def simplification(complex_, override=False):
     faces = [
         {rep[i] for i in bit_indices(facet)} for facet in complex_.facet_masks
     ]
-    from .complexes import SimplicialComplex
-
     quotient = SimplicialComplex(new_vertices, faces)
     partition = tuple(
         frozenset(complex_.vertices[v] for v in cls) for cls in classes

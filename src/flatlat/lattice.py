@@ -207,9 +207,17 @@ class FiniteLattice:
 
         The lattice is semimodular iff it has no sublattice {a,b,c,d,e} with
         e < c < b < a, e < d < a, d covering e in the whole lattice,
-        b^d = c^d = e and b v d = c v d = a.  The scan runs from the top of
-        the element order downward so the witness is deterministic.
+        b^d = c^d = e and b v d = c v d = a.  The O(n^2) cover law decides
+        semimodularity first; only when it fails does the O(n^5) scan look
+        for the witness.
         """
+        if self.is_semimodular_by_covers():
+            return None
+        return self._semimodular_scan()
+
+    def _semimodular_scan(self):
+        """First forbidden configuration, scanning from the top of the
+        element order downward so the witness is deterministic."""
         n = len(self)
         order = range(n - 1, -1, -1)
         for a in order:
@@ -243,8 +251,8 @@ class FiniteLattice:
     def is_semimodular_by_covers(self):
         """Textbook cover law: x^y covered by x implies y covered by x v y.
 
-        Kept as an independent cross-check of the forbidden-configuration
-        predicate; not used by any decision procedure.
+        The fast path of semimodular_witness, which only scans for a
+        witness when this law fails.
         """
         n = len(self)
         for x in range(n):
@@ -490,7 +498,7 @@ def _natural_meet_prefixes(n):
                 common = ideal & down[x]
                 if (1 << x) & ideal:
                     continue  # x below the new element: meet is x itself
-                if _greatest_mask(common, down) is None:
+                if _greatest(common, down) is None:
                     ok = False
                     break
             if not ok:
@@ -500,12 +508,3 @@ def _natural_meet_prefixes(n):
             down.pop()
 
     yield from extend([])
-
-
-def _greatest_mask(mask, down):
-    if mask == 0:
-        return None
-    for g in bit_indices(mask):
-        if mask & ~down[g] == 0:
-            return g
-    return None

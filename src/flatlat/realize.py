@@ -15,11 +15,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from ._util import bit_indices, maximal_masks
 from .complexes import SimplicialComplex
 from .errors import ConstructionMismatch, LimitExceeded, NotAtomistic
 from .flats import ORACLE_SIZE_LIMIT, all_flats
 from .graphs import find_supercliques, top_join_graph
 from .lattice import LatticeIso
+
+# realizing_complex walks every (support, copy choice) pair, about 4^(n-1)
+# of them for n elements: chain10 already takes seconds
+REALIZE_SOFT_LIMIT = 10
 
 
 class TransversalComplex:
@@ -234,7 +239,7 @@ def boolean_matrix(lattice):
     return rows
 
 
-def realizing_complex(lattice):
+def realizing_complex(lattice, override=False):
     """A complex whose lattice of flats is isomorphic to the input.
 
     Vertices are three copies x^1, x^2, x^3 of each element x except the
@@ -245,7 +250,14 @@ def realizing_complex(lattice):
     predicted flat: all copies of the elements below it.
 
     For the one-element lattice the complex is a single loop vertex.
+    Lattices with more than REALIZE_SOFT_LIMIT elements raise LimitExceeded
+    unless override is set.
     """
+    if len(lattice) > REALIZE_SOFT_LIMIT and not override:
+        raise LimitExceeded(
+            f"realizing complex of a {len(lattice)}-element lattice exceeds "
+            f"soft limit {REALIZE_SOFT_LIMIT}; pass override=True to lift"
+        )
     labels = lattice.labels
     if len(lattice) == 1:
         single = SimplicialComplex(("v",), [])
@@ -253,22 +265,19 @@ def realizing_complex(lattice):
 
     elems = [i for i in range(len(lattice)) if i != lattice.bottom]
     copies = (1, 2, 3)
-    pos = {}
-    vertex_labels = []
-    for e in elems:
-        for c in copies:
-            pos[(e, c)] = len(vertex_labels)
-            vertex_labels.append(f"{labels[e]}^{c}")
-    vertex_labels = tuple(vertex_labels)
+    # vertex 3k + c - 1 is copy c of elems[k]
+    vertex_labels = tuple(f"{labels[e]}^{c}" for e in elems for c in copies)
+    copy_bits = {
+        e: tuple(1 << (3 * k + c - 1) for c in copies) for k, e in enumerate(elems)
+    }
+    doubled = {e: bits[0] | bits[1] for e, bits in copy_bits.items()}
 
-    extender_cache = {}
-
-    def doubling_extenders(support):
-        # elements not dominating the picked set and whose join with any
-        # picked element never lands on another picked element
-        got = extender_cache.get(support)
-        if got is None:
-            got = [
+    faces = set()
+    for r in range(len(elems) + 1):
+        for support in itertools.combinations(elems, r):
+            # elements not dominating the picked set and whose join with any
+            # picked element never lands on another picked element
+            extenders = [
                 a
                 for a in elems
                 if not any(lattice.leq(p, a) for p in support)
@@ -279,27 +288,20 @@ def realizing_complex(lattice):
                     if q != p
                 )
             ]
-            extender_cache[support] = got
-        return got
+            if r < len(elems) and not extenders:
+                continue
+            transversals = [0]
+            for e in support:
+                transversals = [m | bit for m in transversals for bit in copy_bits[e]]
+            if r == len(elems):
+                faces.update(transversals)  # full-support transversals cover all of J
+            for a in extenders:
+                faces.update(m | doubled[a] for m in transversals)
 
-    faces = set()
-    for r in range(len(elems) + 1):
-        for support in itertools.combinations(elems, r):
-            key = frozenset(support)
-            extenders = doubling_extenders(key)
-            for choice in itertools.product(copies, repeat=r):
-                mask = 0
-                for e, c in zip(support, choice):
-                    mask |= 1 << pos[(e, c)]
-                if r == len(elems):
-                    faces.add(mask)  # full-support transversals cover all of J
-                for a in extenders:
-                    faces.add(mask | (1 << pos[(a, 1)]) | (1 << pos[(a, 2)]))
-
-    def labels_of(mask):
-        return {vertex_labels[i] for i in range(len(vertex_labels)) if (mask >> i) & 1}
-
-    complex_ = SimplicialComplex(vertex_labels, [labels_of(m) for m in faces])
+    facets = [
+        [vertex_labels[i] for i in bit_indices(m)] for m in maximal_masks(faces)
+    ]
+    complex_ = SimplicialComplex(vertex_labels, facets)
     predicted = {
         labels[x]: frozenset(
             f"{labels[e]}^{c}" for e in elems if lattice.leq(e, x) for c in copies
@@ -316,7 +318,7 @@ def verify_realizing_complex(lattice, override=False):
     ConstructionMismatch if the predicted map fails (reporting whether an
     isomorphism exists at all).
     """
-    complex_, predicted = realizing_complex(lattice)
+    complex_, predicted = realizing_complex(lattice, override=override)
     family = all_flats(complex_, override=override)
     flat_index = {flat: i for i, flat in enumerate(family.flats)}
 

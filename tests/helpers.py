@@ -3,13 +3,20 @@
 The enumeration oracle here deliberately avoids the library's pruned search
 and canonicalization: candidates are generated pair by pair and deduplicated
 by minimizing over all permutations, so agreement with the library is a real
-cross-check.
+cross-check.  Likewise the flat oracle scans every vertex subset against the
+definition instead of running the closure operator.
 """
 
 import itertools
 import random
 
-from flatlat import FiniteLattice, SimpleGraph, from_faces, validate_lattice
+from flatlat import (
+    FiniteLattice,
+    SimpleGraph,
+    SimplicialComplex,
+    from_faces,
+    validate_lattice,
+)
 
 
 def chain_lattice(n, labels=None):
@@ -76,6 +83,68 @@ def all_loopfree_complexes(n):
         if c.facet_masks not in seen:
             seen.add(c.facet_masks)
             out.append(c)
+    return out
+
+
+def all_complexes(n):
+    """Every complex on n labelled vertices, loops allowed, each once.
+
+    Complexes are the nonempty down-closed families of subsets; the subsets
+    are decided in order of size, and a subset may join only when all its
+    one-smaller subsets have.
+    """
+    verts = [str(i) for i in range(1, n + 1)]
+    subsets = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
+    out = []
+
+    def extend(i, chosen):
+        if i == len(subsets):
+            faces = [{verts[j] for j in range(n) if m >> j & 1} for m in chosen]
+            out.append(SimplicialComplex(verts, faces))
+            return
+        m = subsets[i]
+        extend(i + 1, chosen)
+        if all(m ^ (1 << j) in chosen for j in range(n) if m >> j & 1):
+            chosen.add(m)
+            extend(i + 1, chosen)
+            chosen.discard(m)
+
+    extend(0, {0})
+    return out
+
+
+def flat_masks_by_scan(complex_):
+    """All flat masks by the definition, sorted by size then vertex order.
+
+    Scans every subset X of the ground set: X is a flat iff every face I
+    inside X has its non-extending vertices inside X as well.
+    """
+    faces = complex_.face_masks
+    n = len(complex_.vertices)
+    constraints = []
+    for face in faces:
+        bad = 0
+        for p in range(n):
+            if not (face >> p) & 1 and (face | (1 << p)) not in faces:
+                bad |= 1 << p
+        if bad:
+            constraints.append((face, bad))
+    flats = [
+        x
+        for x in range(1 << n)
+        if all(face & ~x or not bad & ~x for face, bad in constraints)
+    ]
+    flats.sort(key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]))
+    return tuple(flats)
+
+
+def maximal_masks_naive(masks):
+    """Subset-maximal members of a mask collection, largest first, each
+    compared with every mask kept before it."""
+    out = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not any(m & ~kept == 0 for kept in out):
+            out.append(m)
     return out
 
 

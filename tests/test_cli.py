@@ -14,6 +14,7 @@ import pytest
 import flatlat.cli as cli
 from flatlat import all_flats, format_lattice, parse, realizing_complex
 
+import helpers
 from conftest import FIXTURES
 
 TRIANGLES = str(FIXTURES / "glued_triangles.cx")
@@ -213,6 +214,16 @@ def test_construct_json(capsys):
     assert data["predicted_flats"]["B"] == []
     assert data["predicted_flats"]["m"] == ["m^1", "m^2", "m^3"]
     assert len(data["vertices"]) == 6
+
+
+def test_construct_over_the_soft_limit_exits_3(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "boolean16.lat"
+    path.write_text(format_lattice(helpers.powerset_lattice("abcd")))
+    monkeypatch.delenv("FLATLAT_LIMIT_OVERRIDE", raising=False)
+    code, out, err = run(capsys, "construct", str(path))
+    assert code == 3
+    assert out == ""
+    assert "soft limit" in err
 
 
 # -- tl / matrix ----------------------------------------------------------------

@@ -13,6 +13,8 @@ from flatlat import (
     from_faces,
 )
 
+from flatlat._util import maximal_masks
+
 import helpers
 
 
@@ -175,3 +177,8 @@ def test_equality_is_structural(triangles):
     )
     assert clone == triangles and hash(clone) == hash(triangles)
     assert triangles != helpers.uniform_complex(4, 2)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 9) - 1), max_size=40))
+def test_maximal_masks_matches_pairwise_comparison(masks):
+    assert maximal_masks(masks) == helpers.maximal_masks_naive(masks)

@@ -1,6 +1,8 @@
 """Flats, closure, transversal search, boolean representability, simplification."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,11 +14,13 @@ from flatlat import (
     all_flats,
     br_violation,
     closure,
+    enumerate_lattices,
     flats_lattice,
     from_faces,
     is_boolean_representable,
     is_flat,
     is_transversal_bruteforce,
+    realizing_complex,
     simplification,
     transversal_witness,
 )
@@ -282,3 +286,44 @@ def test_flats_scan_soft_limit():
     big = SimplicialComplex([f"v{i}" for i in range(25)], [])
     with pytest.raises(LimitExceeded):
         all_flats(big)
+
+
+# -- NextClosure against the subset scan ---------------------------------------
+
+
+def _assert_flats_match_scan(c):
+    assert all_flats(c)._masks == helpers.flat_masks_by_scan(c)
+
+
+def test_next_closure_matches_scan_on_all_complexes_up_to_five_vertices():
+    for n in range(1, 6):
+        for c in helpers.all_complexes(n):
+            _assert_flats_match_scan(c)
+
+
+def test_next_closure_matches_scan_on_small_realizing_complexes():
+    for lat in enumerate_lattices(6):
+        complex_, _ = realizing_complex(lat)
+        _assert_flats_match_scan(complex_)
+
+
+def test_next_closure_matches_scan_on_rank_three_uniform_matroids():
+    for n in range(3, 9):
+        _assert_flats_match_scan(helpers.uniform_complex(n, 3))
+
+
+def test_is_flat_agrees_with_the_scan_on_every_subset(fixture_complexes):
+    for c in fixture_complexes:
+        flats = set(helpers.flat_masks_by_scan(c))
+        for x in range(c.full_mask + 1):
+            assert is_flat(c, c.set_of(x)) == (x in flats)
+
+
+def test_flat_cache_is_freed_with_the_complex():
+    c = helpers.uniform_complex(6, 3)
+    all_flats(c)
+    closure(c, {"1"})
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None

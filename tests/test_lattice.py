@@ -158,6 +158,13 @@ def test_both_semimodularity_predicates_agree_up_to_seven_elements():
     assert disagreements == []
 
 
+def test_cover_law_fast_path_keeps_the_scanned_witness_up_to_eight_elements():
+    # semimodular_witness skips the O(n^5) scan when the cover law holds;
+    # the scan alone must then find nothing, and otherwise the same witness
+    for lat in enumerate_lattices(8, override=True):
+        assert lat.semimodular_witness == lat._semimodular_scan()
+
+
 def test_is_geometric(triangles_flats, u24):
     assert not triangles_flats.lattice.is_geometric
     assert flats_lattice(u24).is_geometric

@@ -295,3 +295,14 @@ def test_construction_round_trip_on_small_lattices():
         flats = [frozenset(f) for f in fam.flats]
         for x in range(len(lat)):
             assert flats[iso[x]] == predicted[lat.labels[x]]
+
+
+def test_realizing_complex_soft_limit():
+    big = helpers.powerset_lattice("abcd")
+    assert len(big) == 16
+    with pytest.raises(LimitExceeded):
+        realizing_complex(big)
+    with pytest.raises(LimitExceeded):
+        verify_realizing_complex(big)
+    small = helpers.chain_lattice(3)
+    assert realizing_complex(small, override=True)[0] == realizing_complex(small)[0]
