@@ -1,8 +1,11 @@
 """Small bitmask helpers used by the enumeration kernels.
 
 Vertex and element sets are stored as int bitmasks throughout the package;
-these helpers keep the loops readable.
+these helpers keep the loops readable.  GroundSet is the one place where
+vertex labels turn into bitmasks and back.
 """
+
+from .errors import LimitExceeded, UnknownVertex
 
 
 def bit_indices(mask):
@@ -11,6 +14,11 @@ def bit_indices(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def mask_sort_key(mask):
+    """Sort key ordering masks by size, then by their bit indices."""
+    return (mask.bit_count(), tuple(bit_indices(mask)))
 
 
 def submasks(mask):
@@ -72,3 +80,45 @@ def next_closure(closure, n):
                 break
         else:
             return
+
+
+class GroundSet:
+    """Distinct vertex labels, indexed by position; subsets are bitmasks."""
+
+    def __init__(self, vertices):
+        vertices = tuple(vertices)
+        if len(set(vertices)) != len(vertices):
+            raise ValueError("vertex labels must be distinct")
+        self.vertices = vertices
+        self._index = {v: i for i, v in enumerate(vertices)}
+
+    def mask_of(self, labels):
+        m = 0
+        for lab in labels:
+            i = self._index.get(lab)
+            if i is None:
+                raise UnknownVertex(f"unknown vertex {lab!r}")
+            m |= 1 << i
+        return m
+
+    def _vertex(self, label):
+        return self.mask_of((label,)).bit_length() - 1
+
+    def set_of(self, mask):
+        return frozenset(self.vertices[i] for i in bit_indices(mask))
+
+    @property
+    def full_mask(self):
+        return (1 << len(self.vertices)) - 1
+
+    def ordered(self, labels):
+        """The labels as a list in vertex order."""
+        return sorted(labels, key=self._vertex)
+
+
+def check_limit(what, size, limit, override):
+    """Raise LimitExceeded when size is over a soft limit, unless overridden."""
+    if size > limit and not override:
+        raise LimitExceeded(
+            f"{what} exceeds soft limit {limit}; pass override=True to lift"
+        )

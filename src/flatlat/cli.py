@@ -47,7 +47,7 @@ from .realize import (
     is_realizable,
     realizing_complex,
     transversal_complex,
-    verify_realizing_complex,
+    verify_realization,
 )
 
 
@@ -91,15 +91,38 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
+def _emit_complex(args, complex_, extra=None, comment=None):
+    """A complex as JSON (vertices, facets, then the extra keys) or as text."""
+    if args.format == "json":
+        payload = {
+            "vertices": list(complex_.vertices),
+            "facets": [sorted(f) for f in complex_.facets],
+            **(extra or {}),
+        }
+        print(emit_json(payload))
+    else:
+        if comment:
+            print(comment)
+        print(format_complex(complex_), end="")
+
+
+def _oracle(cases):
+    """Report the first (where, fast, slow) case with fast != slow and
+    return exit code 4, or None; given a generator, the oracle stops there."""
+    for where, fast, slow in cases:
+        if fast != slow:
+            print(f"oracle disagreement{where}", file=sys.stderr)
+            return 4
+    return None
+
+
 # -- subcommands -----------------------------------------------------------
 
 
 def _cmd_classify(args, override):
     lat = _load(args, ("lattice",)).value
     witness = lat.semimodular_witness
-    witness_labels = (
-        [lat.labels[i] for i in witness] if witness is not None else None
-    )
+    witness_labels = None if witness is None else [lat.labels[i] for i in witness]
     atom_labels = [lat.labels[a] for a in sorted(lat.atoms)]
     payload = {
         "elements": list(lat.labels),
@@ -134,32 +157,23 @@ def _cmd_flats(args, override):
     if args.dot:
         print(emit_dot_hasse(family.lattice), end="")
         return 0
-    order = {v: i for i, v in enumerate(complex_.vertices)}
-    flats = [sorted(f, key=order.get) for f in family.flats]
     lat = family.lattice
+    covers = [[lat.labels[x], lat.labels[y]] for x, y in lat.cover_pairs]
     payload = {
         "count": len(family),
-        "flats": flats,
-        "covers": [[lat.labels[x], lat.labels[y]] for x, y in lat.cover_pairs],
+        "flats": [complex_.ordered(f) for f in family.flats],
+        "covers": covers,
     }
     text = [f"count: {len(family)}", "flats: " + " ".join(lat.labels)]
-    for x, y in lat.cover_pairs:
-        text.append(f"cover: {lat.labels[x]} {lat.labels[y]}")
+    text += [f"cover: {low} {high}" for low, high in covers]
     _emit(args, payload, text)
     return 0
 
 
-def _split_set(raw):
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    return parts
-
-
 def _cmd_closure(args, override):
     complex_ = _load(args, ("complex",)).value
-    subset = _split_set(args.set)
-    closed = closure(complex_, subset, override=override)
-    order = {v: i for i, v in enumerate(complex_.vertices)}
-    closed_sorted = sorted(closed, key=order.get)
+    subset = args.set.replace(",", " ").split()
+    closed_sorted = complex_.ordered(closure(complex_, subset, override=override))
     payload = {"set": subset, "closure": closed_sorted}
     _emit(args, payload, ["closure: " + " ".join(closed_sorted)])
     return 0
@@ -168,37 +182,33 @@ def _cmd_closure(args, override):
 def _cmd_brsc(args, override):
     complex_ = _load(args, ("complex",)).value
     violation = br_violation(complex_, override=override)
-    order = {v: i for i, v in enumerate(complex_.vertices)}
+    faces = complex_.faces if args.verbose or args.oracle else ()
+    witnesses = [transversal_witness(complex_, f, override=override) for f in faces]
     if args.oracle:
-        for face in complex_.faces:
-            fast = transversal_witness(complex_, face, override=override)
-            slow = is_transversal_bruteforce(complex_, face, override=override)
-            if (fast is not None) != slow:
-                print(
-                    "oracle disagreement on face "
-                    + " ".join(sorted(face, key=order.get)),
-                    file=sys.stderr,
-                )
-                return 4
-    payload = {
-        "boolean_representable": violation is None,
-        "violation": sorted(violation, key=order.get) if violation else None,
-    }
+        cases = (
+            (
+                " on face " + " ".join(complex_.ordered(face)),
+                witness is not None,
+                is_transversal_bruteforce(complex_, face, override=override),
+            )
+            for face, witness in zip(faces, witnesses)
+        )
+        if code := _oracle(cases):
+            return code
+    shown = complex_.ordered(violation) if violation else None
+    payload = {"boolean_representable": violation is None, "violation": shown}
     text = [f"boolean_representable: {_bool(violation is None)}"]
-    if violation is not None:
-        text.append("violation: " + " ".join(sorted(violation, key=order.get)))
+    if shown:
+        text.append("violation: " + " ".join(shown))
     if args.verbose:
         detail = []
-        for face in complex_.faces:
-            witness = transversal_witness(complex_, face, override=override)
-            entry = {
-                "face": sorted(face, key=order.get),
-                "transversal": witness is not None,
-            }
-            line = "face " + ("{" + ",".join(sorted(face, key=order.get)) + "}")
+        for face, witness in zip(faces, witnesses):
+            listed = complex_.ordered(face)
+            entry = {"face": listed, "transversal": witness is not None}
+            line = "face {" + ",".join(listed) + "}"
             if witness is not None:
                 entry["ordering"] = list(witness.ordering)
-                entry["chain"] = [sorted(f, key=order.get) for f in witness.chain]
+                entry["chain"] = [complex_.ordered(f) for f in witness.chain]
                 line += ": ordering" + "".join(f" {x}" for x in witness.ordering)
             else:
                 line += ": no transversal ordering"
@@ -214,13 +224,12 @@ def _cmd_realizable(args, override):
     report = is_realizable(lat, force_general=args.force_general, override=override)
     if args.oracle:
         general = is_realizable(lat, force_general=True, override=override)
-        if general.realizable != report.realizable:
-            print(
-                f"oracle disagreement: {report.method} says "
-                f"{report.realizable}, general path says {general.realizable}",
-                file=sys.stderr,
-            )
-            return 4
+        where = (
+            f": {report.method} says {report.realizable}, "
+            f"general path says {general.realizable}"
+        )
+        if code := _oracle([(where, report.realizable, general.realizable)]):
+            return code
     text = [
         f"atomistic: {_bool(report.atomistic)}",
         f"realizable: {_bool(report.realizable)}",
@@ -243,23 +252,13 @@ def _cmd_realizable(args, override):
 def _cmd_construct(args, override):
     lat = _load(args, ("lattice",)).value
     complex_, predicted = realizing_complex(lat, override=override)
-    verified = None
+    extra = {"predicted_flats": {lab: sorted(predicted[lab]) for lab in lat.labels}}
+    comment = None
     if args.verify:
-        verify_realizing_complex(lat, override=override)
-        verified = True
-    if args.format == "json":
-        payload = {
-            "vertices": list(complex_.vertices),
-            "facets": [sorted(f) for f in complex_.facets],
-            "predicted_flats": {lab: sorted(predicted[lab]) for lab in lat.labels},
-        }
-        if verified is not None:
-            payload["verified"] = verified
-        print(emit_json(payload))
-    else:
-        if verified:
-            print("# verified: flat lattice of this complex matches the input")
-        print(format_complex(complex_), end="")
+        verify_realization(lat, complex_, predicted, override=override)
+        extra["verified"] = True
+        comment = "# verified: flat lattice of this complex matches the input"
+    _emit_complex(args, complex_, extra, comment)
     return 0
 
 
@@ -268,24 +267,18 @@ def _cmd_tl(args, override):
     canonical = transversal_complex(lat)
     if args.oracle:
         atom_labels = [lat.labels[a] for a in sorted(lat.atoms)]
-        for r in range(len(atom_labels) + 1):
-            for combo in itertools.combinations(atom_labels, r):
-                fast = canonical.complex.is_face(combo)
-                slow = is_chain_transversal_bruteforce(lat, combo, override=override)
-                if fast != slow:
-                    print(
-                        "oracle disagreement on atom set " + " ".join(combo),
-                        file=sys.stderr,
-                    )
-                    return 4
-    if args.format == "json":
-        payload = {
-            "vertices": list(canonical.complex.vertices),
-            "facets": [sorted(f) for f in canonical.complex.facets],
-        }
-        print(emit_json(payload))
-    else:
-        print(format_complex(canonical.complex), end="")
+        cases = (
+            (
+                " on atom set " + " ".join(combo),
+                canonical.complex.is_face(combo),
+                is_chain_transversal_bruteforce(lat, combo, override=override),
+            )
+            for r in range(len(atom_labels) + 1)
+            for combo in itertools.combinations(atom_labels, r)
+        )
+        if code := _oracle(cases):
+            return code
+    _emit_complex(args, canonical.complex)
     return 0
 
 
@@ -309,16 +302,11 @@ def _cmd_superclique(args, override):
     if args.oracle:
         fast = find_supercliques(graph)
         slow = supercliques_bruteforce(graph, override=override)
-        if fast != slow:
-            print("oracle disagreement between growth and naive scan", file=sys.stderr)
-            return 4
-    order = {v: i for i, v in enumerate(graph.vertices)}
-    listed = [sorted(w, key=order.get) for w in cliques]
+        if code := _oracle([(" between growth and naive scan", fast, slow)]):
+            return code
+    listed = [graph.ordered(w) for w in cliques]
     payload = {"count": len(listed), "supercliques": listed}
-    if listed:
-        text = ["superclique: " + " ".join(w) for w in listed]
-    else:
-        text = ["supercliques: none"]
+    text = ["superclique: " + " ".join(w) for w in listed] or ["supercliques: none"]
     _emit(args, payload, text)
     return 0 if listed else 1
 

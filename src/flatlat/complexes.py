@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._util import bit_indices, maximal_masks, next_closure, submasks
-from .errors import AllLoops, EmptyRestriction, UnknownVertex
+from ._util import (
+    GroundSet, bit_indices, mask_sort_key, maximal_masks, next_closure, submasks
+)
+from .errors import AllLoops, EmptyRestriction
 
 
 @dataclass(frozen=True)
@@ -24,34 +26,14 @@ class ComplexIso:
         return self.mapping[index]
 
 
-class SimplicialComplex:
+class SimplicialComplex(GroundSet):
     def __init__(self, vertices, faces=()):
-        vertices = tuple(vertices)
-        if not vertices:
+        super().__init__(vertices)
+        if not self.vertices:
             raise ValueError("vertex set must be nonempty")
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("vertex labels must be distinct")
-        self.vertices = vertices
-        self._index = {v: i for i, v in enumerate(vertices)}
         masks = [self.mask_of(face) for face in faces]
         masks.append(0)
         self.facet_masks = tuple(sorted(maximal_masks(masks)))
-
-    def mask_of(self, labels):
-        m = 0
-        for lab in labels:
-            i = self._index.get(lab)
-            if i is None:
-                raise UnknownVertex(f"unknown vertex {lab!r}")
-            m |= 1 << i
-        return m
-
-    def set_of(self, mask):
-        return frozenset(self.vertices[i] for i in bit_indices(mask))
-
-    @property
-    def full_mask(self):
-        return (1 << len(self.vertices)) - 1
 
     @cached_property
     def facets(self):
@@ -78,7 +60,7 @@ class SimplicialComplex:
     @cached_property
     def faces(self):
         """All faces as label sets, sorted by size then vertex order."""
-        ordered = sorted(self.face_masks, key=_mask_sort_key)
+        ordered = sorted(self.face_masks, key=mask_sort_key)
         return tuple(self.set_of(m) for m in ordered)
 
     def is_face(self, labels):
@@ -104,9 +86,7 @@ class SimplicialComplex:
         keep_mask = self.mask_of(keep)
         if keep_mask == 0:
             raise EmptyRestriction("restriction needs at least one vertex")
-        new_vertices = tuple(
-            v for i, v in enumerate(self.vertices) if (keep_mask >> i) & 1
-        )
+        new_vertices = [self.vertices[i] for i in bit_indices(keep_mask)]
         faces = [self.set_of(facet & keep_mask) for facet in self.facet_masks]
         return SimplicialComplex(new_vertices, faces)
 
@@ -129,20 +109,23 @@ class SimplicialComplex:
 
     def exchange_violation(self):
         """A pair (I, J) of faces with |I| = |J|+1 violating the matroid
-        exchange property, or None.  Scanned in (size, vertex-order) order."""
-        by_size = {}
-        for m in sorted(self.face_masks, key=_mask_sort_key):
-            by_size.setdefault(m.bit_count(), []).append(m)
-        face_set = self.face_masks
-        for size, js in sorted(by_size.items()):
-            bigger = by_size.get(size + 1, ())
-            for j in js:
-                for i in bigger:
-                    if not any(
-                        (j | (1 << v)) in face_set for v in bit_indices(i & ~j)
-                    ):
-                        return self.set_of(i), self.set_of(j)
-        return None
+        exchange property, or None.  Scanned in (size, vertex-order) order.
+
+        J + v is a face for v outside J iff v lies in ext[J], the union of
+        the facets containing J, so I violates exchange with J iff I misses
+        ext[J] - J.  The levels come from the largest faces down; the
+        violation kept is the one on the smallest level.
+        """
+        found = None
+        for level, below in _ext_levels(self.facet_masks):
+            bigger = sorted(level, key=mask_sort_key)
+            for j in sorted(below, key=mask_sort_key):
+                spare = below[j] & ~j
+                i = next((i for i in bigger if not i & spare), None)
+                if i is not None:
+                    found = self.set_of(i), self.set_of(j)
+                    break
+        return found
 
     @cached_property
     def is_matroid(self):
@@ -223,21 +206,7 @@ class FlatClosure:
         self._premises = [0] * n
         self._concluders = [0] * n
         self._conclusions = []
-        by_size = {}
-        for facet in facet_masks:
-            by_size.setdefault(facet.bit_count(), []).append(facet)
-        # level maps the faces of one size to their ext; each face passes its
-        # ext on to the faces one smaller, so every face is visited once
-        level = {}
-        for size in range(max(by_size), -1, -1):
-            level.update((facet, facet) for facet in by_size.get(size, ()))
-            below = {}
-            for face, ext in level.items():
-                rest = face
-                while rest:
-                    low = rest & -rest
-                    below[face ^ low] = below.get(face ^ low, 0) | ext
-                    rest ^= low
+        for level, below in _ext_levels(facet_masks):
             for face, ext in level.items():
                 adds = full & ~ext
                 rest = face
@@ -252,7 +221,6 @@ class FlatClosure:
                     for v in bit_indices(adds):
                         self._concluders[v] |= bit
                     self._conclusions.append(adds)
-            level = below
         self._cache = {}
 
     def __call__(self, mask):
@@ -278,12 +246,35 @@ class FlatClosure:
     def flat_masks(self):
         """Every closed set by NextClosure, sorted by size then vertex order."""
         return tuple(
-            sorted(next_closure(self, self._full.bit_length()), key=_mask_sort_key)
+            sorted(next_closure(self, self._full.bit_length()), key=mask_sort_key)
         )
 
 
-def _mask_sort_key(mask):
-    return (mask.bit_count(), tuple(bit_indices(mask)))
+def _ext_levels(facet_masks):
+    """Yield (level, below) for each face size from the largest down to 0.
+
+    level maps every face of one size to ext, the union of the facets
+    containing it, and below does the same one size smaller.  Each face
+    passes its ext on to the faces one smaller, so every face is visited
+    once; a level is emptied when the next pair is asked for, so only two
+    levels are held at a time.
+    """
+    by_size = {}
+    for facet in facet_masks:
+        by_size.setdefault(facet.bit_count(), []).append(facet)
+    top = max(by_size)
+    level = {facet: facet for facet in by_size[top]}
+    for size in range(top, -1, -1):
+        below = {facet: facet for facet in by_size.get(size - 1, ())}
+        for face, ext in level.items():
+            rest = face
+            while rest:
+                low = rest & -rest
+                below[face ^ low] = below.get(face ^ low, 0) | ext
+                rest ^= low
+        yield level, below
+        level.clear()
+        level = below
 
 
 def from_faces(vertices, faces):

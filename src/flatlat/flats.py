@@ -20,12 +20,13 @@ simplification and is_flat query the same operator and share its memo.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._util import bit_indices
+from ._util import bit_indices, check_limit
 from .complexes import SimplicialComplex
-from .errors import LimitExceeded, LoopsPresent
+from .errors import LoopsPresent
 from .lattice import FiniteLattice
 
 # flats come from NextClosure over the closure operator, whose implications
@@ -76,16 +77,21 @@ class FlatFamily:
 
 
 def _flat_label(complex_, mask):
-    return "{" + ",".join(complex_.vertices[i] for i in bit_indices(mask)) + "}"
+    """The flat's vertex names in vertex order, as {v1,v2,...}.
+
+    A backslash escapes \\ , { and } inside a name and the empty name is
+    written \\0, so distinct flats get distinct labels.
+    """
+    names = (
+        re.sub(r"[\\,{}]", r"\\\g<0>", complex_.vertices[i]) or "\\0"
+        for i in bit_indices(mask)
+    )
+    return "{" + ",".join(names) + "}"
 
 
 def _check_flats_limit(complex_, override):
     n = len(complex_.vertices)
-    if n > FLATS_SOFT_LIMIT and not override:
-        raise LimitExceeded(
-            f"flat enumeration on {n} vertices is over the soft limit of "
-            f"{FLATS_SOFT_LIMIT} vertices; pass override=True to lift"
-        )
+    check_limit(f"flat enumeration on {n} vertices", n, FLATS_SOFT_LIMIT, override)
 
 
 def is_flat(complex_, candidate):
@@ -161,11 +167,7 @@ def is_transversal_bruteforce(complex_, subset, override=False):
     """Literal transversal check: every ordering against every flat chain."""
     x_mask = complex_.mask_of(subset)
     k = x_mask.bit_count()
-    if k > ORACLE_SIZE_LIMIT and not override:
-        raise LimitExceeded(
-            f"transversal oracle on {k} vertices exceeds soft limit "
-            f"{ORACLE_SIZE_LIMIT}; pass override=True to lift"
-        )
+    check_limit(f"transversal oracle on {k} vertices", k, ORACLE_SIZE_LIMIT, override)
     _check_flats_limit(complex_, override)
     flat_list = complex_.flat_closure.flat_masks
 

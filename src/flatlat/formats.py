@@ -20,6 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 
+from ._util import bit_indices
 from .complexes import SimplicialComplex, from_faces
 from .errors import ParseError
 from .graphs import SimpleGraph
@@ -91,53 +92,47 @@ def _declared(header_name, body):
     return labels, seen, body[1:]
 
 
-def _parse_lattice(body):
-    labels, declared, rest = _declared("elements", body)
-    covers = []
+def _directives(rest, declared, word, noun, pair):
+    """Yield (line, label tokens) for each line after the header.
+
+    Each line must start with the directive word, name exactly two labels
+    when pair is set, and name only declared labels.  Lines are checked as
+    they are consumed, so the first error in the document is the one raised.
+    """
     for line_no, tokens in rest:
-        word, col = tokens[0]
-        if word != "cover":
-            raise ParseError(line_no, col, f"unknown directive {word!r}")
-        if len(tokens) != 3:
-            raise ParseError(line_no, col, "cover needs exactly two labels")
+        head, col = tokens[0]
+        if head != word:
+            raise ParseError(line_no, col, f"unknown directive {head!r}")
+        if pair and len(tokens) != 3:
+            raise ParseError(line_no, col, f"{word} needs exactly two labels")
         for tok, tok_col in tokens[1:]:
             if tok not in declared:
-                raise ParseError(line_no, tok_col, f"unknown element {tok!r}")
-        covers.append((tokens[1][0], tokens[2][0]))
+                raise ParseError(line_no, tok_col, f"unknown {noun} {tok!r}")
+        yield line_no, tokens[1:]
+
+
+def _parse_lattice(body):
+    labels, declared, rest = _declared("elements", body)
+    lines = _directives(rest, declared, "cover", "element", pair=True)
+    covers = [(low, high) for _, ((low, _), (high, _)) in lines]
     return lattice_from_covers(labels, covers)
 
 
 def _parse_complex(body):
     labels, declared, rest = _declared("vertices", body)
-    faces = []
-    for line_no, tokens in rest:
-        word, col = tokens[0]
-        if word != "facet":
-            raise ParseError(line_no, col, f"unknown directive {word!r}")
-        face = []
-        for tok, tok_col in tokens[1:]:
-            if tok not in declared:
-                raise ParseError(line_no, tok_col, f"unknown vertex {tok!r}")
-            face.append(tok)
-        faces.append(face)
+    lines = _directives(rest, declared, "facet", "vertex", pair=False)
+    faces = [[tok for tok, _ in tokens] for _, tokens in lines]
     return from_faces(labels, faces)
 
 
 def _parse_graph(body):
     labels, declared, rest = _declared("vertices", body)
     edges = []
-    for line_no, tokens in rest:
-        word, col = tokens[0]
-        if word != "edge":
-            raise ParseError(line_no, col, f"unknown directive {word!r}")
-        if len(tokens) != 3:
-            raise ParseError(line_no, col, "edge needs exactly two labels")
-        for tok, tok_col in tokens[1:]:
-            if tok not in declared:
-                raise ParseError(line_no, tok_col, f"unknown vertex {tok!r}")
-        if tokens[1][0] == tokens[2][0]:
-            raise ParseError(line_no, tokens[2][1], "loop edges are not allowed")
-        edges.append((tokens[1][0], tokens[2][0]))
+    lines = _directives(rest, declared, "edge", "vertex", pair=True)
+    for line_no, ((a, _), (b, col)) in lines:
+        if a == b:
+            raise ParseError(line_no, col, "loop edges are not allowed")
+        edges.append((a, b))
     return SimpleGraph(labels, edges)
 
 
@@ -152,14 +147,10 @@ def format_lattice(lattice: FiniteLattice):
 
 
 def format_complex(complex_: SimplicialComplex):
+    """Facets are listed in the order of their vertex-index tuples."""
     lines = ["complex", "vertices " + " ".join(complex_.vertices)]
-    order = {v: i for i, v in enumerate(complex_.vertices)}
-    facets = sorted(
-        (sorted(f, key=order.get) for f in complex_.facets if f),
-        key=lambda f: tuple(order[v] for v in f),
-    )
-    for facet in facets:
-        lines.append("facet " + " ".join(facet))
+    for facet in sorted(list(bit_indices(m)) for m in complex_.facet_masks if m):
+        lines.append("facet " + " ".join(complex_.vertices[i] for i in facet))
     return "\n".join(lines) + "\n"
 
 

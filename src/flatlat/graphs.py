@@ -10,23 +10,19 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ._util import bit_indices
-from .errors import LimitExceeded, UnknownVertex, WrongHeight
+from ._util import GroundSet, bit_indices, check_limit, mask_sort_key
+from .errors import WrongHeight
 
 # the brute-force superclique scan looks at every vertex subset
 NAIVE_SUPERCLIQUE_LIMIT = 16
 
 
-class SimpleGraph:
+class SimpleGraph(GroundSet):
     """Undirected graph without loops or multiple edges."""
 
     def __init__(self, vertices, edges=()):
-        vertices = tuple(vertices)
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("vertex labels must be distinct")
-        self.vertices = vertices
-        self._index = {v: i for i, v in enumerate(vertices)}
-        adj = [0] * len(vertices)
+        super().__init__(vertices)
+        adj = [0] * len(self.vertices)
         for a, b in edges:
             i, j = self._vertex(a), self._vertex(b)
             if i == j:
@@ -34,21 +30,6 @@ class SimpleGraph:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self._adj = tuple(adj)
-
-    def _vertex(self, label):
-        i = self._index.get(label)
-        if i is None:
-            raise UnknownVertex(f"unknown vertex {label!r}")
-        return i
-
-    def mask_of(self, labels):
-        m = 0
-        for lab in labels:
-            m |= 1 << self._vertex(lab)
-        return m
-
-    def set_of(self, mask):
-        return frozenset(self.vertices[i] for i in bit_indices(mask))
 
     def has_edge(self, a, b):
         return bool((self._adj[self._vertex(a)] >> self._vertex(b)) & 1)
@@ -100,7 +81,7 @@ def _is_clique(graph, mask):
 def _is_superclique_mask(graph, mask):
     if mask.bit_count() < 2 or not _is_clique(graph, mask):
         return False
-    outside = ((1 << len(graph.vertices)) - 1) & ~mask
+    outside = graph.full_mask & ~mask
     for c in bit_indices(outside):
         if (graph._adj[c] & mask).bit_count() >= 2:
             return False
@@ -151,23 +132,19 @@ def find_supercliques(graph):
         closed = graph.mask_of(edge_closure(graph, a, b))
         if _is_clique(graph, closed):
             found.add(closed)
-    ordered = sorted(found, key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
-    return tuple(graph.set_of(m) for m in ordered)
+    return tuple(graph.set_of(m) for m in sorted(found, key=mask_sort_key))
 
 
 def supercliques_bruteforce(graph, override=False):
     """Scan every vertex subset against the superclique definition."""
     n = len(graph.vertices)
-    if n > NAIVE_SUPERCLIQUE_LIMIT and not override:
-        raise LimitExceeded(
-            f"naive superclique scan over 2^{n} subsets exceeds soft limit "
-            f"2^{NAIVE_SUPERCLIQUE_LIMIT}; pass override=True to lift"
-        )
+    check_limit(
+        f"naive superclique scan on {n} vertices", n, NAIVE_SUPERCLIQUE_LIMIT, override
+    )
     found = [
         mask for mask in range(1 << n) if _is_superclique_mask(graph, mask)
     ]
-    found.sort(key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
-    return tuple(graph.set_of(m) for m in found)
+    return tuple(graph.set_of(m) for m in sorted(found, key=mask_sort_key))
 
 
 def realizable_height3(lattice):

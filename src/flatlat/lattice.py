@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._util import bit_indices
-from .errors import LimitExceeded, NotALattice, NotAPartialOrder
+from ._util import bit_indices, check_limit
+from .errors import NotALattice, NotAPartialOrder
 
 # Unlabeled-lattice enumeration is doubly exponential in spirit; beyond this
 # size the stream stops being interactive.
@@ -82,12 +82,12 @@ class FiniteLattice:
         for i in range(n):
             for j in range(i, n):
                 lower = down[i] & down[j]
-                g = _greatest(lower, down)
+                g = _extreme(lower, down)
                 if g is None:
                     raise NotALattice((labels[i], labels[j]), "meet")
                 meet[i][j] = meet[j][i] = g
                 upper = up[i] & up[j]
-                l = _least(upper, up)
+                l = _extreme(upper, up)
                 if l is None:
                     raise NotALattice((labels[i], labels[j]), "join")
                 join[i][j] = join[j][i] = l
@@ -386,17 +386,12 @@ class FiniteLattice:
         return best
 
 
-def _greatest(mask, down):
-    for g in bit_indices(mask):
-        if mask & ~down[g] == 0:
-            return g
-    return None
-
-
-def _least(mask, up):
-    for l in bit_indices(mask):
-        if mask & ~up[l] == 0:
-            return l
+def _extreme(mask, reach):
+    """The member x of mask with mask inside reach[x], or None: the greatest
+    member when reach holds down-sets, the least when it holds up-sets."""
+    for x in bit_indices(mask):
+        if mask & ~reach[x] == 0:
+            return x
     return None
 
 
@@ -449,11 +444,8 @@ def enumerate_lattices(max_size, override=False):
     immediately.  A final unique-top check makes the completed posets
     lattices (a finite meet-semilattice with a top has all joins).
     """
-    if max_size > ENUMERATION_SOFT_LIMIT and not override:
-        raise LimitExceeded(
-            f"enumerate_lattices: max_size {max_size} exceeds soft limit "
-            f"{ENUMERATION_SOFT_LIMIT} (pass override=True to lift)"
-        )
+    what = f"lattice enumeration up to {max_size} elements"
+    check_limit(what, max_size, ENUMERATION_SOFT_LIMIT, override)
     for n in range(1, max_size + 1):
         yield from _lattices_of_size(n)
 
@@ -498,7 +490,7 @@ def _natural_meet_prefixes(n):
                 common = ideal & down[x]
                 if (1 << x) & ideal:
                     continue  # x below the new element: meet is x itself
-                if _greatest(common, down) is None:
+                if _extreme(common, down) is None:
                     ok = False
                     break
             if not ok:

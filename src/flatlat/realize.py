@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ._util import bit_indices, maximal_masks
+from ._util import bit_indices, check_limit, maximal_masks
 from .complexes import SimplicialComplex
-from .errors import ConstructionMismatch, LimitExceeded, NotAtomistic
+from .errors import ConstructionMismatch, NotAtomistic
 from .flats import ORACLE_SIZE_LIMIT, all_flats
 from .graphs import find_supercliques, top_join_graph
 from .lattice import LatticeIso
@@ -103,10 +103,7 @@ def is_chain_transversal_bruteforce(lattice, atom_labels, override=False):
         if a not in lattice.atoms:
             raise ValueError(f"{lattice.labels[a]!r} is not an atom")
     m = len(atom_set)
-    if m > ORACLE_SIZE_LIMIT and not override:
-        raise LimitExceeded(
-            f"chain oracle on {m} atoms exceeds soft limit {ORACLE_SIZE_LIMIT}"
-        )
+    check_limit(f"chain oracle on {m} atoms", m, ORACLE_SIZE_LIMIT, override)
     n = len(lattice)
 
     def chain_from(pos, prev, perm):
@@ -253,17 +250,16 @@ def realizing_complex(lattice, override=False):
     Lattices with more than REALIZE_SOFT_LIMIT elements raise LimitExceeded
     unless override is set.
     """
-    if len(lattice) > REALIZE_SOFT_LIMIT and not override:
-        raise LimitExceeded(
-            f"realizing complex of a {len(lattice)}-element lattice exceeds "
-            f"soft limit {REALIZE_SOFT_LIMIT}; pass override=True to lift"
-        )
+    n = len(lattice)
+    check_limit(
+        f"realizing complex of a {n}-element lattice", n, REALIZE_SOFT_LIMIT, override
+    )
     labels = lattice.labels
-    if len(lattice) == 1:
+    if n == 1:
         single = SimplicialComplex(("v",), [])
         return single, {labels[0]: frozenset(("v",))}
 
-    elems = [i for i in range(len(lattice)) if i != lattice.bottom]
+    elems = [i for i in range(n) if i != lattice.bottom]
     copies = (1, 2, 3)
     # vertex 3k + c - 1 is copy c of elems[k]
     vertex_labels = tuple(f"{labels[e]}^{c}" for e in elems for c in copies)
@@ -312,13 +308,19 @@ def realizing_complex(lattice, override=False):
 
 
 def verify_realizing_complex(lattice, override=False):
-    """Check the predicted flat map of realizing_complex is an isomorphism.
+    """Build realizing_complex and check it with verify_realization."""
+    complex_, predicted = realizing_complex(lattice, override=override)
+    return verify_realization(lattice, complex_, predicted, override=override)
+
+
+def verify_realization(lattice, complex_, predicted, override=False):
+    """Check that a predicted flat map, as realizing_complex returns it, is
+    an isomorphism onto the flats of complex_.
 
     Returns the element-index map into the flat lattice; raises
     ConstructionMismatch if the predicted map fails (reporting whether an
     isomorphism exists at all).
     """
-    complex_, predicted = realizing_complex(lattice, override=override)
     family = all_flats(complex_, override=override)
     flat_index = {flat: i for i, flat in enumerate(family.flats)}
 

@@ -4,7 +4,8 @@ The enumeration oracle here deliberately avoids the library's pruned search
 and canonicalization: candidates are generated pair by pair and deduplicated
 by minimizing over all permutations, so agreement with the library is a real
 cross-check.  Likewise the flat oracle scans every vertex subset against the
-definition instead of running the closure operator.
+definition instead of running the closure operator, and the exchange oracle
+compares faces pairwise instead of reading the facets above each face.
 """
 
 import itertools
@@ -136,6 +137,26 @@ def flat_masks_by_scan(complex_):
     ]
     flats.sort(key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]))
     return tuple(flats)
+
+
+def exchange_violation_pairwise(complex_):
+    """The exchange scan by definition: every face J against every face I
+    one larger, in (size, vertex order) order, asking whether some v in
+    I - J makes J + v a face."""
+    n = len(complex_.vertices)
+    faces = complex_.face_masks
+    ordered = sorted(
+        faces, key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1])
+    )
+    for j in ordered:
+        for i in ordered:
+            if i.bit_count() != j.bit_count() + 1:
+                continue
+            if not any(
+                (i & ~j) >> v & 1 and (j | 1 << v) in faces for v in range(n)
+            ):
+                return complex_.set_of(i), complex_.set_of(j)
+    return None
 
 
 def maximal_masks_naive(masks):

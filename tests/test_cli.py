@@ -5,6 +5,7 @@ output, so the argparse wiring, the handlers and the emitters are all
 exercised together.
 """
 
+import dataclasses
 import io
 import json
 import sys
@@ -23,6 +24,9 @@ CHAIN3 = str(FIXTURES / "chain3.lat")
 BOOL2 = str(FIXTURES / "boolean2.lat")
 PATH4 = str(FIXTURES / "path4.gr")
 NONBR = str(FIXTURES / "nonbr.cx")
+ROOT = FIXTURES.parent.parent
+# fixture commands with their stdout and exit code, frozen from the CLI
+EXPECTED = json.loads((ROOT / "bench" / "cli_expected.json").read_text())
 
 
 def run(capsys, *argv):
@@ -88,6 +92,16 @@ def test_flats_dot(capsys):
     code, out, _ = run(capsys, "flats", TRIANGLES, "--dot")
     assert code == 0
     assert out.startswith("digraph") and out.count("->") == 9
+
+
+def test_flats_with_a_separator_in_a_vertex_name(capsys, monkeypatch):
+    doc = "complex\nvertices x y x,y\nfacet x x,y\nfacet y x,y\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code, out, _ = run(capsys, "flats", "-", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == 4
+    assert ["{}", "{x\\,y}"] in data["covers"]
 
 
 def test_closure(capsys):
@@ -193,6 +207,23 @@ def test_realizable_oracle(capsys):
     assert code == 1 and err == ""
 
 
+def test_realizable_oracle_flags_disagreement(capsys, monkeypatch):
+    real = cli.is_realizable
+
+    def general_path_flipped(lat, force_general=False, override=False):
+        report = real(lat, force_general=force_general, override=override)
+        if force_general:
+            return dataclasses.replace(report, realizable=not report.realizable)
+        return report
+
+    monkeypatch.setattr(cli, "is_realizable", general_path_flipped)
+    code, out, err = run(capsys, "realizable", BOOL2, "--oracle")
+    assert code == 4 and out == ""
+    assert err == (
+        "oracle disagreement: height-le-2 says True, general path says False\n"
+    )
+
+
 def test_construct_text_reparses(capsys, chain3):
     code, out, _ = run(capsys, "construct", CHAIN3)
     assert code == 0
@@ -246,6 +277,16 @@ def test_tl_rejects_non_atomistic(capsys):
 def test_tl_oracle(capsys):
     code, _, err = run(capsys, "tl", NONREAL6, "--oracle")
     assert code == 0 and err == ""
+
+
+def test_tl_oracle_flags_disagreement(capsys, monkeypatch):
+    def slow(lat, atoms, override):
+        return len(atoms) < 2
+
+    monkeypatch.setattr(cli, "is_chain_transversal_bruteforce", slow)
+    code, out, err = run(capsys, "tl", NONREAL6, "--oracle")
+    assert code == 4 and out == ""
+    assert err == "oracle disagreement on atom set 1 2\n"
 
 
 def test_matrix_text(capsys):
@@ -354,3 +395,11 @@ def test_flats_scan_limit(capsys, tmp_path):
     path.write_text(f"complex\nvertices {labels}\n")
     code, _, err = run(capsys, "flats", str(path))
     assert code == 3 and "error:" in err
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED))
+def test_fixture_command_matches_its_frozen_output(capsys, monkeypatch, command):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("FLATLAT_LIMIT_OVERRIDE", raising=False)
+    code, out, _ = run(capsys, *command.split())
+    assert (code, out) == (EXPECTED[command]["exit"], EXPECTED[command]["stdout"])

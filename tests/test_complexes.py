@@ -140,6 +140,15 @@ def test_exchange_violation_is_a_real_violation(triangles):
         assert not triangles.is_face(small | {v})
 
 
+def test_exchange_violation_matches_the_pairwise_scan(fixture_complexes):
+    complexes = list(fixture_complexes)
+    complexes += [helpers.uniform_complex(n, 3) for n in range(3, 11)]
+    for n in range(1, 6):
+        complexes += helpers.all_complexes(n)
+    for c in complexes:
+        assert c.exchange_violation() == helpers.exchange_violation_pairwise(c)
+
+
 def test_uniform_complexes_are_matroids(u24, u34, empty_faces_cx):
     assert u24.exchange_violation() is None
     assert u34.exchange_violation() is None

@@ -24,6 +24,7 @@ from flatlat import (
     simplification,
     transversal_witness,
 )
+from flatlat.flats import _flat_label
 
 import helpers
 
@@ -286,6 +287,20 @@ def test_flats_scan_soft_limit():
     big = SimplicialComplex([f"v{i}" for i in range(25)], [])
     with pytest.raises(LimitExceeded):
         all_flats(big)
+
+
+def test_separator_in_a_vertex_name_does_not_merge_flat_labels():
+    c = from_faces(["x", "y", "x,y"], [{"x", "x,y"}, {"y", "x,y"}])
+    lat = all_flats(c).lattice
+    assert lat.labels == ("{}", "{x\\,y}", "{x,y}", "{x,y,x\\,y}")
+
+
+def test_flat_labels_are_injective_on_escape_characters():
+    names = ["", "\\", ",", "{", "}", "\\0", "0", "a", "a,", ",a", "{}", "\\,"]
+    c = SimplicialComplex(names, [])
+    labels = {_flat_label(c, mask) for mask in range(c.full_mask + 1)}
+    assert len(labels) == 1 << len(names)
+    assert _flat_label(c, 0) == "{}" and _flat_label(c, 1) == "{\\0}"
 
 
 # -- NextClosure against the subset scan ---------------------------------------

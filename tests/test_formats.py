@@ -3,10 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from flatlat import (
     NotALattice,
     ParseError,
+    SimpleGraph,
+    SimplicialComplex,
     emit_dot_graph,
     emit_dot_hasse,
     emit_json,
@@ -18,6 +21,7 @@ from flatlat import (
     is_realizable,
     parse,
     top_join_graph,
+    validate_lattice,
 )
 
 import helpers
@@ -127,6 +131,62 @@ def test_complex_round_trip(fixture_complexes):
 
 def test_graph_round_trip(nonreal6):
     g = top_join_graph(nonreal6)
+    assert parse(format_graph(g)).value == g
+
+
+def test_format_complex_lists_facets_by_vertex_index_tuple():
+    # by mask value the order would be b c, d, a e; by size then vertex
+    # order it would be d, b c, a e
+    c = SimplicialComplex(list("abcde"), [{"a", "e"}, {"b", "c"}, {"d"}])
+    assert format_complex(c).splitlines()[2:] == ["facet a e", "facet b c", "facet d"]
+
+
+# any token the line format can carry: no whitespace and no comment sign
+TOKENS = st.text(
+    st.characters(
+        blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"), blacklist_characters="#"
+    ),
+    min_size=1,
+    max_size=4,
+).filter(lambda tok: not any(ch.isspace() for ch in tok))
+SMALL_LATTICES = list(enumerate_lattices(5))
+
+
+@st.composite
+def labelled_lattices(draw):
+    lat = draw(st.sampled_from(SMALL_LATTICES))
+    n = len(lat)
+    labels = draw(st.lists(TOKENS, min_size=n, max_size=n, unique=True))
+    order = [[lat.leq(i, j) for j in range(n)] for i in range(n)]
+    return validate_lattice(order, labels)
+
+
+@st.composite
+def labelled_complexes(draw):
+    labels = draw(st.lists(TOKENS, min_size=1, max_size=6, unique=True))
+    faces = draw(st.lists(st.sets(st.sampled_from(labels)), max_size=5))
+    return SimplicialComplex(labels, faces)
+
+
+@st.composite
+def labelled_graphs(draw):
+    labels = draw(st.lists(TOKENS, min_size=2, max_size=6, unique=True))
+    pairs = draw(st.lists(st.sets(st.sampled_from(labels), min_size=2, max_size=2)))
+    return SimpleGraph(labels, [tuple(p) for p in pairs])
+
+
+@given(labelled_lattices())
+def test_parse_inverts_format_lattice(lat):
+    assert parse(format_lattice(lat)).value == lat
+
+
+@given(labelled_complexes())
+def test_parse_inverts_format_complex(c):
+    assert parse(format_complex(c)).value == c
+
+
+@given(labelled_graphs())
+def test_parse_inverts_format_graph(g):
     assert parse(format_graph(g)).value == g
 
 
