@@ -32,6 +32,7 @@ from .flats import (
     br_violation,
     closure,
     is_transversal_bruteforce,
+    split_vertex_set,
     transversal_witness,
 )
 from .formats import (
@@ -172,7 +173,7 @@ def _cmd_flats(args, override):
 
 def _cmd_closure(args, override):
     complex_ = _load(args, ("complex",)).value
-    subset = args.set.replace(",", " ").split()
+    subset = split_vertex_set(args.set)
     closed_sorted = complex_.ordered(closure(complex_, subset, override=override))
     payload = {"set": subset, "closure": closed_sorted}
     _emit(args, payload, ["closure: " + " ".join(closed_sorted)])
@@ -295,16 +296,14 @@ def _cmd_matrix(args, override):
 def _cmd_superclique(args, override):
     doc = _load(args, ("graph", "lattice"))
     graph = doc.value if doc.kind == "graph" else top_join_graph(doc.value)
-    if args.naive:
-        cliques = supercliques_bruteforce(graph, override=override)
-    else:
-        cliques = find_supercliques(graph)
-    if args.oracle:
-        fast = find_supercliques(graph)
+    fast = None if args.naive and not args.oracle else find_supercliques(graph)
+    slow = None
+    if args.naive or args.oracle:
         slow = supercliques_bruteforce(graph, override=override)
+    if args.oracle:
         if code := _oracle([(" between growth and naive scan", fast, slow)]):
             return code
-    listed = [graph.ordered(w) for w in cliques]
+    listed = [graph.ordered(w) for w in (slow if args.naive else fast)]
     payload = {"count": len(listed), "supercliques": listed}
     text = ["superclique: " + " ".join(w) for w in listed] or ["supercliques: none"]
     _emit(args, payload, text)
@@ -337,7 +336,11 @@ def _build_parser():
     p.set_defaults(handler=_cmd_flats)
 
     p = sub.add_parser("closure", parents=[common], help="closure of a vertex set")
-    p.add_argument("--set", required=True, help="comma or space separated vertices")
+    p.add_argument(
+        "--set",
+        required=True,
+        help=r"comma or space separated vertices; write \, and \\ for , and \ in a name",
+    )
     p.set_defaults(handler=_cmd_closure)
 
     p = sub.add_parser(

@@ -7,23 +7,17 @@ bitmasks internally, frozensets of labels at the API surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from ._util import (
-    GroundSet, bit_indices, mask_sort_key, maximal_masks, next_closure, submasks
+    GroundSet, IndexMap, bit_indices, find_isomorphism, mask_sort_key, maximal_masks,
+    next_closure, submasks,
 )
 from .errors import AllLoops, EmptyRestriction
 
 
-@dataclass(frozen=True)
-class ComplexIso:
+class ComplexIso(IndexMap):
     """Vertex bijection witnessing a complex isomorphism, as an index map."""
-
-    mapping: tuple[int, ...]
-
-    def __getitem__(self, index):
-        return self.mapping[index]
 
 
 class SimplicialComplex(GroundSet):
@@ -133,55 +127,21 @@ class SimplicialComplex(GroundSet):
 
     # -- isomorphism -------------------------------------------------------
 
-    @cached_property
-    def _vertex_invariants(self):
-        return tuple(
-            tuple(sorted(f.bit_count() for f in self.facet_masks if (f >> i) & 1))
-            for i in range(len(self.vertices))
-        )
-
     def isomorphism(self, other):
         """A vertex bijection mapping faces onto faces, or None."""
-        n = len(self.vertices)
-        if n != len(other.vertices):
-            return None
-        if sorted(m.bit_count() for m in self.facet_masks) != sorted(
-            m.bit_count() for m in other.facet_masks
-        ):
-            return None
-        mine, theirs = self._vertex_invariants, other._vertex_invariants
-        if sorted(mine) != sorted(theirs):
-            return None
-        target = set(other.facet_masks)
-        mapping = [None] * n
-        used = [False] * n
+        mapping = find_isomorphism(self._incidence, other._incidence)
+        return None if mapping is None else ComplexIso(mapping[: len(self.vertices)])
 
-        def remapped_ok():
-            got = set()
-            for facet in self.facet_masks:
-                m = 0
-                for i in bit_indices(facet):
-                    m |= 1 << mapping[i]
-                got.add(m)
-            return got == target
-
-        def extend(i):
-            if i == n:
-                return remapped_ok()
-            for j in range(n):
-                if used[j] or theirs[j] != mine[i]:
-                    continue
-                mapping[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                used[j] = False
-                mapping[i] = None
-            return False
-
-        if extend(0):
-            return ComplexIso(tuple(mapping))
-        return None
+    @cached_property
+    def _incidence(self):
+        """Vertices (colour 0), then facets (colour 1), as find_isomorphism
+        takes them: the vertex i -> the k-th facet when i lies in it."""
+        n, facets = len(self.vertices), self.facet_masks
+        out = [0] * (n + len(facets))
+        for k, facet in enumerate(facets):
+            for i in bit_indices(facet):
+                out[i] |= 1 << (n + k)
+        return out, [0] * n + list(facets), [0] * n + [1] * len(facets)
 
     def is_isomorphic(self, other):
         return self.isomorphism(other) is not None

@@ -89,6 +89,13 @@ def _flat_label(complex_, mask):
     return "{" + ",".join(names) + "}"
 
 
+def split_vertex_set(text):
+    """Vertex names separated by commas or whitespace, as `closure --set`
+    takes them; a backslash escapes , and \\ inside a name."""
+    names = re.findall(r"(?:\\[\\,]|[^\s,])+", text)
+    return [re.sub(r"\\([\\,])", r"\1", name) for name in names]
+
+
 def _check_flats_limit(complex_, override):
     n = len(complex_.vertices)
     check_limit(f"flat enumeration on {n} vertices", n, FLATS_SOFT_LIMIT, override)

@@ -10,10 +10,9 @@ instance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
-from ._util import bit_indices, check_limit
+from ._util import IndexMap, bit_indices, check_limit, find_isomorphism, refine
 from .errors import NotALattice, NotAPartialOrder
 
 # Unlabeled-lattice enumeration is doubly exponential in spirit; beyond this
@@ -21,14 +20,8 @@ from .errors import NotALattice, NotAPartialOrder
 ENUMERATION_SOFT_LIMIT = 7
 
 
-@dataclass(frozen=True)
-class LatticeIso:
+class LatticeIso(IndexMap):
     """Order isomorphism between two lattices as an element-index map."""
-
-    mapping: tuple[int, ...]
-
-    def __getitem__(self, index):
-        return self.mapping[index]
 
 
 class FiniteLattice:
@@ -49,14 +42,8 @@ class FiniteLattice:
         if len(order) != n or any(len(row) != n for row in order):
             raise NotAPartialOrder("order relation must be a square matrix over the elements")
 
-        up = [0] * n  # up[i]: bitmask of j with i <= j
-        for i in range(n):
-            row = order[i]
-            m = 0
-            for j in range(n):
-                if row[j]:
-                    m |= 1 << j
-            up[i] = m
+        bits = [1 << j for j in range(n)]
+        up = [sum(itertools.compress(bits, row)) for row in order]  # j with i <= j
 
         for i in range(n):
             if not (up[i] >> i) & 1:
@@ -72,10 +59,7 @@ class FiniteLattice:
                         f"relation is not transitive at {labels[i]!r} <= {labels[j]!r}"
                     )
 
-        down = [0] * n
-        for i in range(n):
-            for j in bit_indices(up[i]):
-                down[j] |= 1 << i
+        down = [sum(itertools.compress(bits, column)) for column in zip(*order)]
 
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
@@ -283,107 +267,41 @@ class FiniteLattice:
 
     # -- isomorphism ------------------------------------------------------
 
-    @cached_property
-    def _invariants(self):
-        # per-element fingerprint: order degrees plus cover-neighborhood
-        # degree multisets, refined one round
-        n = len(self)
-        lower = [[] for _ in range(n)]
-        upper = [[] for _ in range(n)]
-        for x, y in self.cover_pairs:
-            upper[x].append(y)
-            lower[y].append(x)
-        base = [
-            (
-                self._down[i].bit_count(),
-                self._up[i].bit_count(),
-                len(lower[i]),
-                len(upper[i]),
-            )
-            for i in range(n)
-        ]
-        return tuple(
-            (
-                base[i],
-                tuple(sorted(base[j] for j in lower[i])),
-                tuple(sorted(base[j] for j in upper[i])),
-            )
-            for i in range(n)
-        )
-
     def isomorphism(self, other):
         """An order isomorphism onto other as a LatticeIso, or None."""
-        n = len(self)
-        if n != len(other):
-            return None
-        mine, theirs = self._invariants, other._invariants
-        if sorted(mine) != sorted(theirs):
-            return None
-        candidates = [
-            [j for j in range(n) if theirs[j] == mine[i]] for i in range(n)
-        ]
-        mapping = [None] * n
-        used = [False] * n
-
-        def extend(i):
-            if i == n:
-                return True
-            for j in candidates[i]:
-                if used[j]:
-                    continue
-                ok = True
-                for k in range(i):
-                    if self.leq(i, k) != other.leq(j, mapping[k]) or self.leq(
-                        k, i
-                    ) != other.leq(mapping[k], j):
-                        ok = False
-                        break
-                if ok:
-                    mapping[i] = j
-                    used[j] = True
-                    if extend(i + 1):
-                        return True
-                    used[j] = False
-                    mapping[i] = None
-            return False
-
-        if extend(0):
-            return LatticeIso(tuple(mapping))
-        return None
+        mapping = find_isomorphism(self._relation, other._relation)
+        return None if mapping is None else LatticeIso(mapping)
 
     def is_isomorphic(self, other):
         return self.isomorphism(other) is not None
+
+    @property
+    def _relation(self):
+        return self._up, self._down, [0] * len(self)
 
     @cached_property
     def canonical_key(self):
         """Relabeling-invariant fingerprint used to deduplicate lattices.
 
-        Minimum of the relation matrix over all permutations that respect the
-        element invariants.  Only intended for the small lattices produced by
-        enumerate_lattices.
+        Minimum of the relation, as a tuple of up-set rows, over all element
+        orders that list the refined colour classes in turn.  Only intended
+        for the small lattices produced by enumerate_lattices.
         """
-        n = len(self)
-        inv = self._invariants
-        classes = {}
-        for i in range(n):
-            classes.setdefault(inv[i], []).append(i)
-        blocks = [classes[k] for k in sorted(classes)]
-        best = None
-        for perms in itertools.product(
-            *(itertools.permutations(block) for block in blocks)
-        ):
-            old_order = [i for perm in perms for i in perm]
-            position = {old: new for new, old in enumerate(old_order)}
-            key = bytearray()
-            for old_i in old_order:
-                row = 0
-                for old_j in bit_indices(self._up[old_i]):
-                    row |= 1 << position[old_j]
-                key.extend(row.to_bytes((n + 7) // 8, "little"))
-            key = bytes(key)
-            if best is None or key < best:
-                best = key
-        return best
+        colours = refine(*self._relation)
+        blocks = [
+            [i for i, c in enumerate(colours) if c == k] for k in range(max(colours) + 1)
+        ]
+
+        ups = [list(bit_indices(row)) for row in self._up]
+
+        def relation_in(order):
+            bit = {old: 1 << new for new, old in enumerate(order)}
+            return tuple(sum([bit[j] for j in ups[i]]) for i in order)
+
+        return min(
+            relation_in([i for perm in perms for i in perm])
+            for perms in itertools.product(*map(itertools.permutations, blocks))
+        )
 
 
 def _extreme(mask, reach):
@@ -418,17 +336,11 @@ def lattice_from_covers(labels, covers):
         if high not in index:
             raise ValueError(f"unknown element {high!r}")
         up[index[low]] |= 1 << index[high]
-    # transitive closure by repeated squaring of the reachability masks
-    changed = True
-    while changed:
-        changed = False
+    # transitive closure (Warshall): after step k, paths may pass through k
+    for k in range(n):
         for i in range(n):
-            m = up[i]
-            for j in bit_indices(m):
-                m |= up[j]
-            if m != up[i]:
-                up[i] = m
-                changed = True
+            if up[i] >> k & 1:
+                up[i] |= up[k]
     order = [[(up[i] >> j) & 1 for j in range(n)] for i in range(n)]
     return FiniteLattice(labels, order)
 

@@ -4,8 +4,10 @@ The enumeration oracle here deliberately avoids the library's pruned search
 and canonicalization: candidates are generated pair by pair and deduplicated
 by minimizing over all permutations, so agreement with the library is a real
 cross-check.  Likewise the flat oracle scans every vertex subset against the
-definition instead of running the closure operator, and the exchange oracle
-compares faces pairwise instead of reading the facets above each face.
+definition instead of running the closure operator, the exchange oracle
+compares faces pairwise instead of reading the facets above each face, and
+the complex isomorphism oracle tries vertex maps one by one instead of
+searching the vertex-facet incidence.
 """
 
 import itertools
@@ -157,6 +159,98 @@ def exchange_violation_pairwise(complex_):
             ):
                 return complex_.set_of(i), complex_.set_of(j)
     return None
+
+
+def complex_isomorphism_by_vertex_maps(a, b):
+    """A vertex map (tuple) taking the facets of a onto those of b, or None.
+
+    The search the library used before its incidence search: vertices are
+    placed in index order, each onto a vertex with the same sorted facet
+    sizes, and the facet sets are compared once every vertex is placed.
+    """
+    n = len(a.vertices)
+    if n != len(b.vertices):
+        return None
+    if sorted(m.bit_count() for m in a.facet_masks) != sorted(
+        m.bit_count() for m in b.facet_masks
+    ):
+        return None
+
+    def invariants(c):
+        return [
+            tuple(sorted(f.bit_count() for f in c.facet_masks if f >> i & 1))
+            for i in range(n)
+        ]
+
+    mine, theirs = invariants(a), invariants(b)
+    if sorted(mine) != sorted(theirs):
+        return None
+    target = set(b.facet_masks)
+    mapping = [None] * n
+    used = [False] * n
+
+    def extend(i):
+        if i == n:
+            got = {
+                sum(1 << mapping[v] for v in range(n) if f >> v & 1)
+                for f in a.facet_masks
+            }
+            return got == target
+        for j in range(n):
+            if used[j] or theirs[j] != mine[i]:
+                continue
+            mapping[i], used[j] = j, True
+            if extend(i + 1):
+                return True
+            mapping[i], used[j] = None, False
+        return False
+
+    return tuple(mapping) if extend(0) else None
+
+
+def maps_facets_onto_facets(a, b, mapping):
+    """Whether the vertex index map takes the facets of a onto those of b."""
+    n = len(a.vertices)
+    if sorted(mapping) != list(range(n)):
+        return False
+    got = {sum(1 << mapping[i] for i in range(n) if f >> i & 1) for f in a.facet_masks}
+    return got == set(b.facet_masks)
+
+
+def is_order_isomorphism(a, b, mapping):
+    n = len(a)
+    return sorted(mapping) == list(range(n)) and all(
+        a.leq(x, y) == b.leq(mapping[x], mapping[y]) for x in range(n) for y in range(n)
+    )
+
+
+def relabelled(obj, seed):
+    """The same lattice or complex with its elements or vertices listed in a
+    seeded random order under fresh names."""
+    rng = random.Random(seed)
+    if isinstance(obj, FiniteLattice):
+        n = len(obj)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        order = [[obj.leq(perm[i], perm[j]) for j in range(n)] for i in range(n)]
+        return validate_lattice(order, [f"r{perm[i]}" for i in range(n)])
+    vertices = list(obj.vertices)
+    rng.shuffle(vertices)
+    fresh = {v: f"r{v}" for v in vertices}
+    return SimplicialComplex(
+        [fresh[v] for v in vertices], [{fresh[v] for v in f} for f in obj.facets]
+    )
+
+
+def cycles_complex(*lengths):
+    """Disjoint cycles of the given lengths as a 1-dimensional complex."""
+    verts = [f"c{k}_{i}" for k, n in enumerate(lengths) for i in range(n)]
+    edges = [
+        {f"c{k}_{i}", f"c{k}_{(i + 1) % n}"}
+        for k, n in enumerate(lengths)
+        for i in range(n)
+    ]
+    return from_faces(verts, edges)
 
 
 def maximal_masks_naive(masks):

@@ -5,15 +5,23 @@ output, so the argparse wiring, the handlers and the emitters are all
 exercised together.
 """
 
+import contextlib
 import dataclasses
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flatlat.cli as cli
-from flatlat import all_flats, format_lattice, parse, realizing_complex
+from flatlat import (
+    all_flats,
+    enumerate_lattices,
+    format_lattice,
+    parse,
+    realizing_complex,
+)
 
 import helpers
 from conftest import FIXTURES
@@ -109,6 +117,23 @@ def test_closure(capsys):
     assert code == 0 and out == "closure: 1 2 3 4\n"
     code, out, _ = run(capsys, "closure", TRIANGLES, "--set", "1 2")
     assert code == 0 and out == "closure: 1 2\n"
+
+
+def test_closure_set_escapes_a_comma_in_a_vertex_name(capsys, monkeypatch):
+    doc = "complex\nvertices x y x,y a\\b\nfacet x x,y a\\b\nfacet y x,y a\\b\n"
+
+    def closure_of(text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, _ = run(capsys, "closure", "-", "--set", text, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        return data["set"], data["closure"]
+
+    assert closure_of("x,y") == (["x", "y"], ["x", "y"])
+    assert closure_of("x\\,y") == (["x,y"], ["x,y"])
+    assert closure_of("x\\,y,a\\\\b") == (["x,y", "a\\b"], ["x,y", "a\\b"])
+    # a backslash before any other character is kept as it is
+    assert closure_of("a\\b") == (["a\\b"], ["a\\b"])
 
 
 # -- brsc ----------------------------------------------------------------------
@@ -343,6 +368,40 @@ def test_superclique_oracle_flags_disagreement(capsys, monkeypatch):
     assert "disagreement" in err
 
 
+PATH4_CLIQUES = "superclique: 1 2\nsuperclique: 2 3\nsuperclique: 3 4\n"
+
+
+@pytest.mark.parametrize(
+    "flags, growth, scan",
+    [
+        ((), 1, 0),
+        (("--naive",), 0, 1),
+        (("--oracle",), 1, 1),
+        (("--naive", "--oracle"), 1, 1),
+    ],
+)
+def test_superclique_runs_each_path_at_most_once(
+    capsys, monkeypatch, flags, growth, scan
+):
+    calls = {"growth": 0, "scan": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        cli, "find_supercliques", counted("growth", cli.find_supercliques)
+    )
+    monkeypatch.setattr(
+        cli, "supercliques_bruteforce", counted("scan", cli.supercliques_bruteforce)
+    )
+    assert run(capsys, "superclique", PATH4, *flags) == (0, PATH4_CLIQUES, "")
+    assert calls == {"growth": growth, "scan": scan}
+
+
 def test_naive_superclique_limit_and_override(capsys, tmp_path, monkeypatch):
     labels = " ".join(f"v{i}" for i in range(17))
     path = tmp_path / "big.gr"
@@ -403,3 +462,76 @@ def test_fixture_command_matches_its_frozen_output(capsys, monkeypatch, command)
     monkeypatch.delenv("FLATLAT_LIMIT_OVERRIDE", raising=False)
     code, out, _ = run(capsys, *command.split())
     assert (code, out) == (EXPECTED[command]["exit"], EXPECTED[command]["stdout"])
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+NAMES = ["a", "b", "c", "d", "e", "f"]
+# the subcommands reading each kind of document, with the flags they accept
+COMMANDS = {
+    "lattice": {
+        "classify": [],
+        "realizable": ["--force-general", "--oracle"],
+        "construct": ["--verify"],
+        "tl": ["--oracle"],
+        "matrix": [],
+        "superclique": ["--naive", "--oracle"],
+        "hasse": [],
+    },
+    "complex": {"flats": ["--dot"], "closure": [], "brsc": ["--verbose", "--oracle"]},
+    "graph": {"superclique": ["--naive", "--oracle"]},
+}
+DIRECTIVES = {
+    "lattice": ("elements", "cover", 2, 2),
+    "complex": ("vertices", "facet", 1, 3),
+    "graph": ("vertices", "edge", 2, 2),
+}
+SMALL_LATTICES = list(enumerate_lattices(6))
+RARELY = st.sampled_from([False, False, False, False, True])
+
+
+@st.composite
+def command_lines(draw):
+    """A command line and the document it reads on stdin: a lattice, complex
+    or graph on at most 6 labels, sometimes with an invalid relation, an
+    undeclared label or the wrong kind for the command."""
+    kind = draw(st.sampled_from(sorted(DIRECTIVES)))
+    labels = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=6, unique=True))
+    if kind == "lattice" and draw(st.booleans()):
+        lattice = draw(st.sampled_from(SMALL_LATTICES))
+        text, labels = format_lattice(lattice), list(lattice.labels)
+    else:
+        head, word, least, most = DIRECTIVES[kind]
+        pool = labels + ["z"] if draw(RARELY) else labels
+        distinct = len(pool) >= least and not draw(RARELY)
+        row = st.lists(
+            st.sampled_from(pool), min_size=least, max_size=most, unique=distinct
+        )
+        rows = draw(st.lists(row, max_size=8))
+        lines = [kind, f"{head} " + " ".join(labels)]
+        lines += [f"{word} " + " ".join(row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    if draw(RARELY):
+        kind = draw(st.sampled_from(sorted(DIRECTIVES)))
+    command, flags = draw(st.sampled_from(sorted(COMMANDS[kind].items())))
+    argv = [command, "-", "--format", draw(st.sampled_from(["text", "json"]))]
+    argv += [flag for flag in flags if draw(st.booleans())]
+    if command == "closure":
+        chosen = draw(st.lists(st.sampled_from(labels + ["z"]), max_size=3))
+        argv += ["--set", ",".join(chosen)]
+    return argv, text
+
+
+@settings(max_examples=150)
+@given(command_lines())
+def test_every_command_on_random_small_documents_exits_cleanly(command_line):
+    argv, text = command_line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            code = cli.main(argv)
+        finally:
+            sys.stdin = stdin
+    assert code in (0, 1, 2, 3), (argv, text, err.getvalue())
+    assert "Traceback" not in err.getvalue()

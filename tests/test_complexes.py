@@ -179,6 +179,42 @@ def test_isomorphism_needs_matching_vertex_count(triangles, nonbr):
     assert triangles.isomorphism(nonbr) is None
 
 
+def test_isomorphism_agrees_with_the_vertex_map_search_on_all_small_complexes():
+    for n in range(1, 5):
+        complexes = helpers.all_complexes(n)
+        for a, b in itertools.product(complexes, repeat=2):
+            iso = a.isomorphism(b)
+            want = helpers.complex_isomorphism_by_vertex_maps(a, b)
+            assert (iso is None) == (want is None), (a, b)
+            if iso is not None:
+                assert helpers.maps_facets_onto_facets(a, b, iso.mapping)
+
+
+def test_a_cycle_is_not_two_half_cycles():
+    c12, c6c6 = helpers.cycles_complex(12), helpers.cycles_complex(6, 6)
+    assert c12.isomorphism(c6c6) is None
+    assert c6c6.isomorphism(c12) is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: helpers.cycles_complex(40),
+        # colour refinement cannot tell the two cycles apart, so a first
+        # guess may put a vertex of the 5-cycle on the 6-cycle
+        lambda: helpers.cycles_complex(5, 6),
+        lambda: helpers.uniform_complex(20, 3),
+    ],
+)
+def test_isomorphism_onto_a_relabelled_copy_of_a_large_complex(build):
+    # U(3,20) has 1140 facets: 1160 incidence nodes
+    a = build()
+    for seed in range(4):
+        b = helpers.relabelled(a, seed)
+        iso = a.isomorphism(b)
+        assert iso is not None and helpers.maps_facets_onto_facets(a, b, iso.mapping)
+
+
 def test_equality_is_structural(triangles):
     clone = from_faces(
         ["1", "2", "3", "4"],

@@ -213,6 +213,24 @@ def test_isomorphism_respects_order_both_ways():
             assert a.leq(x, y) == b.leq(iso[x], iso[y])
 
 
+def test_isomorphism_agrees_with_canonical_keys():
+    lats = list(enumerate_lattices(6))
+    copies = [helpers.relabelled(lat, seed) for seed, lat in enumerate(lats)]
+    for a, b in itertools.product(lats, lats + copies):
+        iso = a.isomorphism(b)
+        assert (iso is not None) == (a.canonical_key == b.canonical_key)
+        if iso is not None:
+            assert helpers.is_order_isomorphism(a, b, iso.mapping)
+
+
+def test_isomorphism_onto_a_relabelled_boolean_lattice():
+    cube = helpers.powerset_lattice("abcdef")
+    copy = helpers.relabelled(cube, 1)
+    iso = cube.isomorphism(copy)
+    assert iso is not None and helpers.is_order_isomorphism(cube, copy, iso.mapping)
+    assert cube.isomorphism(helpers.relabelled(helpers.chain_lattice(64), 1)) is None
+
+
 def test_enumeration_counts_are_frozen():
     by_size = {}
     for lat in enumerate_lattices(7):
