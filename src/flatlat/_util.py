@@ -168,6 +168,12 @@ def refine(out, into, colours):
         ]
 
 
+def _degrees(relation):
+    """The sorted (colour, out-degree, in-degree) triples of the nodes."""
+    out, into, colours = relation
+    return sorted(zip(colours, map(int.bit_count, out), map(int.bit_count, into)))
+
+
 def find_isomorphism(a, b):
     """A colour-keeping bijection m with i -> j in a iff m[i] -> m[j] in b,
     as a tuple, or None; a and b are (out, into, colours).
@@ -183,6 +189,8 @@ def find_isomorphism(a, b):
     pair of a reaches every pair of b.
     """
     (out_a, in_a, col_a), (out_b, in_b, col_b) = a, b
+    if _degrees(a) != _degrees(b):
+        return None  # an isomorphism keeps colours and degrees
     n = len(out_a)
     colours = refine(
         [*out_a, *(row << n for row in out_b)],

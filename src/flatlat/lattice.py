@@ -1,10 +1,17 @@
 """Finite lattices: validation, structure queries and enumeration.
 
 A lattice is stored as an indexed tuple of element labels together with the
-full order relation; meet and join tables are computed once at construction
-time and every query afterwards is table lookup.  Instances are immutable and
-hashable, so results of expensive derived computations are cached on the
-instance.
+full order relation, as up- and down-set bitmasks; meet and join tables are
+computed once at construction time and every query afterwards is table
+lookup.  A set of elements has a greatest element g exactly when it is the
+down-set of g, so the meet of i and j is the element whose down-set is
+down[i] & down[j], one dict lookup per pair (joins likewise with up-sets).
+Instances are immutable and hashable, so results of expensive derived
+computations are cached on the instance.
+
+Enumeration adds elements one at a time as new maximal elements, each above
+a down-set of the poset built so far; the walk keeps the list of those
+down-sets instead of testing every subset.
 """
 
 from __future__ import annotations
@@ -61,17 +68,20 @@ class FiniteLattice:
 
         down = [sum(itertools.compress(bits, column)) for column in zip(*order)]
 
+        # In a partial order a set has a greatest element g exactly when it
+        # is down[g], and a least element l exactly when it is up[l].
+        by_down = {d: i for i, d in enumerate(down)}
+        by_up = {u: i for i, u in enumerate(up)}
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
         for i in range(n):
+            down_i, up_i = down[i], up[i]
             for j in range(i, n):
-                lower = down[i] & down[j]
-                g = _extreme(lower, down)
+                g = by_down.get(down_i & down[j])
                 if g is None:
                     raise NotALattice((labels[i], labels[j]), "meet")
                 meet[i][j] = meet[j][i] = g
-                upper = up[i] & up[j]
-                l = _extreme(upper, up)
+                l = by_up.get(up_i & up[j])
                 if l is None:
                     raise NotALattice((labels[i], labels[j]), "join")
                 join[i][j] = join[j][i] = l
@@ -287,30 +297,27 @@ class FiniteLattice:
         orders that list the refined colour classes in turn.  Only intended
         for the small lattices produced by enumerate_lattices.
         """
-        colours = refine(*self._relation)
-        blocks = [
-            [i for i, c in enumerate(colours) if c == k] for k in range(max(colours) + 1)
-        ]
-
-        ups = [list(bit_indices(row)) for row in self._up]
-
-        def relation_in(order):
-            bit = {old: 1 << new for new, old in enumerate(order)}
-            return tuple(sum([bit[j] for j in ups[i]]) for i in order)
-
-        return min(
-            relation_in([i for perm in perms for i in perm])
-            for perms in itertools.product(*map(itertools.permutations, blocks))
-        )
+        return _canonical_key(self._up, self._down)
 
 
-def _extreme(mask, reach):
-    """The member x of mask with mask inside reach[x], or None: the greatest
-    member when reach holds down-sets, the least when it holds up-sets."""
-    for x in bit_indices(mask):
-        if mask & ~reach[x] == 0:
-            return x
-    return None
+def _canonical_key(up, down):
+    """The canonical_key of the lattice with these up- and down-set masks."""
+    n = len(up)
+    colours = refine(up, down, [0] * n)
+    blocks = [
+        [i for i, c in enumerate(colours) if c == k] for k in range(max(colours) + 1)
+    ]
+
+    ups = [list(bit_indices(row)) for row in up]
+
+    def relation_in(order):
+        bit = {old: 1 << new for new, old in enumerate(order)}
+        return tuple(sum([bit[j] for j in ups[i]]) for i in order)
+
+    return min(
+        relation_in([i for perm in perms for i in perm])
+        for perms in itertools.product(*map(itertools.permutations, blocks))
+    )
 
 
 def validate_lattice(order, labels=None):
@@ -349,12 +356,15 @@ def enumerate_lattices(max_size, override=False):
     """Yield one representative per isomorphism class of lattices.
 
     Lattices are produced in order of size, from the one-element lattice up
-    to max_size elements.  Candidates are generated by extending linear
-    extensions one maximal element at a time; each prefix of a linear
-    extension of a lattice is a down-set and therefore closed under meets,
-    so partial posets whose pairs lack a greatest lower bound are pruned
-    immediately.  A final unique-top check makes the completed posets
-    lattices (a finite meet-semilattice with a top has all joins).
+    to max_size elements.  Candidates are naturally labeled posets (i below
+    j only if i < j), grown one maximal element at a time over the real
+    down-sets of the poset built so far (see _natural_meet_prefixes); a
+    pair that lacks a meet stays without one as elements are added above
+    it, so such prefixes are pruned at once.  A finite meet-semilattice with
+    a top has all joins, so the candidates on n elements are the prefixes
+    on n - 1 elements with a top added.  Each candidate is keyed by
+    _canonical_key from its masks, and a FiniteLattice is built only for
+    the first candidate of each class.
     """
     what = f"lattice enumeration up to {max_size} elements"
     check_limit(what, max_size, ENUMERATION_SOFT_LIMIT, override)
@@ -363,52 +373,55 @@ def enumerate_lattices(max_size, override=False):
 
 
 def _lattices_of_size(n):
+    """Lattice classes on n elements, each built once, in the order of the
+    first candidate of its class.  The last element of a naturally labeled
+    lattice is its top, above a poset on 0..n-2 whose pairs all have meets,
+    so the candidates are those posets with the top added."""
     seen = set()
     labels = tuple(str(i) for i in range(n))
-    for down in _natural_meet_prefixes(n):
-        maximal = (1 << n) - 1
-        for j in range(n):
-            maximal &= ~(down[j] & ~(1 << j))
-        if maximal.bit_count() != 1:
-            continue
-        order = [[(down[j] >> i) & 1 for j in range(n)] for i in range(n)]
-        lat = FiniteLattice(labels, order)
-        key = lat.canonical_key
+    bits = [1 << j for j in range(n)]
+    for prefix in _natural_meet_prefixes(n - 1):
+        down = (*prefix, (1 << n) - 1)
+        up = [sum([bits[j] for j in range(n) if down[j] >> i & 1]) for i in range(n)]
+        key = _canonical_key(up, down)
         if key not in seen:
             seen.add(key)
-            yield lat
+            order = [[(down[j] >> i) & 1 for j in range(n)] for i in range(n)]
+            yield FiniteLattice(labels, order)
 
 
 def _natural_meet_prefixes(n):
-    """Down-set masks of naturally labeled posets whose pairs all have meets."""
+    """Down-set masks of naturally labeled posets whose pairs all have meets.
 
-    def extend(down):
+    Element k is added as a new maximal element below which lies a down-set
+    `ideal` of the poset on 0..k-1.  The walk keeps every down-set of that
+    poset, in ascending order, so it tries exactly these: the new element's
+    down-set is d = ideal | bit k, and the down-sets of the larger poset are
+    the old ones followed by D | bit k for every old D containing d.  A pair
+    of k with an element x not below it has a meet exactly when
+    ideal & down[x] is the down-set of one element, that is, when it is in
+    the set of down-masks built so far.  This also drops the empty ideal
+    once k > 0: a second minimal element has no meet with element 0.
+    """
+
+    def extend(down, ideals, principal):
         k = len(down)
         if k == n:
             yield tuple(down)
             return
-        full = (1 << k) - 1
-        for ideal in range(full + 1):
-            if k and ideal == 0:
-                continue  # a second minimal element can never regain a meet
-            ok = True
-            for i in bit_indices(ideal):
-                if down[i] & ~ideal:
-                    ok = False  # not a down-set
-                    break
-            if not ok:
+        bit = 1 << k
+        for ideal in ideals:
+            if any(
+                not ideal >> x & 1 and ideal & down[x] not in principal for x in range(k)
+            ):
                 continue
-            for x in range(k):
-                common = ideal & down[x]
-                if (1 << x) & ideal:
-                    continue  # x below the new element: meet is x itself
-                if _extreme(common, down) is None:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            down.append(ideal | (1 << k))
-            yield from extend(down)
+            d = ideal | bit
+            down.append(d)
+            principal.add(d)
+            yield from extend(
+                down, ideals + [D | bit for D in ideals if D & ideal == ideal], principal
+            )
+            principal.discard(d)
             down.pop()
 
-    yield from extend([])
+    yield from extend([], [0], set())

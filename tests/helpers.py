@@ -7,7 +7,10 @@ cross-check.  Likewise the flat oracle scans every vertex subset against the
 definition instead of running the closure operator, the exchange oracle
 compares faces pairwise instead of reading the facets above each face, and
 the complex isomorphism oracle tries vertex maps one by one instead of
-searching the vertex-facet incidence.
+searching the vertex-facet incidence.  The lattice table and enumeration
+oracles keep the scans the library used before its down-set lookups: every
+pair's meet and join by testing each member of its lower and upper sets, and
+each new element's down-set by testing all subsets of the elements before it.
 """
 
 import itertools
@@ -15,6 +18,8 @@ import random
 
 from flatlat import (
     FiniteLattice,
+    NotALattice,
+    NotAPartialOrder,
     SimpleGraph,
     SimplicialComplex,
     from_faces,
@@ -347,3 +352,97 @@ def assert_valid_lattice(lat):
     order = [[lat.leq(i, j) for j in range(n)] for i in range(n)]
     rebuilt = validate_lattice(order, list(lat.labels))
     assert isinstance(rebuilt, FiniteLattice)
+
+
+def _extreme(mask, reach):
+    """The member x of mask with mask inside reach[x], or None: the greatest
+    member when reach holds down-sets, the least when it holds up-sets."""
+    for x in range(len(reach)):
+        if mask >> x & 1 and mask & ~reach[x] == 0:
+            return x
+    return None
+
+
+def meet_join_by_scan(labels, order):
+    """Meet and join tables of a labelled relation matrix, as tuples of rows.
+
+    Validates like FiniteLattice, raising the same errors with the same
+    messages, then scans each pair's common lower (upper) set for a member
+    that all of the set lies below (above).
+    """
+    n = len(labels)
+    up = [sum(1 << j for j in range(n) if order[i][j]) for i in range(n)]
+    down = [sum(1 << i for i in range(n) if order[i][j]) for j in range(n)]
+    for i in range(n):
+        if not order[i][i]:
+            raise NotAPartialOrder(f"relation is not reflexive at {labels[i]!r}")
+    for i in range(n):
+        for j in range(n):
+            if not order[i][j]:
+                continue
+            if j != i and order[j][i]:
+                raise NotAPartialOrder(
+                    f"relation is not antisymmetric on {labels[i]!r}, {labels[j]!r}"
+                )
+            if up[j] & ~up[i]:
+                raise NotAPartialOrder(
+                    f"relation is not transitive at {labels[i]!r} <= {labels[j]!r}"
+                )
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g = _extreme(down[i] & down[j], down)
+            if g is None:
+                raise NotALattice((labels[i], labels[j]), "meet")
+            meet[i][j] = meet[j][i] = g
+            l = _extreme(up[i] & up[j], up)
+            if l is None:
+                raise NotALattice((labels[i], labels[j]), "join")
+            join[i][j] = join[j][i] = l
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
+def natural_meet_prefixes_by_scan(n):
+    """Down-set masks of naturally labelled posets on n elements whose pairs
+    all have meets, in the library's order: each new element k tries every
+    mask below 2^k in ascending order, keeping the down-sets (nonempty once
+    k > 0) that give it a meet with every element not below it."""
+
+    def extend(down):
+        k = len(down)
+        if k == n:
+            yield tuple(down)
+            return
+        for ideal in range(1 << k):
+            if k and ideal == 0:
+                continue
+            if any(ideal >> i & 1 and down[i] & ~ideal for i in range(k)):
+                continue  # not a down-set
+            if any(
+                not ideal >> x & 1 and _extreme(ideal & down[x], down) is None
+                for x in range(k)
+            ):
+                continue
+            down.append(ideal | 1 << k)
+            yield from extend(down)
+            down.pop()
+
+    yield from extend([])
+
+
+def lattices_by_building_every_candidate(n):
+    """One lattice per class on n elements: every prefix with a unique
+    maximal element is built as a FiniteLattice and kept when its
+    canonical_key is new."""
+    seen = set()
+    labels = [str(i) for i in range(n)]
+    for down in natural_meet_prefixes_by_scan(n):
+        above = [[k for k in range(n) if k != j and down[k] >> j & 1] for j in range(n)]
+        if above.count([]) != 1:
+            continue  # not one maximal element
+        order = [[down[j] >> i & 1 for j in range(n)] for i in range(n)]
+        lat = FiniteLattice(labels, order)
+        if lat.canonical_key not in seen:
+            seen.add(lat.canonical_key)
+            yield lat

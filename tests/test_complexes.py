@@ -190,6 +190,33 @@ def test_isomorphism_agrees_with_the_vertex_map_search_on_all_small_complexes():
                 assert helpers.maps_facets_onto_facets(a, b, iso.mapping)
 
 
+def test_pairs_with_different_degrees_never_reach_refinement(monkeypatch):
+    import flatlat._util as util
+
+    def degrees(c):
+        """Sorted vertex degrees in the facets, and sorted facet sizes."""
+        facets = c.facet_masks
+        n = len(c.vertices)
+        return sorted(sum(f >> i & 1 for f in facets) for i in range(n)), sorted(
+            f.bit_count() for f in facets
+        )
+
+    def refuse(*args):
+        raise AssertionError("refined")
+
+    monkeypatch.setattr(util, "refine", refuse)
+    complexes = helpers.all_complexes(3) + helpers.all_complexes(4)
+    refined = 0
+    for a, b in itertools.product(complexes, repeat=2):
+        if degrees(a) != degrees(b):
+            assert a.isomorphism(b) is None
+        else:
+            with pytest.raises(AssertionError, match="refined"):
+                a.isomorphism(b)
+            refined += 1
+    assert refined >= len(complexes)
+
+
 def test_a_cycle_is_not_two_half_cycles():
     c12, c6c6 = helpers.cycles_complex(12), helpers.cycles_complex(6, 6)
     assert c12.isomorphism(c6c6) is None

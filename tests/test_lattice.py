@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flatlat import (
+    FiniteLattice,
     LimitExceeded,
     NotALattice,
     NotAPartialOrder,
+    all_flats,
     enumerate_lattices,
     flats_lattice,
     transversal_complex,
@@ -16,6 +18,7 @@ from flatlat import (
 )
 
 import helpers
+from flatlat.lattice import _lattices_of_size, _natural_meet_prefixes
 
 
 def test_trivial_lattice():
@@ -312,3 +315,85 @@ def test_powerset_lattice_meet_join_are_set_operations(i, j):
 
     assert as_set(cube.meet(i, j)) == as_set(i) & as_set(j)
     assert as_set(cube.join(i, j)) == as_set(i) | as_set(j)
+
+
+def _assert_tables_match_the_scan(lat):
+    n = len(lat)
+    order = [[lat.leq(i, j) for j in range(n)] for i in range(n)]
+    assert helpers.meet_join_by_scan(lat.labels, order) == (lat._meet, lat._join)
+
+
+def test_meet_join_tables_match_the_scan_on_enumerated_lattices():
+    for lat in enumerate_lattices(7):
+        _assert_tables_match_the_scan(lat)
+        for seed in range(3):
+            _assert_tables_match_the_scan(helpers.relabelled(lat, seed))
+
+
+def test_meet_join_tables_match_the_scan_on_flat_lattices(fixture_complexes):
+    for cx in fixture_complexes:
+        _assert_tables_match_the_scan(all_flats(cx).lattice)
+    for n in range(3, 11):
+        _assert_tables_match_the_scan(all_flats(helpers.uniform_complex(n, 3)).lattice)
+
+
+def _tables(labels, order):
+    lat = FiniteLattice(labels, order)
+    return lat._meet, lat._join
+
+
+def _outcome(build, labels, order):
+    try:
+        return build(labels, order)
+    except (NotALattice, NotAPartialOrder) as exc:
+        return type(exc), str(exc)
+
+
+def test_every_reflexive_relation_up_to_four_elements_fails_like_the_scan():
+    kinds = set()
+    for n in range(1, 5):
+        labels = [f"e{i}" for i in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for bits in range(1 << len(pairs)):
+            order = [[i == j for j in range(n)] for i in range(n)]
+            for k, (i, j) in enumerate(pairs):
+                order[i][j] = bool(bits >> k & 1)
+            want = _outcome(helpers.meet_join_by_scan, labels, order)
+            assert _outcome(_tables, labels, order) == want
+            if want[0] is NotAPartialOrder:
+                kinds.add(want[1].split()[3])
+            else:
+                kinds.add("lattice" if want[0] is NotALattice else "ok")
+    assert kinds == {"ok", "lattice", "antisymmetric", "transitive"}
+
+
+def test_down_set_walk_matches_the_mask_scan():
+    for n in range(8):
+        assert list(_natural_meet_prefixes(n)) == list(
+            helpers.natural_meet_prefixes_by_scan(n)
+        )
+
+
+def test_enumeration_matches_building_every_candidate():
+    got = [(lat.labels, lat._up) for lat in enumerate_lattices(7)]
+    want = [
+        (lat.labels, lat._up)
+        for n in range(1, 8)
+        for lat in helpers.lattices_by_building_every_candidate(n)
+    ]
+    assert got == want
+
+
+def test_enumeration_builds_a_lattice_only_for_a_new_class(monkeypatch):
+    import flatlat.lattice as lattice_module
+
+    built = []
+
+    class Counting(FiniteLattice):
+        def __init__(self, labels, order):
+            built.append(len(labels))
+            super().__init__(labels, order)
+
+    monkeypatch.setattr(lattice_module, "FiniteLattice", Counting)
+    assert sum(1 for _ in _lattices_of_size(7)) == 53
+    assert built == [7] * 53

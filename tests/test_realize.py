@@ -215,6 +215,24 @@ def test_shortcuts_agree_with_general_path():
         assert fast.realizable == slow.realizable
 
 
+def test_census_up_to_eight_elements_is_pinned():
+    """Classes (OEIS A006966), atomistic and realizable classes per size."""
+    from flatlat import enumerate_lattices
+
+    classes, atomistic, realizable = [0] * 8, [0] * 8, [0] * 8
+    for lat in enumerate_lattices(8, override=True):
+        fast = is_realizable(lat)
+        slow = is_realizable(lat, force_general=True)
+        assert (fast.atomistic, fast.realizable) == (slow.atomistic, slow.realizable)
+        k = len(lat) - 1
+        classes[k] += 1
+        atomistic[k] += slow.atomistic
+        realizable[k] += slow.realizable
+    assert classes == [1, 1, 1, 2, 5, 15, 53, 222]
+    assert atomistic == [1, 1, 0, 1, 1, 2, 4, 9]
+    assert realizable == [1, 1, 0, 1, 1, 1, 2, 4]
+
+
 def test_boolean_matrix_values(nonreal6):
     assert boolean_matrix(helpers.chain_lattice(2, ["B", "T"])) == [[1], [0]]
     assert boolean_matrix(nonreal6) == [
