@@ -2,12 +2,13 @@
 
 Vertex and element sets are stored as int bitmasks throughout the package;
 these helpers keep the loops readable.  GroundSet is the one place where
-vertex labels turn into bitmasks and back, and find_isomorphism is the one
-isomorphism search, for lattices and complexes alike.
+vertex labels turn into bitmasks and back.  find_isomorphism, for lattices
+and complexes alike, and lattice._canonical_key are the two searches by
+individualization-refinement; both call refine and individualize.
 """
 
-import heapq
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import LimitExceeded, UnknownVertex
 
@@ -139,33 +140,38 @@ class IndexMap:
 
 
 # A relation on nodes 0..n-1 is a pair of bitmask lists: bit j of out[i] and
-# bit i of into[j] are set when i -> j.
+# bit i of into[j] are set when i -> j.  refine takes it as the lists of
+# those bits' indices, the successors and predecessors of each node.
 
 
-def refine(out, into, colours):
+def refine(succ, pred, colours):
     """Colour refinement (1-dimensional Weisfeiler-Leman) to its fixpoint.
 
     A node's next colour ranks its colour with the sorted colours of its
-    successors and predecessors (at first: whether it relates to itself and
-    how many of each it has), so colours depend on the structure alone and
-    are comparable across relations refined as one disjoint union.
+    successors and predecessors (at first: how many of each it has), so
+    colours depend on the structure alone and are comparable across
+    relations refined as one disjoint union.  The result is equitable
+    (nodes of one colour have as many successors, and predecessors, of each
+    colour), and it only splits the given classes.
     """
-    succ = [list(bit_indices(row)) for row in out]
-    pred = [list(bit_indices(row)) for row in into]
-    sig = [
-        (c, out[i] >> i & 1, len(succ[i]), len(pred[i])) for i, c in enumerate(colours)
-    ]
+    sig = [(c, len(s), len(p)) for c, s, p in zip(colours, succ, pred)]
     classes = 0
     while True:
         rank = {s: k for k, s in enumerate(sorted(set(sig)))}
         colour = [rank[s] for s in sig]
-        if len(rank) == classes:
+        if len(rank) in (classes, len(sig)):
             return colour
         classes, get = len(rank), colour.__getitem__
         sig = [
-            (c, tuple(sorted(map(get, s))), tuple(sorted(map(get, p))))
+            (c, tuple(sorted(map(get, s))) if s else (), tuple(sorted(map(get, p))) if p else ())
             for c, s, p in zip(colour, succ, pred)
         ]
+
+
+def individualize(colours, *nodes):
+    """The colouring with nodes of one class ranked just below the rest."""
+    t = colours[nodes[0]]
+    return [t if i in nodes else c + (c >= t) for i, c in enumerate(colours)]
 
 
 def _degrees(relation):
@@ -178,67 +184,33 @@ def find_isomorphism(a, b):
     """A colour-keeping bijection m with i -> j in a iff m[i] -> m[j] in b,
     as a tuple, or None; a and b are (out, into, colours).
 
-    After refining a and b as one, the nodes of a are placed without
-    recursion, fewest possible images first (nodes of its colour relating
-    to each placed neighbour as it does): the search grows from placed
-    nodes like a breadth-first search, but settles a facet's vertices
-    before it moves on.  A candidate image is the AND of the right
-    neighbourhoods of the images of the node's placed neighbours.  No more
-    is checked: a refined colour fixes a node's loop and out-degree, so a
-    and b have equally many pairs i -> j, and a bijection that keeps every
-    pair of a reaches every pair of b.
+    Individualization-refinement on the disjoint union of a and b (McKay &
+    Piperno 2014): a branch refines, ends if a and b differ in the number
+    of nodes of some colour, and else individualizes the first a-node u of
+    the first colour several a-nodes share together with each b-node of
+    u's colour in turn.  When each colour holds one a-node and one b-node,
+    the colouring is an isomorphism, since refined colours are equitable.
     """
     (out_a, in_a, col_a), (out_b, in_b, col_b) = a, b
     if _degrees(a) != _degrees(b):
         return None  # an isomorphism keeps colours and degrees
     n = len(out_a)
-    colours = refine(
-        [*out_a, *(row << n for row in out_b)],
-        [*in_a, *(row << n for row in in_b)],
-        [*col_a, *col_b],
-    )
-    members = {}  # colour -> its nodes, those of b shifted up by n
-    for i, c in enumerate(colours):
-        members[c] = members.get(c, 0) | 1 << i
-    full = (1 << n) - 1  # a and b need as many nodes of each colour
-    if any(m.bit_count() != 2 * (m & full).bit_count() for m in members.values()):
-        return None
-    domain = [members[c] & full for c in colours[:n]]
-    heap = sorted((d.bit_count(), u) for u, d in enumerate(domain))
-    plan, placed = [], 0
-    while heap:
-        size, u = heapq.heappop(heap)
-        if placed >> u & 1 or size != domain[u].bit_count():
+    shifted = [*out_a, *(row << n for row in out_b)], [*in_a, *(row << n for row in in_b)]
+    succ, pred = ([list(bit_indices(row)) for row in rows] for rows in shifted)
+    branches = [iter([[*col_a, *col_b]])]  # per level, its untried colourings
+    while branches:
+        colours = next(branches[-1], None)
+        if colours is None:
+            branches.pop()
             continue
-        outs = list(bit_indices(out_a[u] & placed))
-        ins = list(bit_indices(in_a[u] & placed))
-        plan.append((u, members[colours[u]] >> n, outs, ins))
-        placed |= 1 << u
-        for row in (out_a[u], in_a[u]):
-            for v in bit_indices(row & ~placed):
-                domain[v] &= row
-                heapq.heappush(heap, (domain[v].bit_count(), v))
-
-    # stack[t]: the untried candidates of the t-th node, None before its first
-    image, used, stack = [0] * n, 0, [None]
-    while stack:
-        t = len(stack) - 1
-        u, cand, outs, ins = plan[t]
-        if stack[t] is None:
-            for s in outs:
-                cand &= in_b[image[s]]
-            for s in ins:
-                cand &= out_b[image[s]]
-            cand &= ~used
-        else:
-            cand = stack[t]
-            used ^= 1 << image[u]
-        if not cand:
-            stack.pop()
+        colours = refine(succ, pred, colours)
+        side = sorted(colours[:n])
+        if side != sorted(colours[n:]):
             continue
-        low = cand & -cand
-        stack[t], image[u], used = cand ^ low, low.bit_length() - 1, used | low
-        if t + 1 == n:
-            return tuple(image)
-        stack.append(None)
+        t = next((c for c, d in zip(side, side[1:]) if c == d), None)
+        if t is None:
+            image = {c: v for v, c in enumerate(colours[n:])}
+            return tuple(image[c] for c in colours[:n])
+        same = [v for v in range(n, 2 * n) if colours[v] == t]
+        branches.append(map(partial(individualize, colours, colours.index(t)), same))
     return None

@@ -11,6 +11,9 @@ searching the vertex-facet incidence.  The lattice table and enumeration
 oracles keep the scans the library used before its down-set lookups: every
 pair's meet and join by testing each member of its lower and upper sets, and
 each new element's down-set by testing all subsets of the elements before it.
+The lattice key oracle keeps the key the library used before its
+individualization-refinement search: the least relation over every element
+order that permutes each refined colour class.
 """
 
 import itertools
@@ -23,8 +26,10 @@ from flatlat import (
     SimpleGraph,
     SimplicialComplex,
     from_faces,
+    lattice_from_covers,
     validate_lattice,
 )
+from flatlat._util import bit_indices, refine
 
 
 def chain_lattice(n, labels=None):
@@ -247,6 +252,47 @@ def relabelled(obj, seed):
     )
 
 
+def cubic_graph_complex(n, seed):
+    """A seeded random 3-regular graph on n vertices (configuration model:
+    pair up three stubs per vertex, retry until no loop or double edge) as
+    a 1-dimensional complex.  Colour refinement gives every vertex of such
+    a graph one colour and every edge another."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {frozenset(stubs[i : i + 2]) for i in range(0, len(stubs), 2)}
+        if len(edges) == len(stubs) // 2 and all(len(e) == 2 for e in edges):
+            return from_faces(
+                [f"v{i}" for i in range(n)], [{f"v{i}" for i in e} for e in edges]
+            )
+
+
+def distance_profile(complex_):
+    """For each vertex, how many vertices lie at each distance from it in
+    the graph of the complex's edges, sorted: an isomorphism invariant."""
+    n = len(complex_.vertices)
+    near = [0] * n
+    for f in complex_.facet_masks:
+        if f.bit_count() == 2:
+            u, v = bit_indices(f)
+            near[u] |= 1 << v
+            near[v] |= 1 << u
+    profile = []
+    for v in range(n):
+        seen = layer = 1 << v
+        counts = []
+        while layer:
+            reach = 0
+            for u in bit_indices(layer):
+                reach |= near[u]
+            layer = reach & ~seen
+            seen |= layer
+            counts.append(layer.bit_count())
+        profile.append(tuple(counts))
+    return sorted(profile)
+
+
 def cycles_complex(*lengths):
     """Disjoint cycles of the given lengths as a 1-dimensional complex."""
     verts = [f"c{k}_{i}" for k, n in enumerate(lengths) for i in range(n)]
@@ -446,3 +492,40 @@ def lattices_by_building_every_candidate(n):
         if lat.canonical_key not in seen:
             seen.add(lat.canonical_key)
             yield lat
+
+
+def incidence_lattice(graph_complex):
+    """A bottom, the vertices, the edges and a top of a graph (a complex
+    whose facets are edges), ordered by incidence: a lattice, because two
+    vertices share at most one edge and two edges at most one vertex."""
+    vertices = list(graph_complex.vertices)
+    edges = ["-".join(graph_complex.ordered(f)) for f in graph_complex.facets]
+    covers = [("bottom", v) for v in vertices] + [(e, "top") for e in edges]
+    covers += [(v, e) for e, f in zip(edges, graph_complex.facets) for v in f]
+    return lattice_from_covers(["bottom", *vertices, *edges, "top"], covers)
+
+
+def m_lattice(k):
+    """M_k: a bottom, k pairwise incomparable atoms and a top."""
+    n = k + 2
+    order = [[i == j or i == 0 or j == n - 1 for j in range(n)] for i in range(n)]
+    return validate_lattice(order)
+
+
+def canonical_key_by_permutations(up, down):
+    """The least relation, as a tuple of up-set rows, over every element
+    order that lists the refined colour classes in turn, each permuted
+    every way; keys of two lattices are equal iff they are isomorphic."""
+    n = len(up)
+    succ = [list(bit_indices(row)) for row in up]
+    colours = refine(succ, [list(bit_indices(row)) for row in down], [0] * n)
+    blocks = [[i for i, c in enumerate(colours) if c == k] for k in sorted(set(colours))]
+
+    def relation_in(order):
+        bit = {old: 1 << new for new, old in enumerate(order)}
+        return tuple(sum([bit[j] for j in succ[i]]) for i in order)
+
+    return min(
+        relation_in([i for perm in perms for i in perm])
+        for perms in itertools.product(*map(itertools.permutations, blocks))
+    )

@@ -242,6 +242,22 @@ def test_isomorphism_onto_a_relabelled_copy_of_a_large_complex(build):
         assert iso is not None and helpers.maps_facets_onto_facets(a, b, iso.mapping)
 
 
+def test_non_isomorphic_cubic_graphs_are_told_apart():
+    # refinement gives all 60 vertices one colour in both graphs, so only
+    # individualizing nodes can tell them apart
+    a, b = helpers.cubic_graph_complex(60, 3), helpers.cubic_graph_complex(60, 4)
+    assert helpers.distance_profile(a) != helpers.distance_profile(b)
+    assert a.isomorphism(b) is None
+    assert b.isomorphism(a) is None
+
+
+def test_isomorphism_onto_a_relabelled_cubic_graph():
+    a = helpers.cubic_graph_complex(60, 3)
+    b = helpers.relabelled(a, 1)
+    iso = a.isomorphism(b)
+    assert iso is not None and helpers.maps_facets_onto_facets(a, b, iso.mapping)
+
+
 def test_equality_is_structural(triangles):
     clone = from_faces(
         ["1", "2", "3", "4"],

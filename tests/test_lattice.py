@@ -18,7 +18,8 @@ from flatlat import (
 )
 
 import helpers
-from flatlat.lattice import _lattices_of_size, _natural_meet_prefixes
+from flatlat._util import refine
+from flatlat.lattice import _canonical_key, _lattices_of_size, _natural_meet_prefixes
 
 
 def test_trivial_lattice():
@@ -232,6 +233,89 @@ def test_isomorphism_onto_a_relabelled_boolean_lattice():
     iso = cube.isomorphism(copy)
     assert iso is not None and helpers.is_order_isomorphism(cube, copy, iso.mapping)
     assert cube.isomorphism(helpers.relabelled(helpers.chain_lattice(64), 1)) is None
+
+
+def _census_candidates(max_size):
+    """Up- and down-set masks of every candidate enumerate_lattices keys,
+    in its order: each meet prefix on n - 1 elements with a top added."""
+    for n in range(1, max_size + 1):
+        for prefix in _natural_meet_prefixes(n - 1):
+            down = (*prefix, (1 << n) - 1)
+            yield tuple(sum(1 << j for j in range(n) if down[j] >> i & 1) for i in range(n)), down
+
+
+def _same_partition(xs, ys):
+    return len(set(xs)) == len(set(ys)) == len(set(zip(xs, ys)))
+
+
+def test_canonical_key_classes_match_the_permutation_key_up_to_eight_elements(monkeypatch):
+    import flatlat.lattice as lattice_module
+
+    keyed = []  # every candidate the enumeration keys, in its order
+
+    def recording(up, down):
+        keyed.append((tuple(up), down, _canonical_key(up, down)))
+        return keyed[-1][2]
+
+    monkeypatch.setattr(lattice_module, "_canonical_key", recording)
+    classes = list(enumerate_lattices(8, override=True))
+    candidates = [(up, down) for up, down, _ in keyed]
+    assert candidates == list(_census_candidates(8)) and len(candidates) == 4008
+    keys = [key for *_, key in keyed]
+    oracle = [helpers.canonical_key_by_permutations(up, down) for up, down in candidates]
+    assert _same_partition(keys, oracle)
+
+    seen, want = set(), []
+    for (up, _), key in zip(candidates, oracle):
+        if key not in seen:
+            seen.add(key)
+            want.append((tuple(str(i) for i in range(len(up))), up))
+    assert [(lat.labels, lat._up) for lat in classes] == want and len(want) == 300
+
+    copies = [helpers.relabelled(lat, seed) for lat in classes for seed in range(3)]
+    keys = [_canonical_key(lat._up, lat._down) for lat in copies]
+    oracle = [helpers.canonical_key_by_permutations(lat._up, lat._down) for lat in copies]
+    assert _same_partition(keys, oracle) and len(set(keys)) == 300
+    assert keys[::3] == [_canonical_key(lat._up, lat._down) for lat in classes]
+
+
+def test_canonical_key_searches_past_the_first_leaf_where_refinement_cannot_split():
+    # refinement gives all vertices of a cubic graph one colour, and unless
+    # the graph is vertex-transitive some leaves read differently
+    graphs = [helpers.cubic_graph_complex(8, seed) for seed in range(6)]
+    lats = [helpers.incidence_lattice(g) for g in graphs]
+    for lat in lats:
+        assert {helpers.relabelled(lat, seed).canonical_key for seed in range(2)} == {
+            lat.canonical_key
+        }
+    for (g, a), (h, b) in itertools.combinations(zip(graphs, lats), 2):
+        assert (a.canonical_key == b.canonical_key) == g.is_isomorphic(h)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_m_k_keys_and_isomorphism_stay_polynomial(monkeypatch, k):
+    import flatlat.lattice as lattice_module
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(lattice_module, "refine", counting)
+    lat = helpers.m_lattice(k)
+    copy = helpers.relabelled(lat, k)
+    keys = []
+    for lattice in (lat, copy):
+        calls.clear()
+        keys.append(lattice.canonical_key)
+        # the k atoms are one class: the automorphisms found prune the
+        # search to k(k-1)/2 refinements, where the permutation key read k!
+        # orders
+        assert len(calls) <= k * (k - 1) // 2 + 1
+    assert keys[0] == keys[1]
+    iso = lat.isomorphism(copy)
+    assert iso is not None and helpers.is_order_isomorphism(lat, copy, iso.mapping)
 
 
 def test_enumeration_counts_are_frozen():
