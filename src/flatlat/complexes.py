@@ -27,7 +27,19 @@ class SimplicialComplex(GroundSet):
             raise ValueError("vertex set must be nonempty")
         masks = [self.mask_of(face) for face in faces]
         masks.append(0)
-        self.facet_masks = tuple(sorted(maximal_masks(masks)))
+        self._set_facet_masks(maximal_masks(masks))
+
+    @classmethod
+    def _from_facet_masks(cls, vertices, masks):
+        """The complex whose facets are the given masks, taken as they are:
+        they must be nonempty and pairwise incomparable, or the one mask 0."""
+        complex_ = cls.__new__(cls)
+        GroundSet.__init__(complex_, vertices)
+        complex_._set_facet_masks(masks)
+        return complex_
+
+    def _set_facet_masks(self, masks):
+        self.facet_masks = tuple(sorted(masks))
 
     @cached_property
     def facets(self):

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._util import bit_indices, check_limit
+from ._util import bit_indices, check_limit, mask_sort_key
 from .complexes import SimplicialComplex
 from .errors import LoopsPresent
 from .lattice import FiniteLattice
@@ -202,9 +202,9 @@ def br_violation(complex_, override=False):
     """First face (by size, then vertex order) that is not a transversal."""
     _check_flats_limit(complex_, override)
     cl = complex_.flat_closure
-    for face in complex_.faces:
-        if _transversal_order(cl, complex_.mask_of(face)) is None:
-            return face
+    for face in sorted(complex_.face_masks, key=mask_sort_key):
+        if _transversal_order(cl, face) is None:
+            return complex_.set_of(face)
     return None
 
 

@@ -13,7 +13,9 @@ pair's meet and join by testing each member of its lower and upper sets, and
 each new element's down-set by testing all subsets of the elements before it.
 The lattice key oracle keeps the key the library used before its
 individualization-refinement search: the least relation over every element
-order that permutes each refined colour class.
+order that permutes each refined colour class.  The realizing complex oracle
+keeps the walk over every support the library made before it generated the
+facets directly.
 """
 
 import itertools
@@ -29,7 +31,7 @@ from flatlat import (
     lattice_from_covers,
     validate_lattice,
 )
-from flatlat._util import bit_indices, refine
+from flatlat._util import bit_indices, maximal_masks, refine
 
 
 def chain_lattice(n, labels=None):
@@ -529,3 +531,54 @@ def canonical_key_by_permutations(up, down):
         relation_in([i for perm in perms for i in perm])
         for perms in itertools.product(*map(itertools.permutations, blocks))
     )
+
+
+def realizing_facets_by_support_walk(lattice):
+    """The vertices, facet masks and predicted map of realizing_complex, as
+    the library built them before it generated the facets directly.
+
+    Every support P (a set of non-bottom elements) with every choice of one
+    copy per member is a face, extended by the doubled pair a^1, a^2 of
+    each element a that lies above no member of P and whose join with a
+    member never lands on another member; the facets are the maximal faces
+    found.  Supports with no such a are skipped, since the full
+    transversals cover them.
+    """
+    labels = lattice.labels
+    elems = [i for i in range(len(lattice)) if i != lattice.bottom]
+    copies = (1, 2, 3)
+    vertex_labels = tuple(f"{labels[e]}^{c}" for e in elems for c in copies)
+    copy_bits = {
+        e: tuple(1 << (3 * k + c - 1) for c in copies) for k, e in enumerate(elems)
+    }
+    doubled = {e: bits[0] | bits[1] for e, bits in copy_bits.items()}
+    faces = set()
+    for r in range(len(elems) + 1):
+        for support in itertools.combinations(elems, r):
+            extenders = [
+                a
+                for a in elems
+                if not any(lattice.leq(p, a) for p in support)
+                and not any(
+                    lattice.join(a, p) == q
+                    for p in support
+                    for q in support
+                    if q != p
+                )
+            ]
+            if r < len(elems) and not extenders:
+                continue
+            transversals = [0]
+            for e in support:
+                transversals = [m | bit for m in transversals for bit in copy_bits[e]]
+            if r == len(elems):
+                faces.update(transversals)
+            for a in extenders:
+                faces.update(m | doubled[a] for m in transversals)
+    predicted = {
+        labels[x]: frozenset(
+            f"{labels[e]}^{c}" for e in elems if lattice.leq(e, x) for c in copies
+        )
+        for x in range(len(lattice))
+    }
+    return vertex_labels, tuple(sorted(maximal_masks(faces))), predicted

@@ -342,3 +342,16 @@ def test_flat_cache_is_freed_with_the_complex():
     del c
     gc.collect()
     assert ref() is None
+
+
+def test_br_violation_is_the_first_non_transversal_face():
+    """The witness is the first face, in the order of `faces`, that the
+    brute-force transversal check rejects, on every complex with up to 4
+    vertices and on the uniform complexes U(2,5) and U(3,5)."""
+    complexes = [c for n in range(1, 5) for c in helpers.all_complexes(n)]
+    complexes += [helpers.uniform_complex(5, 2), helpers.uniform_complex(5, 3)]
+    for c in complexes:
+        expected = next(
+            (f for f in c.faces if not is_transversal_bruteforce(c, f)), None
+        )
+        assert br_violation(c) == expected

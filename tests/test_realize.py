@@ -324,3 +324,45 @@ def test_realizing_complex_soft_limit():
         verify_realizing_complex(big)
     small = helpers.chain_lattice(3)
     assert realizing_complex(small, override=True)[0] == realizing_complex(small)[0]
+
+
+def test_realizing_complex_matches_the_support_walk():
+    """Vertices, facet masks and predicted map equal those of the support
+    walk on every lattice with 2-7 elements, on three relabelled copies of
+    each (so the bottom is not index 0), on chain9, M7 and the 8-element
+    boolean lattice."""
+    from flatlat import enumerate_lattices
+
+    cases = []
+    for lat in enumerate_lattices(7):
+        if len(lat) > 1:
+            cases += [lat] + [helpers.relabelled(lat, seed) for seed in range(3)]
+    cases += [
+        helpers.chain_lattice(9),
+        helpers.m_lattice(7),
+        helpers.powerset_lattice("abc"),
+    ]
+    for lat in cases:
+        complex_, predicted = realizing_complex(lat)
+        assert (
+            complex_.vertices, complex_.facet_masks, predicted
+        ) == helpers.realizing_facets_by_support_walk(lat)
+
+
+def test_construction_round_trip_up_to_six_elements():
+    from flatlat import enumerate_lattices
+
+    for lat in enumerate_lattices(6):
+        for case in [lat] + [helpers.relabelled(lat, seed) for seed in range(2)]:
+            iso = verify_realizing_complex(case)
+            complex_, predicted = realizing_complex(case)
+            flats = all_flats(complex_).flats
+            for x in range(len(case)):
+                assert flats[iso[x]] == predicted[case.labels[x]]
+
+
+def test_realizing_complex_of_m8_past_the_soft_limit():
+    complex_, predicted = realizing_complex(helpers.m_lattice(8), override=True)
+    assert len(complex_.vertices) == 27
+    assert len(complex_.facet_masks) == 37204
+    assert len(predicted) == 10
