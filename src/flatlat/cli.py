@@ -13,20 +13,7 @@ import itertools
 import os
 import sys
 
-from .errors import (
-    AllLoops,
-    ConstructionMismatch,
-    EmptyRestriction,
-    FlatlatError,
-    LimitExceeded,
-    LoopsPresent,
-    NotALattice,
-    NotAPartialOrder,
-    NotAtomistic,
-    ParseError,
-    UnknownVertex,
-    WrongHeight,
-)
+from .errors import FlatlatError, LimitExceeded, ParseError
 from .flats import (
     all_flats,
     br_violation,

@@ -170,12 +170,10 @@ class FiniteLattice:
         """Length (number of edges) of a longest chain."""
         n = len(self)
         depth = [0] * n
+        # a longest chain has only covers, so any y < x may precede x in it
         for x in sorted(range(n), key=lambda i: self._down[i].bit_count()):
-            best = 0
-            for y in bit_indices(self._down[x]):
-                if y != x and self.covers(y, x):
-                    best = max(best, depth[y] + 1)
-            depth[x] = best
+            below = self._down[x] & ~(1 << x)
+            depth[x] = max((depth[y] + 1 for y in bit_indices(below)), default=0)
         return depth[self.top]
 
     def atoms_below(self, x):
@@ -201,42 +199,39 @@ class FiniteLattice:
 
         The lattice is semimodular iff it has no sublattice {a,b,c,d,e} with
         e < c < b < a, e < d < a, d covering e in the whole lattice,
-        b^d = c^d = e and b v d = c v d = a.  The O(n^2) cover law decides
-        semimodularity first; only when it fails does the O(n^5) scan look
-        for the witness.
-        """
-        if self.is_semimodular_by_covers():
-            return None
-        return self._semimodular_scan()
+        b^d = c^d = e and b v d = c v d = a.  Such a configuration is fixed
+        by b, c and d, as e = c^d and a = c v d, and once d covers c^d, any
+        b strictly between c and c v d completes one: b v d = a because
+        c <= b <= a, and b^d = e because it lies between e and d, which
+        covers e, and is not d (else a <= b).  Then c and d are
+        incomparable: were c <= d, nothing would lie between c and
+        c v d = d, which covers c^d = c.  The one returned has the largest
+        (a, b, c, e, d) in element indices, which a scan of a, b, c, e, d
+        from the top of the element order down meets first.
 
-    def _semimodular_scan(self):
-        """First forbidden configuration, scanning from the top of the
-        element order downward so the witness is deterministic."""
+        Such c and d are exactly a failure of the cover law
+        (is_semimodular_by_covers) at x = d, y = c, so None means exactly
+        that the law holds.  The pass reads the tables once per pair.
+        """
+        up, down, meet, join = self._up, self._down, self._meet, self._join
         n = len(self)
-        order = range(n - 1, -1, -1)
-        for a in order:
-            for b in order:
-                if b == a or not self.lt(b, a):
-                    continue
-                for c in order:
-                    if c in (a, b) or not self.lt(c, b):
-                        continue
-                    for e in order:
-                        if e in (a, b, c) or not self.lt(e, c):
-                            continue
-                        for d in order:
-                            if d in (a, b, c, e):
-                                continue
-                            if not (self.lt(e, d) and self.lt(d, a)):
-                                continue
-                            if not self.covers(e, d):
-                                continue
-                            if self._meet[b][d] != e or self._meet[c][d] != e:
-                                continue
-                            if self._join[b][d] != a or self._join[c][d] != a:
-                                continue
-                            return (a, b, c, d, e)
-        return None
+
+        def configurations():  # with the largest b for each c and d
+            for c in range(n):
+                for d in range(n):
+                    e = meet[c][d]
+                    if (up[e] & down[d]).bit_count() != 2:
+                        continue  # d does not cover e
+                    a = join[c][d]
+                    between = up[c] & down[a] & ~(1 << c | 1 << a)
+                    if between:
+                        yield a, between.bit_length() - 1, c, e, d
+
+        best = max(configurations(), default=None)
+        if best is None:
+            return None
+        a, b, c, e, d = best
+        return a, b, c, d, e
 
     @property
     def is_semimodular(self):
@@ -245,8 +240,7 @@ class FiniteLattice:
     def is_semimodular_by_covers(self):
         """Textbook cover law: x^y covered by x implies y covered by x v y.
 
-        The fast path of semimodular_witness, which only scans for a
-        witness when this law fails.
+        A second definition of semimodularity, beside semimodular_witness.
         """
         n = len(self)
         for x in range(n):
@@ -262,18 +256,12 @@ class FiniteLattice:
 
     @cached_property
     def is_boolean(self):
-        """True iff the lattice is a powerset lattice of its atoms."""
-        if not self.is_atomistic:
-            return False
-        if len(self) != 1 << len(self.atoms):
-            return False
-        seen = set()
-        for x in range(len(self)):
-            key = self.atoms_below(x)
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        """True iff the lattice is a powerset lattice of its atoms.
+
+        In an atomistic lattice x -> atoms_below(x) is an injective order
+        embedding, so with 2^k elements it is onto the powerset of the atoms.
+        """
+        return self.is_atomistic and len(self) == 1 << len(self.atoms)
 
     # -- isomorphism ------------------------------------------------------
 

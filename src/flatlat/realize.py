@@ -24,7 +24,9 @@ from .lattice import LatticeIso
 
 # realizing_complex costs the size of its output, at least the 3^(n-1) full
 # transversals for n elements, and verifying it walks every face: on chain11
-# the build takes 15 ms and the verification 8 s
+# the build takes 15 ms and the verification 8 s.  The complex has 3(n-1)
+# vertices, so verifying a 10-element one (27 vertices) still stops at
+# FLATS_SOFT_LIMIT (24) without override
 REALIZE_SOFT_LIMIT = 10
 
 

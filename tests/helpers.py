@@ -15,7 +15,8 @@ The lattice key oracle keeps the key the library used before its
 individualization-refinement search: the least relation over every element
 order that permutes each refined colour class.  The realizing complex oracle
 keeps the walk over every support the library made before it generated the
-facets directly.
+facets directly.  The semimodularity oracle keeps the five-deep scan for a
+forbidden configuration that the library ran before its pass over pairs.
 """
 
 import itertools
@@ -582,3 +583,33 @@ def realizing_facets_by_support_walk(lattice):
         for x in range(len(lattice))
     }
     return vertex_labels, tuple(sorted(maximal_masks(faces))), predicted
+
+
+def semimodular_witness_by_scan(lattice):
+    """First forbidden configuration, scanning from the top of the
+    element order downward so the witness is deterministic."""
+    n = len(lattice)
+    order = range(n - 1, -1, -1)
+    for a in order:
+        for b in order:
+            if b == a or not lattice.lt(b, a):
+                continue
+            for c in order:
+                if c in (a, b) or not lattice.lt(c, b):
+                    continue
+                for e in order:
+                    if e in (a, b, c) or not lattice.lt(e, c):
+                        continue
+                    for d in order:
+                        if d in (a, b, c, e):
+                            continue
+                        if not (lattice.lt(e, d) and lattice.lt(d, a)):
+                            continue
+                        if not lattice.covers(e, d):
+                            continue
+                        if lattice._meet[b][d] != e or lattice._meet[c][d] != e:
+                            continue
+                        if lattice._join[b][d] != a or lattice._join[c][d] != a:
+                            continue
+                        return (a, b, c, d, e)
+    return None

@@ -9,11 +9,15 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flatlat
 import flatlat.cli as cli
 from flatlat import (
     all_flats,
@@ -282,6 +286,25 @@ def test_construct_over_the_soft_limit_exits_3(capsys, tmp_path, monkeypatch):
     assert "soft limit" in err
 
 
+def test_construct_verify_of_a_ten_element_chain_exceeds_the_flat_limit(
+    capsys, tmp_path, monkeypatch
+):
+    # ten elements pass the construction's limit, but the complex has
+    # 3 * 9 = 27 vertices, past the limit of the flat enumeration
+    path = tmp_path / "chain10.lat"
+    path.write_text(format_lattice(helpers.chain_lattice(10)))
+    monkeypatch.delenv("FLATLAT_LIMIT_OVERRIDE", raising=False)
+    code, out, _ = run(capsys, "construct", str(path))
+    assert code == 0
+    assert len(out.splitlines()[1].split()) == 1 + 27  # the vertices line
+    assert run(capsys, "construct", str(path), "--verify") == (
+        3,
+        "",
+        "error: flat enumeration on 27 vertices exceeds soft limit 24; "
+        "pass override=True to lift\n",
+    )
+
+
 # -- tl / matrix ----------------------------------------------------------------
 
 
@@ -535,3 +558,20 @@ def test_every_command_on_random_small_documents_exits_cleanly(command_line):
             sys.stdin = stdin
     assert code in (0, 1, 2, 3), (argv, text, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_python_dash_m_flatlat_runs_the_cli():
+    src = str(pathlib.Path(flatlat.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "classify", CHAIN3],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        for module in ("flatlat", "flatlat.cli")
+    ]
+    assert [(r.returncode, r.stdout) for r in runs] == [(0, runs[1].stdout)] * 2
+    assert "height: 2" in runs[0].stdout

@@ -13,6 +13,7 @@ from flatlat import (
     all_flats,
     enumerate_lattices,
     flats_lattice,
+    lattice_from_covers,
     transversal_complex,
     validate_lattice,
 )
@@ -162,11 +163,43 @@ def test_both_semimodularity_predicates_agree_up_to_seven_elements():
     assert disagreements == []
 
 
-def test_cover_law_fast_path_keeps_the_scanned_witness_up_to_eight_elements():
-    # semimodular_witness skips the O(n^5) scan when the cover law holds;
-    # the scan alone must then find nothing, and otherwise the same witness
+def test_semimodular_witness_matches_the_scan():
+    # the pass over (b, c, d) returns the witness the five-deep scan finds
+    # first, on every class up to 8 elements in several element orders and
+    # on flat and incidence lattices, semimodular or not
+    lattices = []
     for lat in enumerate_lattices(8, override=True):
-        assert lat.semimodular_witness == lat._semimodular_scan()
+        lattices.append(lat)
+        if len(lat) >= 4:
+            lattices += [helpers.relabelled(lat, seed) for seed in range(3)]
+    lattices += [all_flats(cx).lattice for cx in helpers.all_complexes(4)]
+    lattices += [all_flats(helpers.uniform_complex(n, 3)).lattice for n in range(3, 11)]
+    lattices += [
+        helpers.incidence_lattice(helpers.cubic_graph_complex(n, seed))
+        for n in (6, 8, 10)
+        for seed in range(2)
+    ]
+    witnesses = [lat.semimodular_witness for lat in lattices]
+    assert witnesses == [helpers.semimodular_witness_by_scan(lat) for lat in lattices]
+    assert sum(w is not None for w in witnesses) > len(lattices) // 2
+
+
+def _pentagon_below_boolean(k):
+    """The pentagon 0 < x < y < t, 0 < z < t with the boolean lattice on k
+    atoms above it, its bottom identified with t: 2^k + 4 elements."""
+    atoms = "abcdefgh"[:k]
+    subsets = ["".join(s) for r in range(1, k + 1) for s in itertools.combinations(atoms, r)]
+    covers = [("0", "x"), ("x", "y"), ("y", "t"), ("0", "z"), ("z", "t")]
+    covers += [("t", a) for a in atoms]
+    covers += [(s, "".join(sorted(s + a))) for s in subsets for a in atoms if a not in s]
+    return lattice_from_covers(["0", "x", "y", "z", "t", *subsets], covers)
+
+
+def test_semimodular_witness_of_a_pentagon_below_a_large_boolean_lattice():
+    # every configuration lies in the pentagon; the scan takes minutes here
+    lat = _pentagon_below_boolean(8)
+    assert len(lat) == 260
+    assert [lat.labels[i] for i in lat.semimodular_witness] == ["t", "y", "x", "z", "0"]
 
 
 def test_is_geometric(triangles_flats, u24):

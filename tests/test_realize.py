@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from flatlat import (
+    ConstructionMismatch,
     LimitExceeded,
     NotAtomistic,
     all_flats,
@@ -16,6 +17,7 @@ from flatlat import (
     lattice_from_covers,
     realizing_complex,
     transversal_complex,
+    verify_realization,
     verify_realizing_complex,
 )
 
@@ -324,6 +326,43 @@ def test_realizing_complex_soft_limit():
         verify_realizing_complex(big)
     small = helpers.chain_lattice(3)
     assert realizing_complex(small, override=True)[0] == realizing_complex(small)[0]
+
+
+def _mismatch(lattice, complex_of, predicted):
+    """The message verify_realization raises for this prediction against
+    the realizing complex of the lattice complex_of."""
+    complex_, _ = realizing_complex(complex_of)
+    with pytest.raises(ConstructionMismatch) as caught:
+        verify_realization(lattice, complex_, predicted)
+    return str(caught.value)
+
+
+def test_verify_realization_reports_each_failure_with_its_hint():
+    chain3 = helpers.chain_lattice(3, ["B", "m", "T"])
+    chain4 = helpers.chain_lattice(4)
+    square = helpers.powerset_lattice("ab")
+    ms = frozenset({"m^1", "m^2", "m^3"})
+    everything = ms | {"T^1", "T^2", "T^3"}
+    flats = dict(B=frozenset(), m=ms, T=everything)
+
+    assert _mismatch(square, chain3, {}) == (
+        "complex has 3 flats but the lattice has 4 elements (no isomorphism exists)"
+    )
+    assert _mismatch(chain3, chain3, {**flats, "m": frozenset({"m^1"})}) == (
+        "predicted flat for 'm' is not a flat (an isomorphism does exist)"
+    )
+    assert _mismatch(chain3, chain3, {**flats, "m": frozenset()}) == (
+        "predicted map is not injective (an isomorphism does exist)"
+    )
+    assert _mismatch(chain3, chain3, {**flats, "B": everything, "T": frozenset()}) == (
+        "predicted map does not preserve order on 'B', 'm' (an isomorphism does exist)"
+    )
+    # the flats of chain4's complex in order, read as the square's elements
+    _, up_the_chain = realizing_complex(chain4)
+    predicted = dict(zip(square.labels, (up_the_chain[x] for x in chain4.labels)))
+    assert _mismatch(square, chain4, predicted) == (
+        "predicted map does not preserve order on 'a', 'b' (no isomorphism exists)"
+    )
 
 
 def test_realizing_complex_matches_the_support_walk():
