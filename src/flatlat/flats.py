@@ -13,8 +13,9 @@ a transversal.
 Everything here goes through one closure operator, held on the complex as
 SimplicialComplex.flat_closure: cl(X) is the smallest flat containing X.
 all_flats lists its closed sets by NextClosure (Ganter 1984), with at most
-one closure per vertex for each flat found; closure, the transversal search,
-simplification and is_flat query the same operator and share its memo.
+one closure per vertex for each flat found; closure, the BR test,
+transversal_witness, simplification and is_flat query the same operator
+and share its memo.
 """
 
 from __future__ import annotations
@@ -130,6 +131,9 @@ def _transversal_order(cl, x_mask):
     x_i in F_i - F_{i-1}; conversely any witness chain dominates the
     closure chain prefix by prefix.  Whether a partial choice can be
     completed depends only on the chosen set, so failed sets are memoized.
+    transversal_witness is the only caller: it needs the ordering itself,
+    the lexicographically first one, where br_violation needs only a yes
+    or no.
     """
     dead = set()
     order = []
@@ -199,11 +203,18 @@ def is_transversal_bruteforce(complex_, subset, override=False):
 
 
 def br_violation(complex_, override=False):
-    """First face (by size, then vertex order) that is not a transversal."""
+    """First face (by size, then vertex order) that is not a transversal.
+
+    An ordering of F works iff each x_i avoids the closure of its prefix,
+    so F is a transversal iff, for some v in F, F - v is one and v lies
+    outside cl(F - v) (put v last).  Faces come up by size, so every proper
+    subset of F is an earlier face and so a transversal; then F is one iff
+    some v in F escapes cl(F - v), at most |F| closures per face.
+    """
     _check_flats_limit(complex_, override)
     cl = complex_.flat_closure
     for face in sorted(complex_.face_masks, key=mask_sort_key):
-        if _transversal_order(cl, face) is None:
+        if face and all(cl(face & ~(1 << v)) >> v & 1 for v in bit_indices(face)):
             return complex_.set_of(face)
     return None
 

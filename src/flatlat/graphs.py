@@ -94,30 +94,27 @@ def is_superclique(graph, vertices):
     return _is_superclique_mask(graph, graph.mask_of(vertices))
 
 
-def edge_closure(graph, a, b, order=None):
-    """Grow {a, b} by outside vertices adjacent to two members until stable.
+def _grow(graph, mask):
+    """The least superset of mask holding every vertex adjacent to two of
+    its members.  Each round adds every outside vertex with two neighbours
+    inside; a vertex that qualifies keeps qualifying as the set grows, so
+    the rounds reach the least fixpoint."""
+    adj = graph._adj
+    while new := sum(
+        1 << v
+        for v in bit_indices(graph.full_mask & ~mask)
+        if (adj[v] & mask).bit_count() >= 2
+    ):
+        mask |= new
+    return mask
 
-    The result does not depend on the insertion order (each eligible vertex
-    stays eligible as the set grows); order only fixes the scan sequence.
-    """
+
+def edge_closure(graph, a, b):
+    """Grow {a, b} by outside vertices adjacent to two members until stable,
+    adding all of them in each round."""
     if not graph.has_edge(a, b):
         raise ValueError(f"{a!r} and {b!r} are not adjacent")
-    if order is None:
-        scan = range(len(graph.vertices))
-    else:
-        scan = [graph._vertex(lab) for lab in order]
-    current = graph.mask_of((a, b))
-    grown = True
-    while grown:
-        grown = False
-        for v in scan:
-            if (current >> v) & 1:
-                continue
-            if (graph._adj[v] & current).bit_count() >= 2:
-                current |= 1 << v
-                grown = True
-                break
-    return graph.set_of(current)
+    return graph.set_of(_grow(graph, graph.mask_of((a, b))))
 
 
 def find_supercliques(graph):
@@ -125,13 +122,16 @@ def find_supercliques(graph):
 
     Each superclique contains an edge whose closure reproduces it, and a
     closure is a superclique exactly when it is a clique, so growing every
-    edge and keeping the cliques finds them all.
+    edge, as an index pair read off the adjacency masks, and keeping the
+    cliques finds them all.
     """
-    found = set()
-    for a, b in graph.edges:
-        closed = graph.mask_of(edge_closure(graph, a, b))
-        if _is_clique(graph, closed):
-            found.add(closed)
+    grown = {
+        _grow(graph, 1 << i | 1 << j)
+        for i, row in enumerate(graph._adj)
+        for j in bit_indices(row)
+        if j > i
+    }
+    found = [m for m in grown if _is_clique(graph, m)]
     return tuple(graph.set_of(m) for m in sorted(found, key=mask_sort_key))
 
 

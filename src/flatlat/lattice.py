@@ -162,8 +162,9 @@ class FiniteLattice:
 
     @cached_property
     def atoms(self):
-        """Covers of the bottom element, as a frozenset of indices."""
-        return frozenset(y for x, y in self.cover_pairs if x == self.bottom)
+        """Covers of the bottom element, as a frozenset of indices: the
+        elements with exactly two elements in their down-set."""
+        return frozenset(y for y, d in enumerate(self._down) if d.bit_count() == 2)
 
     @cached_property
     def height(self):

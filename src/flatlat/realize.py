@@ -13,9 +13,9 @@ isomorphism" a property worth deciding in the first place.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from ._util import check_limit
+from ._util import check_limit, maximal_masks
 from .complexes import SimplicialComplex
 from .errors import ConstructionMismatch, NotAtomistic
 from .flats import ORACLE_SIZE_LIMIT, all_flats
@@ -52,7 +52,8 @@ def transversal_complex(lattice):
 
     Whether an atom can extend a partial enumeration depends only on the set
     of atoms already placed (their join is order independent), so the faces
-    are discovered by a subset walk from the empty face.
+    are discovered by a LIFO walk over atom masks from the empty face: an
+    atom a extends a face when a is not below the face's join.
     """
     violation = lattice.atomistic_violation()
     if violation is not None:
@@ -64,18 +65,15 @@ def transversal_complex(lattice):
             "its atom set is empty"
         )
     labels = tuple(lattice.labels[a] for a in atoms)
-    bottom_label = lattice.labels[lattice.bottom]
-    # face -> (ordering, chain-of-prefix-joins, join element)
-    discovered = {frozenset(): ((), (bottom_label,), lattice.bottom)}
-    queue = [frozenset()]
+    # face mask -> (ordering, chain-of-prefix-joins, join element)
+    discovered = {0: ((), (lattice.labels[lattice.bottom],), lattice.bottom)}
+    queue = [0]
     while queue:
         face = queue.pop()
         ordering, chain, join = discovered[face]
         for p, a in enumerate(atoms):
-            if p in face or lattice.leq(a, join):
-                continue
-            bigger = face | {p}
-            if bigger in discovered:
+            bigger = face | 1 << p
+            if lattice.leq(a, join) or bigger in discovered:
                 continue
             j2 = lattice.join(join, a)
             discovered[bigger] = (
@@ -84,11 +82,9 @@ def transversal_complex(lattice):
                 j2,
             )
             queue.append(bigger)
-    complex_ = SimplicialComplex(
-        labels, [{labels[p] for p in face} for face in discovered]
-    )
+    complex_ = SimplicialComplex._from_facet_masks(labels, maximal_masks(discovered))
     chain_tags = {
-        frozenset(labels[p] for p in face): (ordering, chain)
+        complex_.set_of(face): (ordering, chain)
         for face, (ordering, chain, _) in discovered.items()
     }
     return TransversalComplex(lattice, complex_, chain_tags)
@@ -142,19 +138,7 @@ class RealizabilityReport:
     supercliques: tuple[tuple[str, ...], ...] | None = None
 
     def to_jsonable(self):
-        out = {
-            "atomistic": self.atomistic,
-            "realizable": self.realizable,
-            "method": self.method,
-            "lattice_size": self.lattice_size,
-        }
-        if self.non_atomistic_witness is not None:
-            out["non_atomistic_witness"] = self.non_atomistic_witness
-        if self.canonical_flat_count is not None:
-            out["canonical_flat_count"] = self.canonical_flat_count
-        if self.supercliques is not None:
-            out["supercliques"] = [list(w) for w in self.supercliques]
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def is_realizable(lattice, force_general=False, override=False):

@@ -17,8 +17,14 @@ order that permutes each refined colour class.  The realizing complex oracle
 keeps the walk over every support the library made before it generated the
 facets directly.  The semimodularity oracle keeps the five-deep scan for a
 forbidden configuration that the library ran before its pass over pairs.
+The BR oracle runs the memoized transversal search on every face, as the
+library did before it decided faces by the escape rule; the canonical
+complex oracle walks frozensets of atom positions instead of atom masks; and
+the edge closure oracle adds one vertex at a time in a given scan order
+instead of a round of them at once.
 """
 
+import functools
 import itertools
 import random
 
@@ -26,13 +32,15 @@ from flatlat import (
     FiniteLattice,
     NotALattice,
     NotAPartialOrder,
+    NotAtomistic,
     SimpleGraph,
     SimplicialComplex,
     from_faces,
     lattice_from_covers,
     validate_lattice,
 )
-from flatlat._util import bit_indices, maximal_masks, refine
+from flatlat._util import bit_indices, mask_sort_key, maximal_masks, refine
+from flatlat.flats import _transversal_order
 
 
 def chain_lattice(n, labels=None):
@@ -102,8 +110,10 @@ def all_loopfree_complexes(n):
     return out
 
 
+@functools.cache
 def all_complexes(n):
-    """Every complex on n labelled vertices, loops allowed, each once.
+    """Every complex on n labelled vertices, loops allowed, each once, as a
+    list built once per n and shared.
 
     Complexes are the nonempty down-closed families of subsets; the subsets
     are decided in order of size, and a subset may join only when all its
@@ -613,3 +623,89 @@ def semimodular_witness_by_scan(lattice):
                             continue
                         return (a, b, c, d, e)
     return None
+
+
+def br_violation_by_search(complex_):
+    """First face (by size, then vertex order) that is not a transversal,
+    by the memoized transversal search on every face."""
+    cl = complex_.flat_closure
+    for face in sorted(complex_.face_masks, key=mask_sort_key):
+        if _transversal_order(cl, face) is None:
+            return complex_.set_of(face)
+    return None
+
+
+def transversal_complex_by_label_walk(lattice):
+    """The canonical complex and its chain_tags, by the subset walk over
+    frozensets of atom positions whose faces become label sets."""
+    violation = lattice.atomistic_violation()
+    if violation is not None:
+        raise NotAtomistic(lattice.labels[violation])
+    atoms = sorted(lattice.atoms)
+    if not atoms:
+        raise ValueError(
+            "the one-element lattice has no canonical complex: "
+            "its atom set is empty"
+        )
+    labels = tuple(lattice.labels[a] for a in atoms)
+    bottom_label = lattice.labels[lattice.bottom]
+    # face -> (ordering, chain-of-prefix-joins, join element)
+    discovered = {frozenset(): ((), (bottom_label,), lattice.bottom)}
+    queue = [frozenset()]
+    while queue:
+        face = queue.pop()
+        ordering, chain, join = discovered[face]
+        for p, a in enumerate(atoms):
+            if p in face or lattice.leq(a, join):
+                continue
+            bigger = face | {p}
+            if bigger in discovered:
+                continue
+            j2 = lattice.join(join, a)
+            discovered[bigger] = (
+                ordering + (labels[p],),
+                chain + (lattice.labels[j2],),
+                j2,
+            )
+            queue.append(bigger)
+    complex_ = SimplicialComplex(
+        labels, [{labels[p] for p in face} for face in discovered]
+    )
+    chain_tags = {
+        frozenset(labels[p] for p in face): (ordering, chain)
+        for face, (ordering, chain, _) in discovered.items()
+    }
+    return complex_, chain_tags
+
+
+def edge_closure_one_at_a_time(graph, a, b, order=None):
+    """Grow {a, b} by outside vertices adjacent to two members until stable,
+    adding the first eligible vertex of the scan order and rescanning."""
+    if not graph.has_edge(a, b):
+        raise ValueError(f"{a!r} and {b!r} are not adjacent")
+    if order is None:
+        scan = range(len(graph.vertices))
+    else:
+        scan = [graph._vertex(lab) for lab in order]
+    current = graph.mask_of((a, b))
+    grown = True
+    while grown:
+        grown = False
+        for v in scan:
+            if (current >> v) & 1:
+                continue
+            if (graph._adj[v] & current).bit_count() >= 2:
+                current |= 1 << v
+                grown = True
+                break
+    return graph.set_of(current)
+
+
+def random_triple_complex(rng, n):
+    """Every pair on n vertices and a seeded random share, between a half
+    and all, of the triples, as a complex."""
+    verts = [f"x{i}" for i in range(n)]
+    triples = list(itertools.combinations(verts, 3))
+    chosen = rng.sample(triples, round(rng.uniform(0.5, 1.0) * len(triples)))
+    pairs = itertools.combinations(verts, 2)
+    return from_faces(verts, [set(f) for f in itertools.chain(pairs, chosen)])

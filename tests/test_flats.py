@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -24,9 +25,11 @@ from flatlat import (
     simplification,
     transversal_witness,
 )
+from flatlat import flats, parse
 from flatlat.flats import _flat_label
 
 import helpers
+from conftest import FIXTURES
 
 
 def test_is_flat_on_running_example(triangles):
@@ -355,3 +358,34 @@ def test_br_violation_is_the_first_non_transversal_face():
             (f for f in c.faces if not is_transversal_bruteforce(c, f)), None
         )
         assert br_violation(c) == expected
+
+
+# -- the escape rule against the transversal search ------------------------------
+
+
+def test_br_violation_matches_the_transversal_search(fixture_complexes):
+    """The same witness as the memoized search on every face, on every
+    complex with up to 4 vertices, a seeded sample of those with 5, U(2,n)
+    and U(3,n) up to n = 10, seeded random triple complexes on 9-14
+    vertices and the complex fixtures."""
+    rng = random.Random(2015)
+    complexes = [c for n in range(1, 5) for c in helpers.all_complexes(n)]
+    complexes += rng.sample(helpers.all_complexes(5), 1000)
+    complexes += [helpers.uniform_complex(n, k) for k in (2, 3) for n in range(k, 11)]
+    complexes += [
+        helpers.random_triple_complex(rng, n) for n in range(9, 15) for _ in range(5)
+    ]
+    complexes += fixture_complexes
+    complexes += [parse(path.read_text()).value for path in FIXTURES.glob("*.cx")]
+    for c in complexes:
+        assert br_violation(c) == helpers.br_violation_by_search(c)
+
+
+def test_br_violation_never_runs_the_transversal_search(monkeypatch, fixture_complexes):
+    def refuse(cl, x_mask):
+        raise AssertionError("br_violation ran the transversal search")
+
+    monkeypatch.setattr(flats, "_transversal_order", refuse)
+    outcomes = [br_violation(c) for c in fixture_complexes]
+    outcomes.append(br_violation(helpers.uniform_complex(6, 3)))
+    assert None in outcomes and any(outcomes)

@@ -4,7 +4,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from flatlat import (
     LimitExceeded,
@@ -82,17 +81,24 @@ def test_edge_closure_growth(nonreal6, triangles_flats):
         edge_closure(g, "1", "2")
 
 
-@given(st.integers(0, 2**30), st.integers(0, 2**30))
-def test_edge_closure_is_confluent(graph_seed, order_seed):
-    rng = random.Random(graph_seed)
-    g = helpers.random_graph(rng, max_vertices=8)
-    if not g.edges:
-        return
-    a, b = rng.choice(g.edges)
-    reference = edge_closure(g, a, b)
-    order = list(g.vertices)
-    random.Random(order_seed).shuffle(order)
-    assert edge_closure(g, a, b, order=order) == reference
+def test_edge_closure_matches_one_vertex_at_a_time():
+    """Every edge of seeded random graphs on up to 12 vertices closes to the
+    set the one-vertex-at-a-time growth reaches under a shuffled scan order,
+    and find_supercliques keeps exactly the cliques among those closures."""
+    rng = random.Random(1994)
+    for _ in range(300):
+        g = helpers.random_graph(rng, max_vertices=12)
+        closures = set()
+        for a, b in g.edges:
+            order = list(g.vertices)
+            rng.shuffle(order)
+            closed = helpers.edge_closure_one_at_a_time(g, a, b, order)
+            assert edge_closure(g, a, b) == closed
+            closures.add(closed)
+        cliques = [w for w in closures if is_superclique(g, w)]
+        assert find_supercliques(g) == tuple(
+            sorted(cliques, key=lambda w: (len(w), sorted(map(g._vertex, w))))
+        )
 
 
 def test_find_supercliques_examples(nonreal6, triangles_flats):

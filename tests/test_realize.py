@@ -109,6 +109,26 @@ def test_membership_agrees_with_chain_bruteforce_on_small_lattices():
                 )
 
 
+def _assert_matches_the_label_walk(lat):
+    t = transversal_complex(lat)
+    complex_, chain_tags = helpers.transversal_complex_by_label_walk(lat)
+    assert t.complex == complex_
+    assert list(t.chain_tags.items()) == list(chain_tags.items())
+
+
+def test_transversal_complex_matches_the_label_walk():
+    """Facets and chain_tags, in discovery order, as the walk over label
+    sets found them: on every atomistic class of up to 8 elements and three
+    relabellings of each, and on the flat lattices of U(3,n), n <= 8."""
+    for lat in helpers.atomistic_lattices(8, override=True):
+        if len(lat) == 1:
+            continue
+        for copy in [lat] + [helpers.relabelled(lat, seed) for seed in range(3)]:
+            _assert_matches_the_label_walk(copy)
+    for n in range(3, 9):
+        _assert_matches_the_label_walk(flats_lattice(helpers.uniform_complex(n, 3)))
+
+
 def test_canonical_complex_is_simple_and_representable():
     for lat in helpers.atomistic_lattices(7):
         if len(lat) == 1:
