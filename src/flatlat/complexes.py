@@ -13,7 +13,7 @@ from ._util import (
     GroundSet, IndexMap, bit_indices, find_isomorphism, mask_sort_key, maximal_masks,
     next_closure, submasks,
 )
-from .errors import AllLoops, EmptyRestriction
+from .errors import AllLoops, ConstructionMismatch, EmptyRestriction
 
 
 class ComplexIso(IndexMap):
@@ -21,6 +21,9 @@ class ComplexIso(IndexMap):
 
 
 class SimplicialComplex(GroundSet):
+    # the minimal non-faces, when the construction of the complex lists them
+    _nonface_masks = None
+
     def __init__(self, vertices, faces=()):
         super().__init__(vertices)
         if not self.vertices:
@@ -30,12 +33,19 @@ class SimplicialComplex(GroundSet):
         self._set_facet_masks(maximal_masks(masks))
 
     @classmethod
-    def _from_facet_masks(cls, vertices, masks):
+    def _from_facet_masks(cls, vertices, masks, nonface_masks=None):
         """The complex whose facets are the given masks, taken as they are:
-        they must be nonempty and pairwise incomparable, or the one mask 0."""
+        they must be nonempty and pairwise incomparable, or the one mask 0.
+
+        A construction that knows the minimal non-faces passes them as
+        nonface_masks; flat_closure then closes by them, once they are
+        certified against the facets, instead of walking every face.
+        """
         complex_ = cls.__new__(cls)
         GroundSet.__init__(complex_, vertices)
         complex_._set_facet_masks(masks)
+        if nonface_masks is not None:
+            complex_._nonface_masks = tuple(nonface_masks)
         return complex_
 
     def _set_facet_masks(self, masks):
@@ -61,7 +71,77 @@ class SimplicialComplex(GroundSet):
     @cached_property
     def flat_closure(self):
         """The closure operator whose closed sets are the flats."""
-        return FlatClosure(self.facet_masks, len(self.vertices))
+        n = len(self.vertices)
+        if self._nonface_masks is None:
+            return FlatClosure(_facet_implications(self.facet_masks, n), n)
+        return self._certified_closure()
+
+    def _certified_closure(self):
+        """FlatClosure by the minimal non-faces a construction listed, once
+        they are certified against the facets; raises ConstructionMismatch
+        when they fail.
+
+        (a) No facet holds a listed N, and (b) each N - p lies in a facet,
+        so each N is a minimal non-face, and each implication N - p -> p
+        holds on every flat: a flat holding the face N - p but not p would
+        make N a face.  So every flat is closed.  (c) Each meet-irreducible
+        closed set P is a flat: every maximal trace T = F & P of a facet F
+        extends by each vertex outside P, which holds when the facets with
+        trace T cover the outside.  Every closed set is the intersection of
+        the meet-irreducible ones above it and the ground set, and flats are
+        closed under intersection, so every closed set is a flat.
+        """
+        n, facets = len(self.vertices), self.facet_masks
+        full = self.full_mask
+        shown = self._shown
+        holders = _holders(facets, n)
+
+        def in_a_facet(mask):
+            held = -1
+            for v in bit_indices(mask):
+                held &= holders[v]
+            return held
+
+        for nonface in self._nonface_masks:
+            for p in bit_indices(nonface):
+                if not in_a_facet(nonface ^ 1 << p):
+                    raise ConstructionMismatch(
+                        f"listed non-face {shown(nonface)} is not minimal: "
+                        f"{shown(nonface ^ 1 << p)} lies in no facet"
+                    )
+            if in_a_facet(nonface):
+                raise ConstructionMismatch(
+                    f"listed non-face {shown(nonface)} lies in a facet"
+                )
+        closure = FlatClosure(_nonface_implications(self._nonface_masks), n)
+        closed = sorted(next_closure(closure, n), key=mask_sort_key)
+        for i, p in enumerate(closed):
+            meet = full  # of the closed sets above p, which come after it
+            for q in closed[i + 1 :]:
+                if not p & ~q:
+                    meet &= q
+            if meet == p:
+                continue
+            ext = {}  # trace on p -> the union of the facets with that trace
+            get = ext.get
+            for facet in facets:
+                trace = facet & p
+                ext[trace] = get(trace, 0) | facet
+            outside = full & ~p
+            for trace, covered in ext.items():
+                missing = outside & ~covered
+                # a trace inside a larger one extends as far as that one
+                if missing and not any(t & ~trace and not trace & ~t for t in ext):
+                    raise ConstructionMismatch(
+                        f"closed set {shown(p)} of the listed non-faces is not "
+                        f"a flat: the face {shown(trace)} does not extend by "
+                        f"{shown(missing & -missing)}"
+                    )
+        closure.flat_masks = tuple(closed)
+        return closure
+
+    def _shown(self, mask):
+        return "{" + ",".join(self.vertices[i] for i in bit_indices(mask)) + "}"
 
     @cached_property
     def faces(self):
@@ -160,39 +240,25 @@ class SimplicialComplex(GroundSet):
 
 
 class FlatClosure:
-    """Closure operator on vertex masks whose closed sets are the flats.
+    """Closure operator on vertex masks given by implications.
 
-    A set X is a flat iff it respects every implication N - p -> p, for N a
-    minimal non-face and p in N, so cl(X) is the least superset of X that
-    respects them all.  They come from the facets alone: ext[I], the union
-    of the facets containing the face I, leaves bad(I) = V - ext[I], the
-    vertices p with I + p not a face, and I + p is a minimal non-face iff p
-    lies in bad(I) but in no bad(I - v).  Implications sharing a premise are
-    stored as one, and closures are memoized.
+    Each implication is a premise mask and a conclusion mask, and cl(X) is
+    the least superset of X that holds the conclusion of every implication
+    whose premise it holds.  The flats of a complex are the closed sets of
+    the implications N - p -> p, for N a minimal non-face and p in N: they
+    come from the facets by _facet_implications, or from a construction's
+    own list of minimal non-faces by _nonface_implications.  Closures are
+    memoized.
     """
 
-    def __init__(self, facet_masks, n):
-        self._full = full = (1 << n) - 1
+    def __init__(self, implications, n):
+        self._full = (1 << n) - 1
+        implications = list(implications)
+        self._conclusions = [conclusion for _, conclusion in implications]
         # bit k of premises[v] (concluders[v]) is set when the premise
         # (conclusion) of the k-th implication contains v
-        self._premises = [0] * n
-        self._concluders = [0] * n
-        self._conclusions = []
-        for level, below in _ext_levels(facet_masks):
-            for face, ext in level.items():
-                adds = full & ~ext
-                rest = face
-                while rest and adds:
-                    low = rest & -rest
-                    adds &= below[face ^ low]
-                    rest ^= low
-                if adds:
-                    bit = 1 << len(self._conclusions)
-                    for v in bit_indices(face):
-                        self._premises[v] |= bit
-                    for v in bit_indices(adds):
-                        self._concluders[v] |= bit
-                    self._conclusions.append(adds)
+        self._premises = _holders([premise for premise, _ in implications], n)
+        self._concluders = _holders(self._conclusions, n)
         self._cache = {}
 
     def __call__(self, mask):
@@ -222,6 +288,38 @@ class FlatClosure:
         )
 
 
+def _facet_implications(facet_masks, n):
+    """Yield (I, bad) for each face I with bad, the vertices p for which
+    I + p is a minimal non-face, nonempty.
+
+    ext[I], the union of the facets containing I, leaves V - ext[I], the
+    vertices p with I + p not a face, and I + p is a minimal non-face iff p
+    lies there but in ext[I - v] for every v in I.  This visits every face.
+    """
+    full = (1 << n) - 1
+    for level, below in _ext_levels(facet_masks):
+        for face, ext in level.items():
+            bad = full & ~ext
+            rest = face
+            while rest and bad:
+                low = rest & -rest
+                bad &= below[face ^ low]
+                rest ^= low
+            if bad:
+                yield face, bad
+
+
+def _nonface_implications(nonface_masks):
+    """The implications N - p -> p of the given non-faces, those sharing a
+    premise merged into one, as _facet_implications groups them."""
+    merged = {}
+    for nonface in nonface_masks:
+        for p in bit_indices(nonface):
+            low = 1 << p
+            merged[nonface ^ low] = merged.get(nonface ^ low, 0) | low
+    return merged.items()
+
+
 def _ext_levels(facet_masks):
     """Yield (level, below) for each face size from the largest down to 0.
 
@@ -247,6 +345,26 @@ def _ext_levels(facet_masks):
         yield level, below
         level.clear()
         level = below
+
+
+# _BIT_CHAR[k] maps each byte to the digit "0" or "1" of its bit k
+_BIT_CHAR = [bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8)]
+
+
+def _holders(masks, n):
+    """For each vertex v < n, the int whose bit k is set when the k-th mask
+    contains v.  Over the facets, the AND of the holders of a set's vertices
+    is nonzero iff some facet contains the set.
+
+    The masks are written out as bytes once; each vertex's column is read
+    off by a slice and a byte translation into binary digits, all in C.
+    """
+    width = (n + 7) >> 3
+    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    return [
+        int(data[v >> 3 :: width].translate(_BIT_CHAR[v & 7])[::-1] or b"0", 2)
+        for v in range(n)
+    ]
 
 
 def from_faces(vertices, faces):

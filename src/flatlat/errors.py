@@ -61,7 +61,9 @@ class WrongHeight(FlatlatError):
 
 
 class ConstructionMismatch(FlatlatError):
-    """The predicted flat map of a constructed complex is not an isomorphism."""
+    """A constructed complex does not have the flats its construction claims:
+    the predicted flat map is not an isomorphism, or the minimal non-faces
+    it lists fail their check against its facets."""
 
 
 class ParseError(FlatlatError):

@@ -30,9 +30,11 @@ from .complexes import SimplicialComplex
 from .errors import LoopsPresent
 from .lattice import FiniteLattice
 
-# flats come from NextClosure over the closure operator, whose implications
-# are derived from every face; past 24 vertices neither the faces nor the
-# flats are desk scale any more
+# flats come from NextClosure over the closure operator; for a complex given
+# by its facets its implications are derived from every face, and past 24
+# vertices neither the faces nor the flats are desk scale any more.  The
+# realizing complex lists its minimal non-faces and walks no face, but its
+# flats are enumerated the same way and stay under the same limit
 FLATS_SOFT_LIMIT = 24
 # the transversal oracle tries every ordering of X against every flat chain
 ORACLE_SIZE_LIMIT = 8

@@ -21,7 +21,10 @@ The BR oracle runs the memoized transversal search on every face, as the
 library did before it decided faces by the escape rule; the canonical
 complex oracle walks frozensets of atom positions instead of atom masks; and
 the edge closure oracle adds one vertex at a time in a given scan order
-instead of a round of them at once.
+instead of a round of them at once.  The minimal non-face oracle derives
+them from the facets by the walk over every face, which is how the library
+still closes generic complexes, where realizing_complex reads them off the
+lattice.
 """
 
 import functools
@@ -40,6 +43,7 @@ from flatlat import (
     validate_lattice,
 )
 from flatlat._util import bit_indices, mask_sort_key, maximal_masks, refine
+from flatlat.complexes import _facet_implications
 from flatlat.flats import _transversal_order
 
 
@@ -593,6 +597,23 @@ def realizing_facets_by_support_walk(lattice):
         for x in range(len(lattice))
     }
     return vertex_labels, tuple(sorted(maximal_masks(faces))), predicted
+
+
+def minimal_nonfaces_by_face_walk(complex_):
+    """The minimal non-faces I + p of the complex, as sorted masks, from the
+    implications the walk over every face derives from its facets."""
+    n = len(complex_.vertices)
+    return sorted({
+        face | 1 << p
+        for face, bad in _facet_implications(complex_.facet_masks, n)
+        for p in bit_indices(bad)
+    })
+
+
+def facets_only(complex_):
+    """The same complex without the minimal non-faces its construction
+    listed, so that its flats come from the walk over every face."""
+    return SimplicialComplex._from_facet_masks(complex_.vertices, complex_.facet_masks)
 
 
 def semimodular_witness_by_scan(lattice):

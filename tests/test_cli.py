@@ -209,6 +209,26 @@ def test_realizable_json(capsys):
     assert data["supercliques"] == [["1", "3"], ["2", "3"]]
 
 
+def test_realizable_and_superclique_list_a_witness_in_vertex_order(capsys, tmp_path):
+    """With atom 1 renamed z, label-string order would put 3 before z."""
+    path = tmp_path / "renamed.lat"
+    text = pathlib.Path(NONREAL6).read_text()
+    path.write_text(text.replace("B 1", "B z").replace("cover 1 ", "cover z "))
+    code, out, _ = run(capsys, "realizable", str(path))
+    assert code == 1
+    assert [l for l in out.splitlines() if l.startswith("superclique: ")] == [
+        "superclique: z 3",
+        "superclique: 2 3",
+    ]
+    assert run(capsys, "superclique", str(path)) == (
+        0,
+        "superclique: z 3\nsuperclique: 2 3\n",
+        "",
+    )
+    code, out, _ = run(capsys, "realizable", str(path), "--format", "json")
+    assert json.loads(out)["supercliques"] == [["z", "3"], ["2", "3"]]
+
+
 def test_realizable_non_atomistic(capsys):
     code, out, _ = run(capsys, "realizable", CHAIN3)
     assert code == 1

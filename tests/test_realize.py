@@ -8,6 +8,7 @@ from flatlat import (
     ConstructionMismatch,
     LimitExceeded,
     NotAtomistic,
+    SimplicialComplex,
     all_flats,
     boolean_matrix,
     flats_lattice,
@@ -20,6 +21,7 @@ from flatlat import (
     verify_realization,
     verify_realizing_complex,
 )
+from flatlat.complexes import FlatClosure, _nonface_implications
 
 import helpers
 
@@ -425,3 +427,117 @@ def test_realizing_complex_of_m8_past_the_soft_limit():
     assert len(complex_.vertices) == 27
     assert len(complex_.facet_masks) == 37204
     assert len(predicted) == 10
+
+
+def _realizing_cases(max_size, copies):
+    """Every lattice with 2..max_size elements and seeded relabelled copies."""
+    from flatlat import enumerate_lattices
+
+    return [
+        case
+        for lat in enumerate_lattices(max_size)
+        if len(lat) > 1
+        for case in [lat] + [helpers.relabelled(lat, seed) for seed in range(copies)]
+    ]
+
+
+def test_realizing_nonfaces_match_those_derived_from_the_facets():
+    """The minimal non-faces realizing_complex reads off the lattice equal
+    those the walk over every face derives from its facets: on every lattice
+    with 2-7 elements and a relabelled copy of each, and on the chains, M_k
+    and boolean lattices with up to 10 elements."""
+    cases = _realizing_cases(7, 1)
+    cases += [helpers.chain_lattice(k) for k in range(2, 11)]
+    cases += [helpers.m_lattice(k) for k in range(1, 9)]
+    cases += [helpers.powerset_lattice("abc"[:k]) for k in range(1, 4)]
+    for lat in cases:
+        complex_, _ = realizing_complex(lat, override=True)
+        assert sorted(complex_._nonface_masks) == helpers.minimal_nonfaces_by_face_walk(
+            complex_
+        )
+
+
+def test_certified_flats_and_verify_maps_match_the_face_walk():
+    """On every lattice with 2-6 elements and two relabelled copies of each,
+    the realizing complex has the flats, and verify_realization the map,
+    that it has with its flats taken from the walk over every face."""
+    for lat in _realizing_cases(6, 2):
+        complex_, predicted = realizing_complex(lat)
+        walked = helpers.facets_only(complex_)
+        assert all_flats(complex_).flats == all_flats(walked).flats
+        assert verify_realizing_complex(lat) == verify_realization(lat, walked, predicted)
+
+
+def _certified_flats(vertices, facets, nonfaces):
+    complex_ = SimplicialComplex._from_facet_masks(vertices, facets, nonfaces)
+    return complex_.flat_closure.flat_masks
+
+
+def test_certificate_raises_on_a_tampered_nonface_list_or_facet_list():
+    chain3 = helpers.chain_lattice(3, ["B", "m", "T"])
+    complex_, _ = realizing_complex(chain3)
+    vertices, facets = complex_.vertices, list(complex_.facet_masks)
+    nonfaces = list(complex_._nonface_masks)
+    mask = complex_.mask_of
+    cases = [
+        # {m^1, m^3} dropped: {m^1} is closed but is no flat
+        (facets, [n for n in nonfaces if n != mask(["m^1", "m^3"])],
+         "closed set {m^1} of the listed non-faces is not a flat: the face "
+         "{m^1} does not extend by {m^3}"),
+        # a face added, and a non-face that is not minimal
+        (facets, nonfaces + [mask(["m^1"])], "listed non-face {m^1} lies in a facet"),
+        (facets, nonfaces + [mask(["m^1", "m^3", "T^1"])], "listed non-face "
+         "{m^1,m^3,T^1} is not minimal: {m^1,m^3} lies in no facet"),
+        # the facet {m^3, T^1} removed: {m^3, T^1} is no longer a face
+        ([f for f in facets if f != mask(["m^3", "T^1"])], nonfaces,
+         "listed non-face {m^3,T^1,T^2} is not minimal: {m^3,T^1} lies in no facet"),
+    ]
+    for facet_list, nonface_list, message in cases:
+        with pytest.raises(ConstructionMismatch) as caught:
+            _certified_flats(vertices, facet_list, nonface_list)
+        assert str(caught.value) == message
+
+
+def test_certificate_raises_or_answers_as_the_face_walk_does():
+    """Drop one listed non-face, add one face or non-minimal non-face, or
+    remove one facet, on every lattice with 2-5 elements: each spurious
+    entry raises, and otherwise the certificate raises exactly when a listed
+    set is not a minimal non-face of the facets or the closed sets of the
+    list are not their flats; when it answers, it answers as the face walk
+    does."""
+    raised = {"dropped": 0, "removed": 0}
+    for lat in _realizing_cases(5, 0):
+        complex_, _ = realizing_complex(lat)
+        vertices, facets = complex_.vertices, list(complex_.facet_masks)
+        nonfaces = list(complex_._nonface_masks)
+        for k, nonface in enumerate(nonfaces):
+            for spurious in (nonface & -nonface, nonface | facets[k % len(facets)]):
+                if spurious not in nonfaces:
+                    with pytest.raises(ConstructionMismatch):
+                        _certified_flats(vertices, facets, nonfaces + [spurious])
+        tampered = [
+            ("dropped", facets, nonfaces[:k] + nonfaces[k + 1 :])
+            for k in range(len(nonfaces))
+        ] + [
+            ("removed", facets[:k] + facets[k + 1 :], nonfaces)
+            for k in range(len(facets))
+        ]
+        truth = {}  # facets -> their flats and minimal non-faces
+        for kind, facet_list, nonface_list in tampered:
+            if tuple(facet_list) not in truth:
+                walked = SimplicialComplex._from_facet_masks(vertices, facet_list)
+                truth[tuple(facet_list)] = (
+                    walked.flat_closure.flat_masks,
+                    set(helpers.minimal_nonfaces_by_face_walk(walked)),
+                )
+            flats, minimal = truth[tuple(facet_list)]
+            listed = FlatClosure(_nonface_implications(nonface_list), len(vertices))
+            wrong = listed.flat_masks != flats or not set(nonface_list) <= minimal
+            try:
+                got = _certified_flats(vertices, facet_list, nonface_list)
+            except ConstructionMismatch:
+                assert wrong
+                raised[kind] += 1
+                continue
+            assert not wrong and got == flats
+    assert raised == {"dropped": 58, "removed": 307}
