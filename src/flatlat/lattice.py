@@ -9,9 +9,10 @@ down[i] & down[j], one dict lookup per pair (joins likewise with up-sets).
 Instances are immutable and hashable, so results of expensive derived
 computations are cached on the instance.
 
-Enumeration adds elements one at a time as new maximal elements, each above
-a down-set of the poset built so far; the walk keeps the list of those
-down-sets instead of testing every subset.
+Enumeration grows the lattice classes of each size from those one element
+smaller by coatom augmentation (McKay-style isomorph-free generation, with
+a set of canonical keys per size): each class loses its top and gains a
+new coatom, above an admissible down-set, and a new top.
 """
 
 from __future__ import annotations
@@ -372,72 +373,85 @@ def enumerate_lattices(max_size, override=False):
     """Yield one representative per isomorphism class of lattices.
 
     Lattices are produced in order of size, from the one-element lattice up
-    to max_size elements.  Candidates are naturally labeled posets (i below
-    j only if i < j), grown one maximal element at a time over the real
-    down-sets of the poset built so far (see _natural_meet_prefixes); a
-    pair that lacks a meet stays without one as elements are added above
-    it, so such prefixes are pruned at once.  A finite meet-semilattice with
-    a top has all joins, so the candidates on n elements are the prefixes
-    on n - 1 elements with a top added.  Each candidate is keyed by
-    _canonical_key from its masks, and a FiniteLattice is built only for
-    the first candidate of each class.
+    to max_size elements.  The classes of each size n >= 3 are grown from
+    those of size n - 1 by coatom augmentation (_lattices_of_size): each
+    parent loses its top, gains a new coatom above an admissible down-set I
+    of what is left, and gets a new top.  Every lattice on n >= 3 elements
+    arises so, because removing a coatom c from a lattice leaves a lattice
+    (a meet of two elements other than c is never c, and the top stays),
+    and I is then the strict down-set of c.  Each child is keyed by
+    _canonical_key from its masks, and a FiniteLattice is built only for the
+    first child of each class.  Every representative on n >= 2 elements is
+    naturally labeled (i below j only if i <= j), with its top last.
     """
     what = f"lattice enumeration up to {max_size} elements"
     check_limit(what, max_size, ENUMERATION_SOFT_LIMIT, override)
+    parents = []
     for n in range(1, max_size + 1):
-        yield from _lattices_of_size(n)
+        classes = []
+        for lat in _lattices_of_size(n, parents):
+            classes.append(lat._down)
+            yield lat
+        parents = classes
 
 
-def _lattices_of_size(n):
+def _lattices_of_size(n, parents):
     """Lattice classes on n elements, each built once, in the order of the
-    first candidate of its class.  The last element of a naturally labeled
-    lattice is its top, above a poset on 0..n-2 whose pairs all have meets,
-    so the candidates are those posets with the top added."""
-    seen = set()
-    labels = tuple(str(i) for i in range(n))
-    bits = [1 << j for j in range(n)]
-    for prefix in _natural_meet_prefixes(n - 1):
-        down = (*prefix, (1 << n) - 1)
-        up = [sum([bits[j] for j in range(n) if down[j] >> i & 1]) for i in range(n)]
-        key = _canonical_key(up, down)
-        if key not in seen:
-            seen.add(key)
-            order = [[(down[j] >> i) & 1 for j in range(n)] for i in range(n)]
-            yield FiniteLattice(labels, order)
+    first child of its class.  parents holds the down-set masks of one
+    naturally labeled representative, top last, of every class on n - 1
+    elements; it is not read for n <= 2, where the chain is the only class.
 
-
-def _natural_meet_prefixes(n):
-    """Down-set masks of naturally labeled posets whose pairs all have meets.
-
-    Element k is added as a new maximal element below which lies a down-set
-    `ideal` of the poset on 0..k-1.  The walk keeps every down-set of that
-    poset, in ascending order, so it tries exactly these: the new element's
-    down-set is d = ideal | bit k, and the down-sets of the larger poset are
-    the old ones followed by D | bit k for every old D containing d.  A pair
-    of k with an element x not below it has a meet exactly when
-    ideal & down[x] is the down-set of one element, that is, when it is in
-    the set of down-masks built so far.  This also drops the empty ideal
-    once k > 0: a second minimal element has no meet with element 0.
+    A child keeps the parent's elements 0..n-3 with their down-sets, adds
+    the coatom n-2 with down-set I | bit n-2 and the top n-1.  The down-set
+    I of parent elements must hold the bottom, and I & down[x] must be the
+    down-set of a parent element for every x <= n-3: it is then that of the
+    meet of x with the coatom.  Meets among parent elements are unchanged,
+    so the child is a finite meet-semilattice with a top, hence a lattice.
     """
+    labels = tuple(str(i) for i in range(n))
+    if n <= 2:  # the chain
+        yield _from_down_masks(labels, (1, 3)[:n])
+        return
+    seen = set()
+    coatom, top = 1 << (n - 2), 1 << (n - 1)
+    for parent in parents:
+        below = parent[:-1]  # the parent without its top: elements 0..n-3
+        up = [top] * (n - 2)
+        for j, d in enumerate(below):
+            for i in bit_indices(d):
+                up[i] |= 1 << j
+        for ideal in _admissible_ideals(below):
+            down = (*below, ideal | coatom, 2 * top - 1)
+            rows = [u | coatom if ideal >> i & 1 else u for i, u in enumerate(up)]
+            key = _canonical_key((*rows, coatom | top, top), down)
+            if key not in seen:
+                seen.add(key)
+                yield _from_down_masks(labels, down)
 
-    def extend(down, ideals, principal):
-        k = len(down)
-        if k == n:
-            yield tuple(down)
-            return
-        bit = 1 << k
+
+def _admissible_ideals(down):
+    """Down-sets I of the naturally labeled poset with these down-set masks
+    that hold element 0 and meet every down[x] in some down[y].
+
+    Elements are decided in label order, so once x is decided I & down[x] is
+    final: x may join I when everything below it has, and may stay out when
+    I & down[x] is already principal.
+    """
+    principal = set(down)
+    ideals = [1]
+    for x in range(1, len(down)):
+        d, bit = down[x], 1 << x
+        strict = d & ~bit
+        grown = []
         for ideal in ideals:
-            if any(
-                not ideal >> x & 1 and ideal & down[x] not in principal for x in range(k)
-            ):
-                continue
-            d = ideal | bit
-            down.append(d)
-            principal.add(d)
-            yield from extend(
-                down, ideals + [D | bit for D in ideals if D & ideal == ideal], principal
-            )
-            principal.discard(d)
-            down.pop()
+            if ideal & strict == strict:
+                grown.append(ideal | bit)
+            if ideal & d in principal:
+                grown.append(ideal)
+        ideals = grown
+    return ideals
 
-    yield from extend([], [0], set())
+
+def _from_down_masks(labels, down):
+    n = len(labels)
+    return FiniteLattice(labels, [[(down[j] >> i) & 1 for j in range(n)] for i in range(n)])

@@ -11,6 +11,8 @@ searching the vertex-facet incidence.  The lattice table and enumeration
 oracles keep the scans the library used before its down-set lookups: every
 pair's meet and join by testing each member of its lower and upper sets, and
 each new element's down-set by testing all subsets of the elements before it.
+The prefix walk the library ran before it grew lattices by coatoms, over
+every naturally labeled meet-semilattice with a top, is kept beside them.
 The lattice key oracle keeps the key the library used before its
 individualization-refinement search: the least relation over every element
 order that permutes each refined colour class.  The realizing complex oracle
@@ -45,6 +47,7 @@ from flatlat import (
 from flatlat._util import bit_indices, mask_sort_key, maximal_masks, refine
 from flatlat.complexes import _facet_implications
 from flatlat.flats import _transversal_order
+from flatlat.lattice import _canonical_key
 
 
 def chain_lattice(n, labels=None):
@@ -492,6 +495,68 @@ def natural_meet_prefixes_by_scan(n):
             down.pop()
 
     yield from extend([])
+
+
+def natural_meet_prefixes(n):
+    """Down-set masks of naturally labeled posets on n elements whose pairs
+    all have meets, by the walk the library used before coatom growth.
+
+    Element k is added as a new maximal element below which lies a down-set
+    `ideal` of the poset on 0..k-1.  The walk keeps every down-set of that
+    poset, in ascending order, so it tries exactly these: the new element's
+    down-set is d = ideal | bit k, and the down-sets of the larger poset are
+    the old ones followed by D | bit k for every old D containing d.  A pair
+    of k with an element x not below it has a meet exactly when
+    ideal & down[x] is the down-set of one element, that is, when it is in
+    the set of down-masks built so far.  This also drops the empty ideal
+    once k > 0: a second minimal element has no meet with element 0.
+    """
+
+    def extend(down, ideals, principal):
+        k = len(down)
+        if k == n:
+            yield tuple(down)
+            return
+        bit = 1 << k
+        for ideal in ideals:
+            if any(
+                not ideal >> x & 1 and ideal & down[x] not in principal for x in range(k)
+            ):
+                continue
+            d = ideal | bit
+            down.append(d)
+            principal.add(d)
+            yield from extend(
+                down, ideals + [D | bit for D in ideals if D & ideal == ideal], principal
+            )
+            principal.discard(d)
+            down.pop()
+
+    yield from extend([], [0], set())
+
+
+def meet_prefix_candidates(n):
+    """Up- and down-set masks of every candidate the prefix walk keys on n
+    elements, in its order: each meet prefix on n - 1 elements with a top
+    added (a finite meet-semilattice with a top has all joins)."""
+    for prefix in natural_meet_prefixes(n - 1):
+        down = (*prefix, (1 << n) - 1)
+        up = tuple(sum(1 << j for j in range(n) if down[j] >> i & 1) for i in range(n))
+        yield up, down
+
+
+def lattices_by_meet_prefixes(n):
+    """One lattice per class on n elements, by the prefix walk the library
+    ran before coatom growth: the first candidate of each canonical key is
+    built."""
+    seen = set()
+    labels = tuple(str(i) for i in range(n))
+    for up, down in meet_prefix_candidates(n):
+        key = _canonical_key(up, down)
+        if key not in seen:
+            seen.add(key)
+            order = [[(down[j] >> i) & 1 for j in range(n)] for i in range(n)]
+            yield FiniteLattice(labels, order)
 
 
 def lattices_by_building_every_candidate(n):

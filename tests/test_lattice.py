@@ -20,7 +20,7 @@ from flatlat import (
 
 import helpers
 from flatlat._util import refine
-from flatlat.lattice import _canonical_key, _lattices_of_size, _natural_meet_prefixes
+from flatlat.lattice import _canonical_key, _lattices_of_size
 
 
 def test_trivial_lattice():
@@ -268,33 +268,32 @@ def test_isomorphism_onto_a_relabelled_boolean_lattice():
     assert cube.isomorphism(helpers.relabelled(helpers.chain_lattice(64), 1)) is None
 
 
-def _census_candidates(max_size):
-    """Up- and down-set masks of every candidate enumerate_lattices keys,
-    in its order: each meet prefix on n - 1 elements with a top added."""
-    for n in range(1, max_size + 1):
-        for prefix in _natural_meet_prefixes(n - 1):
-            down = (*prefix, (1 << n) - 1)
-            yield tuple(sum(1 << j for j in range(n) if down[j] >> i & 1) for i in range(n)), down
-
-
 def _same_partition(xs, ys):
     return len(set(xs)) == len(set(ys)) == len(set(zip(xs, ys)))
 
 
-def test_canonical_key_classes_match_the_permutation_key_up_to_eight_elements(monkeypatch):
+def _keyed_by_enumeration(monkeypatch, max_size):
+    """The classes enumerate_lattices yields and the (up, down) masks of
+    every child it keys, in its order."""
     import flatlat.lattice as lattice_module
 
-    keyed = []  # every candidate the enumeration keys, in its order
+    keyed = []
 
     def recording(up, down):
-        keyed.append((tuple(up), down, _canonical_key(up, down)))
-        return keyed[-1][2]
+        keyed.append((tuple(up), tuple(down)))
+        return _canonical_key(up, down)
 
     monkeypatch.setattr(lattice_module, "_canonical_key", recording)
-    classes = list(enumerate_lattices(8, override=True))
-    candidates = [(up, down) for up, down, _ in keyed]
-    assert candidates == list(_census_candidates(8)) and len(candidates) == 4008
-    keys = [key for *_, key in keyed]
+    classes = list(enumerate_lattices(max_size, override=True))
+    monkeypatch.undo()
+    return classes, keyed
+
+
+def test_canonical_key_classes_match_the_permutation_key_up_to_eight_elements(monkeypatch):
+    # every candidate of the prefix walk, the oracle enumeration
+    candidates = [c for n in range(1, 9) for c in helpers.meet_prefix_candidates(n)]
+    assert len(candidates) == 4008
+    keys = [_canonical_key(up, down) for up, down in candidates]
     oracle = [helpers.canonical_key_by_permutations(up, down) for up, down in candidates]
     assert _same_partition(keys, oracle)
 
@@ -303,7 +302,14 @@ def test_canonical_key_classes_match_the_permutation_key_up_to_eight_elements(mo
         if key not in seen:
             seen.add(key)
             want.append((tuple(str(i) for i in range(len(up))), up))
-    assert [(lat.labels, lat._up) for lat in classes] == want and len(want) == 300
+    walk = [lat for n in range(1, 9) for lat in helpers.lattices_by_meet_prefixes(n)]
+    assert [(lat.labels, lat._up) for lat in walk] == want and len(want) == 300
+
+    # every child coatom growth keys
+    classes, keyed = _keyed_by_enumeration(monkeypatch, 8)
+    keys = [_canonical_key(up, down) for up, down in keyed]
+    oracle = [helpers.canonical_key_by_permutations(up, down) for up, down in keyed]
+    assert _same_partition(keys, oracle) and len(keyed) == 694
 
     copies = [helpers.relabelled(lat, seed) for lat in classes for seed in range(3)]
     keys = [_canonical_key(lat._up, lat._down) for lat in copies]
@@ -486,19 +492,55 @@ def test_every_reflexive_relation_up_to_four_elements_fails_like_the_scan():
 
 def test_down_set_walk_matches_the_mask_scan():
     for n in range(8):
-        assert list(_natural_meet_prefixes(n)) == list(
+        assert list(helpers.natural_meet_prefixes(n)) == list(
             helpers.natural_meet_prefixes_by_scan(n)
         )
 
 
 def test_enumeration_matches_building_every_candidate():
-    got = [(lat.labels, lat._up) for lat in enumerate_lattices(7)]
+    got = [
+        (lat.labels, lat._up)
+        for n in range(1, 8)
+        for lat in helpers.lattices_by_meet_prefixes(n)
+    ]
     want = [
         (lat.labels, lat._up)
         for n in range(1, 8)
         for lat in helpers.lattices_by_building_every_candidate(n)
     ]
     assert got == want
+
+
+def test_coatom_growth_matches_the_prefix_walk_up_to_eight_elements():
+    by_size = {}
+    for lat in enumerate_lattices(8, override=True):
+        by_size.setdefault(len(lat), []).append(lat.canonical_key)
+    assert list(by_size) == list(range(1, 9))
+    for n, keys in by_size.items():
+        want = {lat.canonical_key for lat in helpers.lattices_by_meet_prefixes(n)}
+        assert len(set(keys)) == len(keys) and set(keys) == want
+
+
+def test_coatom_growth_labels_naturally_and_deletes_to_a_smaller_class(monkeypatch):
+    classes, keyed = _keyed_by_enumeration(monkeypatch, 8)
+    counts = {}
+    for up, _ in keyed:
+        counts[len(up)] = counts.get(len(up), 0) + 1
+    assert counts == {3: 1, 4: 2, 5: 7, 6: 27, 7: 116, 8: 541}
+
+    keys = {n: set() for n in range(1, 9)}
+    for lat in classes:
+        keys[len(lat)].add(lat.canonical_key)
+    for lat in classes:
+        n = len(lat)
+        if n < 3:
+            continue
+        assert all(d >> (i + 1) == 0 for i, d in enumerate(lat._down))  # natural
+        assert lat.top == n - 1
+        rest = [i for i in range(n) if i != n - 2]
+        order = [[int(lat.leq(i, j)) for j in rest] for i in rest]
+        smaller = FiniteLattice([lat.labels[i] for i in rest], order)
+        assert smaller.canonical_key in keys[n - 1]
 
 
 def test_enumeration_builds_a_lattice_only_for_a_new_class(monkeypatch):
@@ -511,6 +553,7 @@ def test_enumeration_builds_a_lattice_only_for_a_new_class(monkeypatch):
             built.append(len(labels))
             super().__init__(labels, order)
 
+    parents = [lat._down for lat in enumerate_lattices(6) if len(lat) == 6]
     monkeypatch.setattr(lattice_module, "FiniteLattice", Counting)
-    assert sum(1 for _ in _lattices_of_size(7)) == 53
+    assert sum(1 for _ in _lattices_of_size(7, parents)) == 53
     assert built == [7] * 53

@@ -239,12 +239,13 @@ def test_shortcuts_agree_with_general_path():
         assert fast.realizable == slow.realizable
 
 
-def test_census_up_to_eight_elements_is_pinned():
-    """Classes (OEIS A006966), atomistic and realizable classes per size."""
+def _census(max_size):
+    """Classes, atomistic and realizable classes per size up to max_size,
+    each class decided with and without shortcuts, which must agree."""
     from flatlat import enumerate_lattices
 
-    classes, atomistic, realizable = [0] * 8, [0] * 8, [0] * 8
-    for lat in enumerate_lattices(8, override=True):
+    classes, atomistic, realizable = ([0] * max_size for _ in range(3))
+    for lat in enumerate_lattices(max_size, override=True):
         fast = is_realizable(lat)
         slow = is_realizable(lat, force_general=True)
         assert (fast.atomistic, fast.realizable) == (slow.atomistic, slow.realizable)
@@ -252,9 +253,33 @@ def test_census_up_to_eight_elements_is_pinned():
         classes[k] += 1
         atomistic[k] += slow.atomistic
         realizable[k] += slow.realizable
-    assert classes == [1, 1, 1, 2, 5, 15, 53, 222]
-    assert atomistic == [1, 1, 0, 1, 1, 2, 4, 9]
-    assert realizable == [1, 1, 0, 1, 1, 1, 2, 4]
+    return classes, atomistic, realizable
+
+
+def test_census_up_to_nine_elements_is_pinned():
+    """Classes (OEIS A006966), atomistic and realizable classes per size."""
+    assert _census(9) == (
+        [1, 1, 1, 2, 5, 15, 53, 222, 1078],
+        [1, 1, 0, 1, 1, 2, 4, 9, 22],
+        [1, 1, 0, 1, 1, 1, 2, 4, 6],
+    )
+
+
+@pytest.mark.census
+def test_census_of_ten_elements_is_pinned():
+    classes, atomistic, realizable = _census(10)
+    assert (classes[9], atomistic[9], realizable[9]) == (5994, 59, 14)
+    assert classes[:9] == [1, 1, 1, 2, 5, 15, 53, 222, 1078]
+
+
+@pytest.mark.census
+def test_lattice_classes_of_eleven_elements_match_oeis_a006966():
+    from flatlat import enumerate_lattices
+
+    counts = [0] * 11
+    for lat in enumerate_lattices(11, override=True):
+        counts[len(lat) - 1] += 1
+    assert counts == [1, 1, 1, 2, 5, 15, 53, 222, 1078, 5994, 37622]
 
 
 def test_boolean_matrix_values(nonreal6):
