@@ -63,6 +63,26 @@ def maximal_masks(masks):
     return out
 
 
+# _BIT_CHAR[k] maps each byte to the digit "0" or "1" of its bit k
+_BIT_CHAR = [bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8)]
+
+
+def columns(masks, n):
+    """The transpose of a list of masks over n bits: for each v < n, the int
+    whose bit k is set when the k-th mask contains v.  The AND of the
+    columns of a set's bits is the set of masks that contain it.
+
+    The masks are written out as bytes once; each column is read off by a
+    slice and a byte translation into binary digits, all in C.
+    """
+    width = (n + 7) >> 3
+    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    return [
+        int(data[v >> 3 :: width].translate(_BIT_CHAR[v & 7])[::-1] or b"0", 2)
+        for v in range(n)
+    ]
+
+
 def next_closure(closure, n):
     """Yield every closed set of a closure operator on n bits, lectically.
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from ._util import (
-    GroundSet, IndexMap, bit_indices, find_isomorphism, mask_sort_key, maximal_masks,
-    next_closure, submasks,
+    GroundSet, IndexMap, bit_indices, columns, find_isomorphism, mask_sort_key,
+    maximal_masks, next_closure, submasks,
 )
 from .errors import AllLoops, ConstructionMismatch, EmptyRestriction
 
@@ -94,7 +94,7 @@ class SimplicialComplex(GroundSet):
         n, facets = len(self.vertices), self.facet_masks
         full = self.full_mask
         shown = self._shown
-        holders = _holders(facets, n)
+        holders = columns(facets, n)
 
         def in_a_facet(mask):
             held = -1
@@ -199,19 +199,35 @@ class SimplicialComplex(GroundSet):
 
         J + v is a face for v outside J iff v lies in ext[J], the union of
         the facets containing J, so I violates exchange with J iff I misses
-        ext[J] - J.  The levels come from the largest faces down; the
-        violation kept is the one on the smallest level.
+        ext[J] - J.  The levels come from the largest faces down.  On each,
+        the faces I one larger than J that miss ext[J] - J are the level's
+        faces outside the OR of the columns (_util.columns) of the vertices
+        of ext[J] - J, one big-int OR per vertex.  The violation returned is
+        on the smallest level that has one: its least J by mask_sort_key,
+        then the least I missing ext[J] - J.
         """
-        found = None
+        n = len(self.vertices)
+        last = None  # the smallest violating level so far: faces, J -> hits
         for level, below in _ext_levels(self.facet_masks):
-            bigger = sorted(level, key=mask_sort_key)
-            for j in sorted(below, key=mask_sort_key):
-                spare = below[j] & ~j
-                i = next((i for i in bigger if not i & spare), None)
-                if i is not None:
-                    found = self.set_of(i), self.set_of(j)
-                    break
-        return found
+            bigger = list(level)
+            held = columns(bigger, n)  # bit k of held[v]: bigger[k] holds v
+            everyone = (1 << len(bigger)) - 1
+            hits = {}
+            for j, ext in below.items():
+                spare = 0
+                for v in bit_indices(ext & ~j):
+                    spare |= held[v]
+                missing = everyone & ~spare
+                if missing:
+                    hits[j] = missing
+            if hits:
+                last = bigger, hits
+        if last is None:
+            return None
+        bigger, hits = last
+        j = min(hits, key=mask_sort_key)
+        i = min((bigger[k] for k in bit_indices(hits[j])), key=mask_sort_key)
+        return self.set_of(i), self.set_of(j)
 
     @cached_property
     def is_matroid(self):
@@ -257,8 +273,8 @@ class FlatClosure:
         self._conclusions = [conclusion for _, conclusion in implications]
         # bit k of premises[v] (concluders[v]) is set when the premise
         # (conclusion) of the k-th implication contains v
-        self._premises = _holders([premise for premise, _ in implications], n)
-        self._concluders = _holders(self._conclusions, n)
+        self._premises = columns([premise for premise, _ in implications], n)
+        self._concluders = columns(self._conclusions, n)
         self._cache = {}
 
     def __call__(self, mask):
@@ -345,26 +361,6 @@ def _ext_levels(facet_masks):
         yield level, below
         level.clear()
         level = below
-
-
-# _BIT_CHAR[k] maps each byte to the digit "0" or "1" of its bit k
-_BIT_CHAR = [bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8)]
-
-
-def _holders(masks, n):
-    """For each vertex v < n, the int whose bit k is set when the k-th mask
-    contains v.  Over the facets, the AND of the holders of a set's vertices
-    is nonzero iff some facet contains the set.
-
-    The masks are written out as bytes once; each vertex's column is read
-    off by a slice and a byte translation into binary digits, all in C.
-    """
-    width = (n + 7) >> 3
-    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
-    return [
-        int(data[v >> 3 :: width].translate(_BIT_CHAR[v & 7])[::-1] or b"0", 2)
-        for v in range(n)
-    ]
 
 
 def from_faces(vertices, faces):

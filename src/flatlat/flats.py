@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._util import bit_indices, check_limit, mask_sort_key
+from ._util import bit_indices, check_limit, columns, mask_sort_key
 from .complexes import SimplicialComplex
 from .errors import LoopsPresent
 from .lattice import FiniteLattice
@@ -72,11 +72,24 @@ class FlatFamily:
 
     @cached_property
     def lattice(self):
-        labels = [_flat_label(self.complex, m) for m in self._masks]
-        order = [
-            [1 if a & ~b == 0 else 0 for b in self._masks] for a in self._masks
-        ]
-        return FiniteLattice(labels, order)
+        """The flats under inclusion, as a FiniteLattice whose element i is
+        the i-th flat, labelled by _flat_label.
+
+        The flats containing a flat are the AND of the columns
+        (_util.columns) of its vertices over the flat masks, so the order
+        costs one big-int AND per vertex of each flat, not a test per pair.
+        """
+        masks = self._masks
+        held = columns(masks, len(self.complex.vertices))  # flats holding v
+        everyone = (1 << len(masks)) - 1
+        up = []
+        for flat in masks:
+            above = everyone
+            for v in bit_indices(flat):
+                above &= held[v]
+            up.append(above)
+        labels = [_flat_label(self.complex, m) for m in masks]
+        return FiniteLattice._from_up_masks(labels, up)
 
 
 def _flat_label(complex_, mask):
@@ -209,15 +222,25 @@ def br_violation(complex_, override=False):
 
     An ordering of F works iff each x_i avoids the closure of its prefix,
     so F is a transversal iff, for some v in F, F - v is one and v lies
-    outside cl(F - v) (put v last).  Faces come up by size, so every proper
-    subset of F is an earlier face and so a transversal; then F is one iff
-    some v in F escapes cl(F - v), at most |F| closures per face.
+    outside cl(F - v) (put v last).  The faces are taken a size at a time,
+    from 1 up, so while no smaller face has failed, every proper subset of
+    F is a transversal; then F is one iff some v in F escapes cl(F - v), at
+    most |F| closures per face.  Every face of a size is tested, and the
+    least failing one by mask_sort_key, of the first size with one, is
+    returned: only failing faces are ever sorted.
     """
     _check_flats_limit(complex_, override)
     cl = complex_.flat_closure
-    for face in sorted(complex_.face_masks, key=mask_sort_key):
-        if face and all(cl(face & ~(1 << v)) >> v & 1 for v in bit_indices(face)):
-            return complex_.set_of(face)
+    by_size = [[] for _ in range(complex_.dimension + 2)]
+    for face in complex_.face_masks:
+        by_size[face.bit_count()].append(face)
+    for faces in by_size[1:]:
+        failing = [
+            face for face in faces
+            if all(cl(face & ~(1 << v)) >> v & 1 for v in bit_indices(face))
+        ]
+        if failing:
+            return complex_.set_of(min(failing, key=mask_sort_key))
     return None
 
 
@@ -243,16 +266,21 @@ def simplification(complex_, override=False):
     for v in range(len(complex_.vertices)):
         by_closure.setdefault(cl(1 << v), []).append(v)
     classes = sorted(by_closure.values(), key=lambda c: c[0])
-    rep = {}
-    for cls in classes:
-        for v in cls:
-            rep[v] = complex_.vertices[cls[0]]
-    new_vertices = tuple(complex_.vertices[cls[0]] for cls in classes)
-    faces = [
-        {rep[i] for i in bit_indices(facet)} for facet in complex_.facet_masks
-    ]
-    quotient = SimplicialComplex(new_vertices, faces)
     partition = tuple(
         frozenset(complex_.vertices[v] for v in cls) for cls in classes
     )
+    if len(classes) == len(complex_.vertices):  # each vertex its own class
+        quotient = SimplicialComplex._from_facet_masks(
+            complex_.vertices, complex_.facet_masks
+        )
+    else:
+        rep = {}
+        for cls in classes:
+            for v in cls:
+                rep[v] = complex_.vertices[cls[0]]
+        new_vertices = tuple(complex_.vertices[cls[0]] for cls in classes)
+        faces = [
+            {rep[i] for i in bit_indices(facet)} for facet in complex_.facet_masks
+        ]
+        quotient = SimplicialComplex(new_vertices, faces)
     return quotient, partition

@@ -20,7 +20,9 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from ._util import IndexMap, bit_indices, check_limit, find_isomorphism, individualize, refine
+from ._util import (
+    IndexMap, bit_indices, check_limit, columns, find_isomorphism, individualize, refine,
+)
 from .errors import NotALattice, NotAPartialOrder
 
 # Unlabeled-lattice enumeration is doubly exponential in spirit; beyond this
@@ -41,18 +43,33 @@ class FiniteLattice:
     """
 
     def __init__(self, labels, order):
-        labels = tuple(labels)
-        if not labels:
-            raise NotAPartialOrder("element set must be nonempty")
-        if len(set(labels)) != len(labels):
-            raise ValueError("element labels must be distinct")
+        labels = _element_labels(labels)
         n = len(labels)
         if len(order) != n or any(len(row) != n for row in order):
             raise NotAPartialOrder("order relation must be a square matrix over the elements")
-
         bits = [1 << j for j in range(n)]
         up = [sum(itertools.compress(bits, row)) for row in order]  # j with i <= j
+        down = [sum(itertools.compress(bits, column)) for column in zip(*order)]
+        self._set_relation(labels, up, down)
 
+    @classmethod
+    def _from_up_masks(cls, labels, up):
+        """The lattice in which element i lies below the elements of up[i],
+        a mask over the n elements, validated as the constructor validates
+        a matrix.  The down-sets are read off as the columns of the up-sets.
+        """
+        labels = _element_labels(labels)
+        lattice = cls.__new__(cls)
+        lattice._set_relation(labels, up, columns(up, len(labels)))
+        return lattice
+
+    def _set_relation(self, labels, up, down):
+        """Validate the relation given by its up- and down-set masks and
+        build the tables.  It must be a partial order in which every pair
+        has a meet and a join; the first failure, in the order of the
+        checks and then of the elements, raises.
+        """
+        n = len(labels)
         for i in range(n):
             if not (up[i] >> i) & 1:
                 raise NotAPartialOrder(f"relation is not reflexive at {labels[i]!r}")
@@ -66,8 +83,6 @@ class FiniteLattice:
                     raise NotAPartialOrder(
                         f"relation is not transitive at {labels[i]!r} <= {labels[j]!r}"
                     )
-
-        down = [sum(itertools.compress(bits, column)) for column in zip(*order)]
 
         # In a partial order a set has a greatest element g exactly when it
         # is down[g], and a least element l exactly when it is up[l].
@@ -335,6 +350,16 @@ def _canonical_key(up, down):
             child = refine(ups, downs, child)
         frames.append((child, []))
     return best[0]
+
+
+def _element_labels(labels):
+    """The labels as a tuple, checked to be nonempty and distinct."""
+    labels = tuple(labels)
+    if not labels:
+        raise NotAPartialOrder("element set must be nonempty")
+    if len(set(labels)) != len(labels):
+        raise ValueError("element labels must be distinct")
+    return labels
 
 
 def validate_lattice(order, labels=None):

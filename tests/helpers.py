@@ -26,7 +26,11 @@ the edge closure oracle adds one vertex at a time in a given scan order
 instead of a round of them at once.  The minimal non-face oracle derives
 them from the facets by the walk over every face, which is how the library
 still closes generic complexes, where realizing_complex reads them off the
-lattice.
+lattice.  The flat lattice oracle builds it from the inclusion matrix of
+every pair of flats, as the library did before it read each up-set off the
+columns of the flat masks, and the simplification oracle relabels the
+facets and rebuilds the quotient even when every closure class is one
+vertex, where the library now keeps the facets as they are.
 """
 
 import functools
@@ -46,7 +50,7 @@ from flatlat import (
 )
 from flatlat._util import bit_indices, mask_sort_key, maximal_masks, refine
 from flatlat.complexes import _facet_implications
-from flatlat.flats import _transversal_order
+from flatlat.flats import _flat_label, _transversal_order
 from flatlat.lattice import _canonical_key
 
 
@@ -795,3 +799,28 @@ def random_triple_complex(rng, n):
     chosen = rng.sample(triples, round(rng.uniform(0.5, 1.0) * len(triples)))
     pairs = itertools.combinations(verts, 2)
     return from_faces(verts, [set(f) for f in itertools.chain(pairs, chosen)])
+
+
+def flat_lattice_by_matrix(family):
+    """The lattice of a FlatFamily from the inclusion matrix of its flats,
+    every pair tested, through the matrix constructor."""
+    masks = family._masks
+    labels = [_flat_label(family.complex, m) for m in masks]
+    order = [[1 if a & ~b == 0 else 0 for b in masks] for a in masks]
+    return FiniteLattice(labels, order)
+
+
+def simplification_by_relabelled_faces(complex_):
+    """The quotient by the same-closure classes and the classes, with each
+    facet relabelled by the first vertex of each class and the quotient
+    built from those faces, whether or not any two vertices share a class."""
+    cl = complex_.flat_closure
+    by_closure = {}
+    for v in range(len(complex_.vertices)):
+        by_closure.setdefault(cl(1 << v), []).append(v)
+    classes = sorted(by_closure.values(), key=lambda c: c[0])
+    rep = {v: complex_.vertices[cls[0]] for cls in classes for v in cls}
+    new_vertices = tuple(complex_.vertices[cls[0]] for cls in classes)
+    faces = [{rep[i] for i in bit_indices(facet)} for facet in complex_.facet_masks]
+    partition = tuple(frozenset(complex_.vertices[v] for v in cls) for cls in classes)
+    return SimplicialComplex(new_vertices, faces), partition

@@ -1,6 +1,7 @@
 """Simplicial complex construction, restriction, matroid check, isomorphism."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -141,12 +142,22 @@ def test_exchange_violation_is_a_real_violation(triangles):
 
 
 def test_exchange_violation_matches_the_pairwise_scan(fixture_complexes):
-    complexes = list(fixture_complexes)
+    """The same pair as the scan of every face against every face one
+    larger, on the complex fixtures, U(3,n) up to n = 10, every complex with
+    up to 5 vertices and seeded random triple complexes on 9-13 vertices,
+    where most are not matroids: the least J, then the least I, on the
+    smallest violating level."""
+    rng = random.Random(1998)
+    randoms = [
+        helpers.random_triple_complex(rng, n) for n in range(9, 14) for _ in range(4)
+    ]
+    complexes = list(fixture_complexes) + randoms
     complexes += [helpers.uniform_complex(n, 3) for n in range(3, 11)]
     for n in range(1, 6):
         complexes += helpers.all_complexes(n)
     for c in complexes:
         assert c.exchange_violation() == helpers.exchange_violation_pairwise(c)
+    assert sum(c.exchange_violation() is not None for c in randoms) > len(randoms) // 2
 
 
 def test_uniform_complexes_are_matroids(u24, u34, empty_faces_cx):

@@ -237,6 +237,52 @@ def test_simplification_preserves_the_flat_lattice():
     assert a.isomorphism(b) is not None
 
 
+def test_simplification_matches_the_relabelled_quotient(fixture_complexes):
+    """The same quotient and classes as relabelling the facets and
+    rebuilding, on the loop-free complex fixtures, U(3,n) up to n = 12 and
+    seeded random triple complexes on 9-13 vertices: those where every
+    closure class is one vertex keep their facets as they are."""
+    rng = random.Random(46)
+    complexes = list(fixture_complexes)
+    complexes += [parse(path.read_text()).value for path in FIXTURES.glob("*.cx")]
+    complexes += [helpers.uniform_complex(n, 3) for n in range(3, 13)]
+    complexes += [
+        helpers.random_triple_complex(rng, n) for n in range(9, 14) for _ in range(3)
+    ]
+    simple = merged = 0
+    for c in complexes:
+        if c.loops():
+            continue
+        quotient, classes = simplification(c)
+        assert (quotient, classes) == helpers.simplification_by_relabelled_faces(c)
+        if len(classes) == len(c.vertices):
+            simple += 1
+        else:
+            merged += 1
+    assert simple and merged
+
+
+def test_flat_lattice_matches_the_inclusion_matrix(fixture_complexes):
+    """The lattice read off the columns of the flat masks is the one built
+    from the inclusion matrix of every pair of flats, down to its labels,
+    up- and down-sets, meets and joins, on every complex with up to 4
+    vertices, U(3,n) up to n = 12, seeded random triple complexes on 9-13
+    vertices and the complex fixtures."""
+    rng = random.Random(158)
+    complexes = [c for n in range(1, 5) for c in helpers.all_complexes(n)]
+    complexes += [helpers.uniform_complex(n, 3) for n in range(3, 13)]
+    complexes += [
+        helpers.random_triple_complex(rng, n) for n in range(9, 14) for _ in range(3)
+    ]
+    complexes += fixture_complexes
+    complexes += [parse(path.read_text()).value for path in FIXTURES.glob("*.cx")]
+    for c in complexes:
+        family = all_flats(c)
+        got, want = family.lattice, helpers.flat_lattice_by_matrix(family)
+        assert got == want  # labels and up-sets
+        assert (got._down, got._meet, got._join) == (want._down, want._meet, want._join)
+
+
 def test_flats_restrict_to_flats(fixture_complexes):
     # intersecting a flat with the kept vertex set lands on a flat again
     for c in fixture_complexes:
