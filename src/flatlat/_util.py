@@ -26,16 +26,6 @@ def mask_sort_key(mask):
     return (mask.bit_count(), tuple(bit_indices(mask)))
 
 
-def submasks(mask):
-    """Yield every submask of mask (including mask and 0), descending."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def maximal_masks(masks):
     """Subset-maximal members of a collection of bitmasks, deduplicated.
 
@@ -81,6 +71,30 @@ def columns(masks, n):
         int(data[v >> 3 :: width].translate(_BIT_CHAR[v & 7])[::-1] or b"0", 2)
         for v in range(n)
     ]
+
+
+class ByteTable(dict):
+    """The OR of the columns a byte picks, for up to 8 columns, each entry
+    made on first use from the entry without the byte's lowest bit."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, cols):
+        super().__init__({0: 0})
+        self._columns = cols
+
+    def __missing__(self, byte):
+        low = byte & -byte
+        self[byte] = got = self[byte ^ low] | self._columns[low.bit_length() - 1]
+        return got
+
+
+def byte_tables(cols):
+    """One ByteTable per block of 8 columns: the OR of the columns a mask
+    picks is the OR of the blocks' entries for the bytes of
+    mask.to_bytes(width, "little"), one lookup per block in place of one
+    step per set bit.  Each table holds at most 256 entries."""
+    return [ByteTable(cols[v : v + 8]) for v in range(0, len(cols), 8)]
 
 
 def next_closure(closure, n):

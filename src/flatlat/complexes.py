@@ -10,8 +10,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from ._util import (
-    GroundSet, IndexMap, bit_indices, columns, find_isomorphism, mask_sort_key,
-    maximal_masks, next_closure, submasks,
+    GroundSet, IndexMap, bit_indices, byte_tables, columns, find_isomorphism,
+    mask_sort_key, maximal_masks, next_closure,
 )
 from .errors import AllLoops, ConstructionMismatch, EmptyRestriction
 
@@ -61,19 +61,29 @@ class SimplicialComplex(GroundSet):
         return max(m.bit_count() for m in self.facet_masks) - 1
 
     @cached_property
+    def _ext_levels(self):
+        """The complex's one face walk: levels[k] maps each face of size k
+        to its ext, the union of the facets that contain it (the function
+        _ext_levels)."""
+        return _ext_levels(self.facet_masks)
+
+    @cached_property
     def face_masks(self):
-        """Every face as a bitmask.  Exponential in facet size; desk scale only."""
-        out = set()
-        for facet in self.facet_masks:
-            out.update(submasks(facet))
-        return frozenset(out)
+        """Every face as a bitmask, read off the one walk over the faces
+        (_ext_levels).  Exponential in facet size; desk scale only."""
+        return frozenset().union(*self._ext_levels)
 
     @cached_property
     def flat_closure(self):
-        """The closure operator whose closed sets are the flats."""
+        """The closure operator whose closed sets are the flats.
+
+        A complex given by its facets closes by the implications its face
+        walk (_ext_levels) derives; a construction that listed its minimal
+        non-faces closes by those, once they are certified.
+        """
         n = len(self.vertices)
         if self._nonface_masks is None:
-            return FlatClosure(_facet_implications(self.facet_masks, n), n)
+            return FlatClosure(_facet_implications(self._ext_levels, n), n)
         return self._certified_closure()
 
     def _certified_closure(self):
@@ -199,35 +209,35 @@ class SimplicialComplex(GroundSet):
 
         J + v is a face for v outside J iff v lies in ext[J], the union of
         the facets containing J, so I violates exchange with J iff I misses
-        ext[J] - J.  The levels come from the largest faces down.  On each,
-        the faces I one larger than J that miss ext[J] - J are the level's
-        faces outside the OR of the columns (_util.columns) of the vertices
-        of ext[J] - J, one big-int OR per vertex.  The violation returned is
-        on the smallest level that has one: its least J by mask_sort_key,
-        then the least I missing ext[J] - J.
+        ext[J] - J.  The levels of the face walk (_ext_levels) are read in
+        pairs from the smallest up, and the first with a violation decides.
+        On each, the faces I one larger than J that miss ext[J] - J are the
+        level's faces outside the OR of the columns (_util.columns) of the
+        vertices of ext[J] - J, one lookup per block of 8 vertices
+        (_util.byte_tables).  The violation returned is its least J by
+        mask_sort_key, then the least I missing ext[J] - J.
         """
         n = len(self.vertices)
-        last = None  # the smallest violating level so far: faces, J -> hits
-        for level, below in _ext_levels(self.facet_masks):
+        width = (n + 7) >> 3
+        levels = self._ext_levels
+        for below, level in zip(levels, levels[1:]):
             bigger = list(level)
-            held = columns(bigger, n)  # bit k of held[v]: bigger[k] holds v
+            # bit k of column v: bigger[k] holds v
+            tables = byte_tables(columns(bigger, n))
             everyone = (1 << len(bigger)) - 1
             hits = {}
             for j, ext in below.items():
                 spare = 0
-                for v in bit_indices(ext & ~j):
-                    spare |= held[v]
+                for table, byte in zip(tables, (ext & ~j).to_bytes(width, "little")):
+                    spare |= table[byte]
                 missing = everyone & ~spare
                 if missing:
                     hits[j] = missing
             if hits:
-                last = bigger, hits
-        if last is None:
-            return None
-        bigger, hits = last
-        j = min(hits, key=mask_sort_key)
-        i = min((bigger[k] for k in bit_indices(hits[j])), key=mask_sort_key)
-        return self.set_of(i), self.set_of(j)
+                j = min(hits, key=mask_sort_key)
+                i = min((bigger[k] for k in bit_indices(hits[j])), key=mask_sort_key)
+                return self.set_of(i), self.set_of(j)
+        return None
 
     @cached_property
     def is_matroid(self):
@@ -262,37 +272,49 @@ class FlatClosure:
     the least superset of X that holds the conclusion of every implication
     whose premise it holds.  The flats of a complex are the closed sets of
     the implications N - p -> p, for N a minimal non-face and p in N: they
-    come from the facets by _facet_implications, or from a construction's
-    own list of minimal non-faces by _nonface_implications.  Closures are
-    memoized.
+    come from the face walk by _facet_implications, or from a construction's
+    own list of minimal non-faces by _nonface_implications.
+
+    A round ORs, over the vertices missing from the set, the implications
+    whose premise holds the vertex (blocked) and those whose conclusion
+    does (useful); the ready ones, useful but not blocked, are applied.
+    The vertices are cut into blocks of 8, and each block keeps a table
+    from a byte of missing vertices to that OR (_util.byte_tables), so a
+    round costs one lookup per block.  Table entries and closures are
+    memoized as they are first asked for.
     """
 
     def __init__(self, implications, n):
         self._full = (1 << n) - 1
+        self._width = (n + 7) >> 3
         implications = list(implications)
         self._conclusions = [conclusion for _, conclusion in implications]
-        # bit k of premises[v] (concluders[v]) is set when the premise
-        # (conclusion) of the k-th implication contains v
-        self._premises = columns([premise for premise, _ in implications], n)
-        self._concluders = columns(self._conclusions, n)
+        # bit k (bit m + k) of column v is set when the premise (conclusion)
+        # of the k-th of the m implications contains v
+        self._shift = len(implications)
+        cols = columns([premise for premise, _ in implications] + self._conclusions, n)
+        self._tables = byte_tables(cols)
         self._cache = {}
 
     def __call__(self, mask):
         got = self._cache.get(mask)
         if got is None:
+            full, width, tables = self._full, self._width, self._tables
+            shift, conclusions = self._shift, self._conclusions
             got = mask
             while True:
+                either = 0
+                for table, byte in zip(tables, (full & ~got).to_bytes(width, "little")):
+                    either |= table[byte]
                 # an implication still adds to the set when a vertex of its
                 # conclusion is missing from it and none of its premise is
-                blocked = useful = 0
-                for v in bit_indices(self._full & ~got):
-                    blocked |= self._premises[v]
-                    useful |= self._concluders[v]
-                ready = useful & ~blocked
+                ready = either >> shift & ~either
                 if not ready:
                     break
-                for k in bit_indices(ready):
-                    got |= self._conclusions[k]
+                while ready:
+                    low = ready & -ready
+                    got |= conclusions[low.bit_length() - 1]
+                    ready ^= low
             self._cache[mask] = got
         return got
 
@@ -304,17 +326,19 @@ class FlatClosure:
         )
 
 
-def _facet_implications(facet_masks, n):
+def _facet_implications(levels, n):
     """Yield (I, bad) for each face I with bad, the vertices p for which
-    I + p is a minimal non-face, nonempty.
+    I + p is a minimal non-face, nonempty; levels are the face walk's
+    (_ext_levels), read from the largest faces down.
 
     ext[I], the union of the facets containing I, leaves V - ext[I], the
     vertices p with I + p not a face, and I + p is a minimal non-face iff p
-    lies there but in ext[I - v] for every v in I.  This visits every face.
+    lies there but in ext[I - v] for every v in I.
     """
     full = (1 << n) - 1
-    for level, below in _ext_levels(facet_masks):
-        for face, ext in level.items():
+    for size in range(len(levels) - 1, -1, -1):
+        below = levels[size - 1]  # not read at size 0: the empty face has no v
+        for face, ext in levels[size].items():
             bad = full & ~ext
             rest = face
             while rest and bad:
@@ -337,30 +361,31 @@ def _nonface_implications(nonface_masks):
 
 
 def _ext_levels(facet_masks):
-    """Yield (level, below) for each face size from the largest down to 0.
+    """The faces of the complex with these facets, walked once: levels[k]
+    maps every face of size k to its ext, the union of the facets that
+    contain it, for k from 0 to the largest facet size.
 
-    level maps every face of one size to ext, the union of the facets
-    containing it, and below does the same one size smaller.  Each face
-    passes its ext on to the faces one smaller, so every face is visited
-    once; a level is emptied when the next pair is asked for, so only two
-    levels are held at a time.
+    The walk goes from the largest faces down, and each face passes its ext
+    on to the faces one smaller, so every face is visited once.  All levels
+    are kept, so memory grows with the number of faces.
     """
     by_size = {}
     for facet in facet_masks:
         by_size.setdefault(facet.bit_count(), []).append(facet)
     top = max(by_size)
-    level = {facet: facet for facet in by_size[top]}
-    for size in range(top, -1, -1):
-        below = {facet: facet for facet in by_size.get(size - 1, ())}
-        for face, ext in level.items():
+    levels = [
+        {facet: facet for facet in by_size.get(size, ())} for size in range(top + 1)
+    ]
+    for size in range(top, 0, -1):
+        below = levels[size - 1]
+        get = below.get
+        for face, ext in levels[size].items():
             rest = face
             while rest:
                 low = rest & -rest
-                below[face ^ low] = below.get(face ^ low, 0) | ext
+                below[face ^ low] = get(face ^ low, 0) | ext
                 rest ^= low
-        yield level, below
-        level.clear()
-        level = below
+    return levels
 
 
 def from_faces(vertices, faces):

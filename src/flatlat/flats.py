@@ -73,7 +73,7 @@ class FlatFamily:
     @cached_property
     def lattice(self):
         """The flats under inclusion, as a FiniteLattice whose element i is
-        the i-th flat, labelled by _flat_label.
+        the i-th flat, labelled by _flat_labels.
 
         The flats containing a flat are the AND of the columns
         (_util.columns) of its vertices over the flat masks, so the order
@@ -88,21 +88,21 @@ class FlatFamily:
             for v in bit_indices(flat):
                 above &= held[v]
             up.append(above)
-        labels = [_flat_label(self.complex, m) for m in masks]
+        labels = _flat_labels(self.complex.vertices, masks)
         return FiniteLattice._from_up_masks(labels, up)
 
 
-def _flat_label(complex_, mask):
-    """The flat's vertex names in vertex order, as {v1,v2,...}.
+def _flat_labels(vertices, masks):
+    """Each mask's vertex names in vertex order, as {v1,v2,...}.
 
     A backslash escapes \\ , { and } inside a name and the empty name is
-    written \\0, so distinct flats get distinct labels.
+    written \\0, so distinct masks get distinct labels.  Each name is
+    escaped once, whatever the number of masks that hold it.
     """
-    names = (
-        re.sub(r"[\\,{}]", r"\\\g<0>", complex_.vertices[i]) or "\\0"
-        for i in bit_indices(mask)
-    )
-    return "{" + ",".join(names) + "}"
+    names = [re.sub(r"[\\,{}]", r"\\\g<0>", v) or "\\0" for v in vertices]
+    return [
+        "{" + ",".join([names[i] for i in bit_indices(mask)]) + "}" for mask in masks
+    ]
 
 
 def split_vertex_set(text):
@@ -227,18 +227,22 @@ def br_violation(complex_, override=False):
     F is a transversal; then F is one iff some v in F escapes cl(F - v), at
     most |F| closures per face.  Every face of a size is tested, and the
     least failing one by mask_sort_key, of the first size with one, is
-    returned: only failing faces are ever sorted.
+    returned: only failing faces are ever sorted.  The sizes are the levels
+    of the complex's one face walk (SimplicialComplex._ext_levels).
     """
     _check_flats_limit(complex_, override)
     cl = complex_.flat_closure
-    by_size = [[] for _ in range(complex_.dimension + 2)]
-    for face in complex_.face_masks:
-        by_size[face.bit_count()].append(face)
-    for faces in by_size[1:]:
-        failing = [
-            face for face in faces
-            if all(cl(face & ~(1 << v)) >> v & 1 for v in bit_indices(face))
-        ]
+    for faces in complex_._ext_levels[1:]:
+        failing = []
+        for face in faces:
+            rest = face
+            while rest:
+                low = rest & -rest
+                if not cl(face ^ low) & low:
+                    break  # low escapes the closure of the rest: put it last
+                rest ^= low
+            else:
+                failing.append(face)
         if failing:
             return complex_.set_of(min(failing, key=mask_sort_key))
     return None

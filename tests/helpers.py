@@ -30,12 +30,19 @@ lattice.  The flat lattice oracle builds it from the inclusion matrix of
 every pair of flats, as the library did before it read each up-set off the
 columns of the flat masks, and the simplification oracle relabels the
 facets and rebuilds the quotient even when every closure class is one
-vertex, where the library now keeps the facets as they are.
+vertex, where the library now keeps the facets as they are.  The flat label
+oracle escapes each name again for every flat that holds it, where the
+library escapes each name once; the face oracle takes the union of the
+submasks of every facet, where the library walks each face once, level by
+level; and the closure oracle ORs the premise and conclusion columns of the
+missing vertices one vertex at a time, where the library looks up a byte of
+them at a time.
 """
 
 import functools
 import itertools
 import random
+import re
 
 from flatlat import (
     FiniteLattice,
@@ -48,9 +55,9 @@ from flatlat import (
     lattice_from_covers,
     validate_lattice,
 )
-from flatlat._util import bit_indices, mask_sort_key, maximal_masks, refine
+from flatlat._util import bit_indices, columns, mask_sort_key, maximal_masks, refine
 from flatlat.complexes import _facet_implications
-from flatlat.flats import _flat_label, _transversal_order
+from flatlat.flats import _transversal_order
 from flatlat.lattice import _canonical_key
 
 
@@ -674,7 +681,7 @@ def minimal_nonfaces_by_face_walk(complex_):
     n = len(complex_.vertices)
     return sorted({
         face | 1 << p
-        for face, bad in _facet_implications(complex_.facet_masks, n)
+        for face, bad in _facet_implications(complex_._ext_levels, n)
         for p in bit_indices(bad)
     })
 
@@ -805,7 +812,7 @@ def flat_lattice_by_matrix(family):
     """The lattice of a FlatFamily from the inclusion matrix of its flats,
     every pair tested, through the matrix constructor."""
     masks = family._masks
-    labels = [_flat_label(family.complex, m) for m in masks]
+    labels = [flat_label(family.complex, m) for m in masks]
     order = [[1 if a & ~b == 0 else 0 for b in masks] for a in masks]
     return FiniteLattice(labels, order)
 
@@ -824,3 +831,59 @@ def simplification_by_relabelled_faces(complex_):
     faces = [{rep[i] for i in bit_indices(facet)} for facet in complex_.facet_masks]
     partition = tuple(frozenset(complex_.vertices[v] for v in cls) for cls in classes)
     return SimplicialComplex(new_vertices, faces), partition
+
+
+def flat_label(complex_, mask):
+    """The flat's vertex names in vertex order, as {v1,v2,...}, each name
+    escaped again for every flat that holds it."""
+    names = (
+        re.sub(r"[\\,{}]", r"\\\g<0>", complex_.vertices[i]) or "\\0"
+        for i in bit_indices(mask)
+    )
+    return "{" + ",".join(names) + "}"
+
+
+def submasks(mask):
+    """Yield every submask of mask (including mask and 0), descending."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def face_exts_by_submasks(complex_):
+    """Every face as a bitmask, the union of the submasks of the facets,
+    mapped to the union of the facets it is a submask of."""
+    out = {}
+    for facet in complex_.facet_masks:
+        for face in submasks(facet):
+            out[face] = out.get(face, 0) | facet
+    return out
+
+
+def closure_by_vertex_loop(implications, n):
+    """The closure operator of the implications, unmemoized: each round
+    ORs the premise and conclusion columns of every missing vertex, one
+    vertex at a time, and applies the ready implications."""
+    implications = list(implications)
+    conclusions = [conclusion for _, conclusion in implications]
+    premises = columns([premise for premise, _ in implications], n)
+    concluders = columns(conclusions, n)
+    full = (1 << n) - 1
+
+    def close(mask):
+        got = mask
+        while True:
+            blocked = useful = 0
+            for v in bit_indices(full & ~got):
+                blocked |= premises[v]
+                useful |= concluders[v]
+            ready = useful & ~blocked
+            if not ready:
+                return got
+            for k in bit_indices(ready):
+                got |= conclusions[k]
+
+    return close

@@ -1,5 +1,6 @@
 """Simplicial complex construction, restriction, matroid check, isomorphism."""
 
+import functools
 import itertools
 import random
 
@@ -12,11 +13,15 @@ from flatlat import (
     SimplicialComplex,
     UnknownVertex,
     from_faces,
+    parse,
+    realizing_complex,
 )
 
 from flatlat._util import maximal_masks
+from flatlat.complexes import _facet_implications, _nonface_implications
 
 import helpers
+from conftest import FIXTURES
 
 
 def test_facets_of_running_example(triangles):
@@ -281,3 +286,72 @@ def test_equality_is_structural(triangles):
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 9) - 1), max_size=40))
 def test_maximal_masks_matches_pairwise_comparison(masks):
     assert maximal_masks(masks) == helpers.maximal_masks_naive(masks)
+
+
+# -- the one face walk and the byte-table closure against their oracles ------
+
+
+def _small_complexes(fixture_complexes):
+    """Every complex with up to 4 vertices and the complex fixtures."""
+    complexes = [c for n in range(1, 5) for c in helpers.all_complexes(n)]
+    complexes += fixture_complexes
+    return complexes + [parse(path.read_text()).value for path in FIXTURES.glob("*.cx")]
+
+
+def _large_complexes():
+    """Seeded random triple complexes on 9-13 vertices and U(3,n) for n = 7,
+    8, 9, 16 and 17: the last block of 8 vertices partial, full, or one
+    vertex."""
+    rng = random.Random(1984)
+    complexes = [helpers.random_triple_complex(rng, n) for n in range(9, 14)]
+    return complexes + [helpers.uniform_complex(n, 3) for n in (7, 8, 9, 16, 17)]
+
+
+def _realizing_complexes():
+    """The realizing complexes of chain6, M5 and B3, which list their
+    minimal non-faces."""
+    lattices = [helpers.chain_lattice(6), helpers.m_lattice(5)]
+    lattices.append(helpers.powerset_lattice("abc"))
+    return [realizing_complex(lat)[0] for lat in lattices]
+
+
+def test_face_walk_matches_the_submask_union(fixture_complexes):
+    """face_masks is the union of the submasks of the facets, and the walk
+    keeps each face once, on the level of its size, with the union of the
+    facets that contain it."""
+    complexes = _small_complexes(fixture_complexes) + _large_complexes()
+    for c in complexes + _realizing_complexes():
+        exts = helpers.face_exts_by_submasks(c)
+        assert c.face_masks == exts.keys()
+        levels = c._ext_levels
+        assert sum(map(len, levels)) == len(exts)
+        for size, level in enumerate(levels):
+            assert all(face.bit_count() == size for face in level)
+            assert level == {face: exts[face] for face in level}
+
+
+def _random_masks(rng, n, count):
+    """Seeded masks on n bits, from sparse to dense."""
+    return [
+        functools.reduce(int.__and__, [rng.getrandbits(n) for _ in range(k % 4 + 1)])
+        for k in range(count)
+    ]
+
+
+def test_byte_table_closure_matches_the_vertex_loop(fixture_complexes):
+    """The closure read a byte of missing vertices at a time equals the
+    per-vertex loop: on every subset of the small complexes, on seeded
+    random masks of the large ones, and on seeded random masks under the
+    minimal non-faces of the realizing complexes."""
+    rng = random.Random(1985)
+    cases = [(c, range(1 << len(c.vertices))) for c in _small_complexes(fixture_complexes)]
+    cases += [(c, _random_masks(rng, len(c.vertices), 400)) for c in _large_complexes()]
+    for c, masks in cases:
+        n = len(c.vertices)
+        oracle = helpers.closure_by_vertex_loop(_facet_implications(c._ext_levels, n), n)
+        assert [c.flat_closure(mask) for mask in masks] == list(map(oracle, masks))
+    for c in _realizing_complexes():
+        n = len(c.vertices)
+        oracle = helpers.closure_by_vertex_loop(_nonface_implications(c._nonface_masks), n)
+        masks = _random_masks(rng, n, 800)
+        assert [c.flat_closure(mask) for mask in masks] == list(map(oracle, masks))

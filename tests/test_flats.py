@@ -26,7 +26,7 @@ from flatlat import (
     transversal_witness,
 )
 from flatlat import flats, parse
-from flatlat.flats import _flat_label
+from flatlat.flats import _flat_labels
 
 import helpers
 from conftest import FIXTURES
@@ -347,9 +347,27 @@ def test_separator_in_a_vertex_name_does_not_merge_flat_labels():
 def test_flat_labels_are_injective_on_escape_characters():
     names = ["", "\\", ",", "{", "}", "\\0", "0", "a", "a,", ",a", "{}", "\\,"]
     c = SimplicialComplex(names, [])
-    labels = {_flat_label(c, mask) for mask in range(c.full_mask + 1)}
-    assert len(labels) == 1 << len(names)
-    assert _flat_label(c, 0) == "{}" and _flat_label(c, 1) == "{\\0}"
+    labels = _flat_labels(c.vertices, range(c.full_mask + 1))
+    assert len(set(labels)) == 1 << len(names)
+    assert labels[:2] == ["{}", "{\\0}"]
+
+
+def test_flat_labels_match_the_per_flat_escape():
+    """The labels of the flat lattice, each name escaped once, are those
+    escaping the names again for every flat: on the complex fixtures, U(3,n)
+    up to n = 12 and complexes whose names hold \\ , { } or are empty."""
+    complexes = [parse(path.read_text()).value for path in FIXTURES.glob("*.cx")]
+    complexes += [helpers.uniform_complex(n, 3) for n in range(3, 13)]
+    names = ["", "\\", ",", "{", "}", "a\\,b", "{x}", "\\0", "c"]
+    complexes += [
+        from_faces(names, [set(names[:4]), set(names[3:7]), set(names[6:])]),
+        from_faces(names, [{a, b} for a, b in itertools.combinations(names, 2)]),
+        SimplicialComplex(names[:5], []),
+    ]
+    for c in complexes:
+        family = all_flats(c)
+        want = tuple(helpers.flat_label(c, m) for m in family._masks)
+        assert family.lattice.labels == want
 
 
 # -- NextClosure against the subset scan ---------------------------------------
