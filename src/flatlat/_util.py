@@ -7,6 +7,7 @@ and complexes alike, and lattice._canonical_key are the two searches by
 individualization-refinement; both call refine and individualize.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -27,29 +28,43 @@ def mask_sort_key(mask):
 
 
 def maximal_masks(masks):
-    """Subset-maximal members of a collection of bitmasks, deduplicated.
+    """Subset-maximal members of a collection of bitmasks, deduplicated,
+    largest first.
 
-    Masks are visited by decreasing size, so a mask is dominated iff some
-    mask kept so far contains it.  holders[v] has bit k set when the k-th
-    kept mask contains vertex v; the AND of the holders of a mask's vertices
-    is the set of kept masks containing it.
+    A mask can only lie in a strictly larger one, so the masks are taken a
+    size at a time: the largest are all kept, and each later mask is checked
+    against the masks kept from the larger sizes.  holders[v] has bit k set
+    when the k-th kept mask contains vertex v; the AND of the holders of a
+    mask's vertices is the set of kept masks containing it.  The holders of
+    a size's kept masks are filled only when a smaller nonempty size
+    follows, so masks all of one size cost one sort.
     """
     ordered = sorted(set(masks), key=int.bit_count, reverse=True)
-    holders = [0] * max((m.bit_length() for m in ordered), default=0)
-    out = []
-    for m in ordered:
-        common = (1 << len(out)) - 1
-        rest = m
-        while rest and common:
-            low = rest & -rest
-            common &= holders[low.bit_length() - 1]
-            rest ^= low
-        if common:
+    out, holders, filled = [], [], 0
+    for size, group in itertools.groupby(ordered, int.bit_count):
+        if not out:  # the largest masks: none holds another of its size
+            out.extend(group)
             continue
-        bit = 1 << len(out)
-        for v in bit_indices(m):
-            holders[v] |= bit
-        out.append(m)
+        if not size:  # the empty mask lies in every kept mask
+            break
+        if not holders:
+            holders = [0] * max(map(int.bit_length, ordered))
+        for k in range(filled, len(out)):
+            bit, rest = 1 << k, out[k]
+            while rest:
+                low = rest & -rest
+                holders[low.bit_length() - 1] |= bit
+                rest ^= low
+        filled = len(out)
+        for m in group:
+            common = -1
+            rest = m
+            while rest and common:
+                low = rest & -rest
+                common &= holders[low.bit_length() - 1]
+                rest ^= low
+            if not common:
+                out.append(m)
     return out
 
 

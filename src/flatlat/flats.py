@@ -33,8 +33,9 @@ from .lattice import FiniteLattice
 # flats come from NextClosure over the closure operator; for a complex given
 # by its facets its implications are derived from every face, and past 24
 # vertices neither the faces nor the flats are desk scale any more.  The
-# realizing complex lists its minimal non-faces and walks no face, but its
-# flats are enumerated the same way and stay under the same limit
+# realizing complex lists its minimal non-faces and walks no face, and
+# realizing_complex has already held it to REALIZE_SOFT_LIMIT, so all_flats
+# does not hold it to this one
 FLATS_SOFT_LIMIT = 24
 # the transversal oracle tries every ordering of X against every flat chain
 ORACLE_SIZE_LIMIT = 8
@@ -124,7 +125,11 @@ def is_flat(complex_, candidate):
 
 
 def all_flats(complex_, override=False):
-    _check_flats_limit(complex_, override)
+    """The flats of the complex.  A complex that lists its minimal
+    non-faces is closed by them and walks no face, so only a complex given
+    by its facets is held to FLATS_SOFT_LIMIT."""
+    if complex_._nonface_masks is None:
+        _check_flats_limit(complex_, override)
     return FlatFamily(complex_, complex_.flat_closure.flat_masks)
 
 

@@ -1,11 +1,13 @@
 """Finite lattices: validation, structure queries and enumeration.
 
 A lattice is stored as an indexed tuple of element labels together with the
-full order relation, as up- and down-set bitmasks; meet and join tables are
-computed once at construction time and every query afterwards is table
-lookup.  A set of elements has a greatest element g exactly when it is the
-down-set of g, so the meet of i and j is the element whose down-set is
-down[i] & down[j], one dict lookup per pair (joins likewise with up-sets).
+full order relation, as up- and down-set bitmasks, and meet and join
+tables; every query is table lookup.  A set of elements has a greatest
+element g exactly when it is the down-set of g, so the meet of i and j is
+the element whose down-set is down[i] & down[j], one dict lookup per pair
+(joins likewise with up-sets).  The constructor builds the tables while it
+validates the relation; a flat lattice (FlatFamily.lattice) is validated by
+its meets alone and builds both tables the first time either is read.
 Instances are immutable and hashable, so results of expensive derived
 computations are cached on the instance.
 
@@ -51,23 +53,38 @@ class FiniteLattice:
         up = [sum(itertools.compress(bits, row)) for row in order]  # j with i <= j
         down = [sum(itertools.compress(bits, column)) for column in zip(*order)]
         self._set_relation(labels, up, down)
+        self._meet, self._join = _meet_join(labels, up, down)
 
     @classmethod
     def _from_up_masks(cls, labels, up):
         """The lattice in which element i lies below the elements of up[i],
         a mask over the n elements, validated as the constructor validates
         a matrix.  The down-sets are read off as the columns of the up-sets.
+
+        A finite partial order with a greatest element in which every pair
+        has a meet is a lattice: the join of x and y is the meet of their
+        upper bounds, a finite nonempty set.  So the relation is checked by
+        its top and its meets, one AND and set lookup per pair, and only a
+        relation that fails is scanned pair by pair (_meet_join), for the
+        first failure and its message.  The tables are built on first use.
         """
         labels = _element_labels(labels)
+        n = len(labels)
+        down = columns(up, n)
         lattice = cls.__new__(cls)
-        lattice._set_relation(labels, up, columns(up, len(labels)))
+        lattice._set_relation(labels, up, down)
+        has = set(down).__contains__
+        if (1 << n) - 1 not in down or not all(
+            all(map(has, map(down[i].__and__, down[i + 1 :]))) for i in range(n)
+        ):
+            _meet_join(labels, up, down)  # raises at the first failing pair
         return lattice
 
     def _set_relation(self, labels, up, down):
-        """Validate the relation given by its up- and down-set masks and
-        build the tables.  It must be a partial order in which every pair
-        has a meet and a join; the first failure, in the order of the
-        checks and then of the elements, raises.
+        """Validate that the up- and down-set masks give a partial order and
+        store it, with its least and greatest elements by down-set size; the
+        first failure, in the order of the checks and then of the elements,
+        raises.  The caller checks that every pair has a meet and a join.
         """
         n = len(labels)
         for i in range(n):
@@ -84,34 +101,28 @@ class FiniteLattice:
                         f"relation is not transitive at {labels[i]!r} <= {labels[j]!r}"
                     )
 
-        # In a partial order a set has a greatest element g exactly when it
-        # is down[g], and a least element l exactly when it is up[l].
-        by_down = {d: i for i, d in enumerate(down)}
-        by_up = {u: i for i, u in enumerate(up)}
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        for i in range(n):
-            down_i, up_i = down[i], up[i]
-            for j in range(i, n):
-                g = by_down.get(down_i & down[j])
-                if g is None:
-                    raise NotALattice((labels[i], labels[j]), "meet")
-                meet[i][j] = meet[j][i] = g
-                l = by_up.get(up_i & up[j])
-                if l is None:
-                    raise NotALattice((labels[i], labels[j]), "join")
-                join[i][j] = join[j][i] = l
-
         self.labels = labels
         self._up = tuple(up)
         self._down = tuple(down)
-        self._meet = tuple(tuple(row) for row in meet)
-        self._join = tuple(tuple(row) for row in join)
         self._index = {lab: i for i, lab in enumerate(labels)}
         self.bottom = min(range(n), key=lambda i: down[i].bit_count())
         self.top = max(range(n), key=lambda i: down[i].bit_count())
+        # in any finite partial order: nothing lies below a least-count
+        # element, nor above a greatest-count one
         assert down[self.bottom] == 1 << self.bottom
         assert up[self.top] == 1 << self.top
+
+    @cached_property
+    def _meet(self):
+        """The meet table; the first read of it or of _join builds both."""
+        self._meet, self._join = _meet_join(self.labels, self._up, self._down)
+        return self._meet
+
+    @cached_property
+    def _join(self):
+        """The join table, built with the meet table."""
+        self._meet  # builds both
+        return self._join
 
     # -- basic queries ---------------------------------------------------
 
@@ -350,6 +361,32 @@ def _canonical_key(up, down):
             child = refine(ups, downs, child)
         frames.append((child, []))
     return best[0]
+
+
+def _meet_join(labels, up, down):
+    """The meet and join tables of a partial order given by its up- and
+    down-set masks; the first pair, in element order, without a meet or a
+    join raises NotALattice.
+    """
+    n = len(labels)
+    # In a partial order a set has a greatest element g exactly when it is
+    # down[g], and a least element l exactly when it is up[l].
+    by_down = {d: i for i, d in enumerate(down)}
+    by_up = {u: i for i, u in enumerate(up)}
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        down_i, up_i = down[i], up[i]
+        for j in range(i, n):
+            g = by_down.get(down_i & down[j])
+            if g is None:
+                raise NotALattice((labels[i], labels[j]), "meet")
+            meet[i][j] = meet[j][i] = g
+            l = by_up.get(up_i & up[j])
+            if l is None:
+                raise NotALattice((labels[i], labels[j]), "join")
+            join[i][j] = join[j][i] = l
+    return tuple(tuple(row) for row in meet), tuple(tuple(row) for row in join)
 
 
 def _element_labels(labels):

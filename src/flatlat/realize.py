@@ -24,10 +24,11 @@ from .lattice import LatticeIso
 
 # realizing_complex costs the size of its output, at least the 3^(n-1) full
 # transversals for n elements.  Verifying it walks no face, only the facets
-# once per meet-irreducible flat: with override, M8 builds in 7-10 ms and
-# verifies in 44-76 ms, chain10 in 3-4 ms and 21-32 ms.  The complex has
-# 3(n-1) vertices, so verifying a 10-element one (27 vertices) still stops
-# at FLATS_SOFT_LIMIT (24) without override
+# once per meet-irreducible flat: M8 builds in 7-10 ms and verifies in
+# 44-76 ms, chain10 in 3-4 ms and 21-32 ms.  So this is the one limit on
+# construct --verify: its complex lists its minimal non-faces, and all_flats
+# does not hold such a complex to FLATS_SOFT_LIMIT, though a 10-element
+# lattice gives 27 vertices
 REALIZE_SOFT_LIMIT = 10
 
 

@@ -306,23 +306,23 @@ def test_construct_over_the_soft_limit_exits_3(capsys, tmp_path, monkeypatch):
     assert "soft limit" in err
 
 
-def test_construct_verify_of_a_ten_element_chain_exceeds_the_flat_limit(
+def test_construct_verify_of_a_ten_element_chain_passes_without_override(
     capsys, tmp_path, monkeypatch
 ):
-    # ten elements pass the construction's limit, but the complex has
-    # 3 * 9 = 27 vertices, past the limit of the flat enumeration
+    # ten elements pass the construction's limit; the complex has 3 * 9 = 27
+    # vertices, past the limit of the flat enumeration, but it lists its
+    # minimal non-faces, so verifying it walks no face and is not held there
     path = tmp_path / "chain10.lat"
     path.write_text(format_lattice(helpers.chain_lattice(10)))
     monkeypatch.delenv("FLATLAT_LIMIT_OVERRIDE", raising=False)
     code, out, _ = run(capsys, "construct", str(path))
     assert code == 0
     assert len(out.splitlines()[1].split()) == 1 + 27  # the vertices line
-    assert run(capsys, "construct", str(path), "--verify") == (
-        3,
-        "",
-        "error: flat enumeration on 27 vertices exceeds soft limit 24; "
-        "pass override=True to lift\n",
-    )
+    code, out, err = run(capsys, "construct", str(path), "--verify")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].startswith("# verified")
+    code, out, _ = run(capsys, "construct", str(path), "--verify", "--format", "json")
+    assert code == 0 and json.loads(out)["verified"] is True
 
 
 # -- tl / matrix ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from flatlat import (
     AllLoops,
@@ -283,7 +283,24 @@ def test_equality_is_structural(triangles):
     assert triangles != helpers.uniform_complex(4, 2)
 
 
+def _triples(n):
+    return [sum(1 << v for v in c) for c in itertools.combinations(range(n), 3)]
+
+
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 9) - 1), max_size=40))
+# every mask of one size, kept as given in size order
+@example(_triples(3))
+@example(_triples(7))
+@example(_triples(12))
+@example(_triples(12)[::-1] + [0])
+# 0b11 lies only in the first group's 0b1111, 0b110000 only in 0b1110000 of
+# the group after it; 0b10000000 lies in none, 0b1 in both groups
+@example([0b1111, 0b1110000, 0b11, 0b110000, 0b1, 0b10000000, 0])
+@example([0b11, 0b1111, 0b1, 0b100, 0b10000000000, 0b1000000000])
+# duplicates, in every size
+@example([5, 5, 3, 3, 7, 7, 0, 0, 8, 8, 0b110000, 0b110000])
+@example([0, 0])
+@example([])
 def test_maximal_masks_matches_pairwise_comparison(masks):
     assert maximal_masks(masks) == helpers.maximal_masks_naive(masks)
 

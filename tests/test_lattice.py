@@ -82,6 +82,15 @@ def _build_outcome(build):
     return lat, lat._down, lat._meet, lat._join, lat.bottom, lat.top
 
 
+def _outcomes_agree(labels, up):
+    """The outcome of _from_up_masks on these labels and up-sets, asserted
+    equal to that of the matrix constructor on the same relation."""
+    order = [[u >> j & 1 for j in range(len(up))] for u in up]
+    got = _build_outcome(lambda: FiniteLattice._from_up_masks(labels, up))
+    assert got == _build_outcome(lambda: FiniteLattice(labels, order))
+    return got
+
+
 def test_up_masks_build_what_the_matrix_builds():
     """FiniteLattice._from_up_masks raises the same exception class and
     message as the matrix constructor, or builds an equal lattice with the
@@ -95,17 +104,76 @@ def test_up_masks_build_what_the_matrix_builds():
     cases += [(4, rel) for rel in reflexive + random.Random(4).sample(rest, 500)]
     lattices = 0
     for n, rel in cases:
-        labels = [f"e{i}" for i in range(n)]
         up = [rel >> n * i & (1 << n) - 1 for i in range(n)]
-        order = [[u >> j & 1 for j in range(n)] for u in up]
-        got = _build_outcome(lambda: FiniteLattice._from_up_masks(labels, up))
-        assert got == _build_outcome(lambda: FiniteLattice(labels, order))
+        got = _outcomes_agree([f"e{i}" for i in range(n)], up)
         lattices += isinstance(got[0], FiniteLattice)
     assert lattices == 1 + 2 + 6 + 24 + 12  # labeled chains, and diamonds on 4
     for labels, up in (([], []), (["a", "a"], [1, 2])):
-        order = [[u >> j & 1 for j in range(len(up))] for u in up]
-        got = _build_outcome(lambda: FiniteLattice._from_up_masks(labels, up))
-        assert got == _build_outcome(lambda: FiniteLattice(labels, order))
+        _outcomes_agree(labels, up)
+
+
+def _sub_relation(lattice, keep, rng):
+    """The labels and up-set masks of the order of the lattice restricted to
+    the elements keep, listed in a seeded random order."""
+    keep = list(keep)
+    rng.shuffle(keep)
+    up = [sum(1 << b for b, y in enumerate(keep) if lattice.leq(x, y)) for x in keep]
+    return [lattice.labels[x] for x in keep], up
+
+
+def test_up_masks_reject_meet_semilattices_without_a_top_as_the_matrix_does():
+    """Every lattice class with 6-9 elements and at least two coatoms, less
+    its top, is a poset of 5-8 elements in which every pair has a meet but
+    not every pair a join; the quick test fails on it, and _from_up_masks
+    raises the join failure the matrix constructor raises, under two seeded
+    element orders each."""
+    rng = random.Random(1736)
+    cases = 0
+    for lat in enumerate_lattices(9, override=True):
+        rest = [x for x in range(len(lat)) if x != lat.top]
+        if len(lat) < 6 or sum(lat.covers(x, lat.top) for x in rest) < 2:
+            continue
+        for _ in range(2):
+            got = _outcomes_agree(*_sub_relation(lat, rest, rng))
+            assert got[0] is NotALattice and got[1].endswith("no unique join")
+            cases += 1
+    assert cases > 1000
+
+
+def test_up_masks_reject_lattices_less_one_element_as_the_matrix_does():
+    """Every lattice class with 2-8 elements, less any one element, in a
+    seeded element order: a lattice again, or a poset without some meet or
+    some join, with the same outcome from both constructors."""
+    rng = random.Random(1737)
+    kinds = set()
+    for lat in enumerate_lattices(8, override=True):
+        for gone in range(len(lat) if len(lat) > 1 else 0):
+            keep = [x for x in range(len(lat)) if x != gone]
+            got = _outcomes_agree(*_sub_relation(lat, keep, rng))
+            kinds.add("lattice" if isinstance(got[0], FiniteLattice) else got[1][-4:])
+    assert kinds == {"lattice", "meet", "join"}
+
+
+def test_flat_lattice_builds_its_tables_on_first_use(fixture_complexes):
+    """A flat lattice holds no meet or join table until one is read; the
+    first read of either builds both, equal to those of the matrix
+    constructor on the same relation."""
+    rng = random.Random(91)
+    complexes = fixture_complexes + [helpers.uniform_complex(n, 3) for n in range(3, 9)]
+    complexes += [helpers.random_triple_complex(rng, n) for n in range(6, 11)]
+    for k, c in enumerate(complexes):
+        lat = all_flats(c).lattice
+        assert "_meet" not in vars(lat) and "_join" not in vars(lat)
+        n = len(lat)
+        order = [[u >> j & 1 for j in range(n)] for u in lat._up]
+        eager = FiniteLattice(lat.labels, order)
+        assert {"_meet", "_join"} <= vars(eager).keys()
+        if k % 2:
+            assert lat.join(0, n - 1) == eager.join(0, n - 1)
+        else:
+            assert lat.meet(0, n - 1) == eager.meet(0, n - 1)
+        assert {"_meet", "_join"} <= vars(lat).keys()
+        assert (lat._meet, lat._join) == (eager._meet, eager._join)
 
 
 def test_atoms():

@@ -11,6 +11,7 @@ from flatlat import (
     SimplicialComplex,
     all_flats,
     boolean_matrix,
+    br_violation,
     flats_lattice,
     is_boolean_representable,
     is_chain_transversal_bruteforce,
@@ -452,6 +453,31 @@ def test_realizing_complex_of_m8_past_the_soft_limit():
     assert len(complex_.vertices) == 27
     assert len(complex_.facet_masks) == 37204
     assert len(predicted) == 10
+
+
+@pytest.mark.parametrize(
+    "lattice", [helpers.m_lattice(8), helpers.chain_lattice(10)], ids=["M8", "chain10"]
+)
+def test_ten_element_lattices_verify_without_override(lattice):
+    """The realizing complex of a 10-element lattice has 27 vertices, past
+    FLATS_SOFT_LIMIT; it lists its minimal non-faces, so its flats and the
+    verify map need no override, while br_violation, which walks its faces,
+    and the same facets given alone, whose flats would come from that walk,
+    stay held there."""
+    iso = verify_realizing_complex(lattice)
+    assert sorted(iso.mapping) == list(range(10))
+    complex_, predicted = realizing_complex(lattice)
+    assert len(complex_.vertices) == 27
+    flats = all_flats(complex_).flats
+    for x in range(len(lattice)):
+        assert flats[iso[x]] == predicted[lattice.labels[x]]
+    with pytest.raises(LimitExceeded, match="flat enumeration on 27 vertices"):
+        br_violation(complex_)  # walks the faces
+    walked = helpers.facets_only(complex_)
+    with pytest.raises(LimitExceeded, match="flat enumeration on 27 vertices"):
+        all_flats(walked)
+    with pytest.raises(LimitExceeded, match="flat enumeration on 27 vertices"):
+        verify_realization(lattice, walked, predicted)
 
 
 def _realizing_cases(max_size, copies):
