@@ -1,15 +1,14 @@
 """Finite lattices: validation, structure queries and enumeration.
 
-A lattice is stored as an indexed tuple of element labels together with the
-full order relation, as up- and down-set bitmasks, and meet and join
-tables; every query is table lookup.  A set of elements has a greatest
-element g exactly when it is the down-set of g, so the meet of i and j is
-the element whose down-set is down[i] & down[j], one dict lookup per pair
-(joins likewise with up-sets).  The constructor builds the tables while it
-validates the relation; a flat lattice (FlatFamily.lattice) is validated by
-its meets alone and builds both tables the first time either is read.
-Instances are immutable and hashable, so results of expensive derived
-computations are cached on the instance.
+A lattice is stored as an indexed tuple of element labels and its order
+relation, as up- and down-set bitmasks, with two dicts that map each
+down-set and each up-set back to its element.  A set of elements has a
+greatest element g exactly when it is the down-set of g, so the meet of i
+and j is the element whose down-set is down[i] & down[j], one AND and one
+dict lookup (joins likewise with up-sets); no meet or join table is kept.
+Every constructor validates through _set_relation.  Instances are immutable
+and hashable, so results of expensive derived computations are cached on
+the instance.
 
 Enumeration grows the lattice classes of each size from those one element
 smaller by coatom augmentation (McKay-style isomorph-free generation, with
@@ -42,6 +41,9 @@ class FiniteLattice:
     The constructor validates the relation completely: it must be a partial
     order in which every pair has a unique meet and join.  Nothing is ever
     repaired silently; bad input raises NotAPartialOrder or NotALattice.
+    The order is held once, as up- and down-set masks and the dicts from
+    each down-set and up-set to its element; meets and joins are read off
+    them.
     """
 
     def __init__(self, labels, order):
@@ -51,40 +53,30 @@ class FiniteLattice:
             raise NotAPartialOrder("order relation must be a square matrix over the elements")
         bits = [1 << j for j in range(n)]
         up = [sum(itertools.compress(bits, row)) for row in order]  # j with i <= j
-        down = [sum(itertools.compress(bits, column)) for column in zip(*order)]
-        self._set_relation(labels, up, down)
-        self._meet, self._join = _meet_join(labels, up, down)
+        self._set_relation(labels, up)
 
     @classmethod
     def _from_up_masks(cls, labels, up):
         """The lattice in which element i lies below the elements of up[i],
-        a mask over the n elements, validated as the constructor validates
-        a matrix.  The down-sets are read off as the columns of the up-sets.
-
-        A finite partial order with a greatest element in which every pair
-        has a meet is a lattice: the join of x and y is the meet of their
-        upper bounds, a finite nonempty set.  So the relation is checked by
-        its top and its meets, one AND and set lookup per pair, and only a
-        relation that fails is scanned pair by pair (_meet_join), for the
-        first failure and its message.  The tables are built on first use.
-        """
-        labels = _element_labels(labels)
-        n = len(labels)
-        down = columns(up, n)
+        a mask over the n elements.  It runs the constructor's validation
+        (_set_relation) without a matrix, for callers that hold the up-sets:
+        FlatFamily.lattice, lattice_from_covers and the enumeration."""
         lattice = cls.__new__(cls)
-        lattice._set_relation(labels, up, down)
-        has = set(down).__contains__
-        if (1 << n) - 1 not in down or not all(
-            all(map(has, map(down[i].__and__, down[i + 1 :]))) for i in range(n)
-        ):
-            _meet_join(labels, up, down)  # raises at the first failing pair
+        lattice._set_relation(_element_labels(labels), up)
         return lattice
 
-    def _set_relation(self, labels, up, down):
-        """Validate that the up- and down-set masks give a partial order and
-        store it, with its least and greatest elements by down-set size; the
+    def _set_relation(self, labels, up):
+        """Validate that the up-set masks give a lattice and store it; the
         first failure, in the order of the checks and then of the elements,
-        raises.  The caller checks that every pair has a meet and a join.
+        raises.  The down-sets are read off as the columns of the up-sets.
+
+        The partial-order checks come first.  A finite partial order with a
+        greatest element in which every pair has a meet is a lattice: the
+        join of x and y is the meet of their upper bounds, a finite nonempty
+        set.  So the relation is then checked by its top and its meets, one
+        AND and dict lookup per pair, and only a relation that fails is
+        scanned pair by pair (_raise_first_failing_pair), for the first pair
+        without a meet or a join and its message.
         """
         n = len(labels)
         for i in range(n):
@@ -100,29 +92,23 @@ class FiniteLattice:
                     raise NotAPartialOrder(
                         f"relation is not transitive at {labels[i]!r} <= {labels[j]!r}"
                     )
+        down = columns(up, n)
+        by_down = {d: i for i, d in enumerate(down)}
+        by_up = {u: i for i, u in enumerate(up)}
+        has = by_down.__contains__
+        if (1 << n) - 1 not in by_down or not all(
+            all(map(has, map(down[i].__and__, down[i + 1 :]))) for i in range(n)
+        ):
+            _raise_first_failing_pair(labels, up, down, by_up, by_down)
 
         self.labels = labels
         self._up = tuple(up)
         self._down = tuple(down)
-        self._index = {lab: i for i, lab in enumerate(labels)}
-        self.bottom = min(range(n), key=lambda i: down[i].bit_count())
-        self.top = max(range(n), key=lambda i: down[i].bit_count())
-        # in any finite partial order: nothing lies below a least-count
-        # element, nor above a greatest-count one
-        assert down[self.bottom] == 1 << self.bottom
-        assert up[self.top] == 1 << self.top
-
-    @cached_property
-    def _meet(self):
-        """The meet table; the first read of it or of _join builds both."""
-        self._meet, self._join = _meet_join(self.labels, self._up, self._down)
-        return self._meet
-
-    @cached_property
-    def _join(self):
-        """The join table, built with the meet table."""
-        self._meet  # builds both
-        return self._join
+        self._by_down = by_down
+        self._by_up = by_up
+        # the elements below or above which every element lies
+        self.bottom = by_up[(1 << n) - 1]
+        self.top = by_down[(1 << n) - 1]
 
     # -- basic queries ---------------------------------------------------
 
@@ -144,7 +130,9 @@ class FiniteLattice:
         return self.labels[i]
 
     def index(self, label):
-        return self._index[label]
+        if label not in self.labels:
+            raise ValueError(f"unknown element {label!r}")
+        return self.labels.index(label)
 
     def leq(self, i, j):
         return bool((self._up[i] >> j) & 1)
@@ -153,23 +141,22 @@ class FiniteLattice:
         return i != j and self.leq(i, j)
 
     def meet(self, i, j):
-        return self._meet[i][j]
+        return self._by_down[self._down[i] & self._down[j]]
 
     def join(self, i, j):
-        return self._join[i][j]
+        return self._by_up[self._up[i] & self._up[j]]
 
     def meet_all(self, elems):
-        out = self.top
+        below = self._down[self.top]  # the common lower bounds
         for x in elems:
-            out = self._meet[out][x]
-        return out
+            below &= self._down[x]
+        return self._by_down[below]
 
     def join_all(self, elems):
-        # empty join is the bottom element
-        out = self.bottom
+        above = self._up[self.bottom]  # the common upper bounds
         for x in elems:
-            out = self._join[out][x]
-        return out
+            above &= self._up[x]
+        return self._by_up[above]
 
     def covers(self, x, y):
         """True iff y covers x: x < y with nothing strictly between."""
@@ -239,18 +226,18 @@ class FiniteLattice:
 
         Such c and d are exactly a failure of the cover law
         (is_semimodular_by_covers) at x = d, y = c, so None means exactly
-        that the law holds.  The pass reads the tables once per pair.
+        that the law holds.  The pass reads the masks once per pair.
         """
-        up, down, meet, join = self._up, self._down, self._meet, self._join
+        up, down, by_up, by_down = self._up, self._down, self._by_up, self._by_down
         n = len(self)
 
         def configurations():  # with the largest b for each c and d
             for c in range(n):
                 for d in range(n):
-                    e = meet[c][d]
+                    e = by_down[down[c] & down[d]]
                     if (up[e] & down[d]).bit_count() != 2:
                         continue  # d does not cover e
-                    a = join[c][d]
+                    a = by_up[up[c] & up[d]]
                     between = up[c] & down[a] & ~(1 << c | 1 << a)
                     if between:
                         yield a, between.bit_length() - 1, c, e, d
@@ -273,8 +260,7 @@ class FiniteLattice:
         n = len(self)
         for x in range(n):
             for y in range(n):
-                m = self._meet[x][y]
-                if self.covers(m, x) and not self.covers(y, self._join[x][y]):
+                if self.covers(self.meet(x, y), x) and not self.covers(y, self.join(x, y)):
                     return False
         return True
 
@@ -363,30 +349,18 @@ def _canonical_key(up, down):
     return best[0]
 
 
-def _meet_join(labels, up, down):
-    """The meet and join tables of a partial order given by its up- and
-    down-set masks; the first pair, in element order, without a meet or a
-    join raises NotALattice.
+def _raise_first_failing_pair(labels, up, down, by_up, by_down):
+    """Raise NotALattice for the first pair, in element order, of a partial
+    order without a meet or a join; by_down and by_up map each down-set and
+    up-set mask to its element.
     """
     n = len(labels)
-    # In a partial order a set has a greatest element g exactly when it is
-    # down[g], and a least element l exactly when it is up[l].
-    by_down = {d: i for i, d in enumerate(down)}
-    by_up = {u: i for i, u in enumerate(up)}
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
     for i in range(n):
-        down_i, up_i = down[i], up[i]
         for j in range(i, n):
-            g = by_down.get(down_i & down[j])
-            if g is None:
+            if down[i] & down[j] not in by_down:
                 raise NotALattice((labels[i], labels[j]), "meet")
-            meet[i][j] = meet[j][i] = g
-            l = by_up.get(up_i & up[j])
-            if l is None:
+            if up[i] & up[j] not in by_up:
                 raise NotALattice((labels[i], labels[j]), "join")
-            join[i][j] = join[j][i] = l
-    return tuple(tuple(row) for row in meet), tuple(tuple(row) for row in join)
 
 
 def _element_labels(labels):
@@ -427,8 +401,7 @@ def lattice_from_covers(labels, covers):
         for i in range(n):
             if up[i] >> k & 1:
                 up[i] |= up[k]
-    order = [[(up[i] >> j) & 1 for j in range(n)] for i in range(n)]
-    return FiniteLattice(labels, order)
+    return FiniteLattice._from_up_masks(labels, up)
 
 
 def enumerate_lattices(max_size, override=False):
@@ -472,7 +445,7 @@ def _lattices_of_size(n, parents):
     """
     labels = tuple(str(i) for i in range(n))
     if n <= 2:  # the chain
-        yield _from_down_masks(labels, (1, 3)[:n])
+        yield FiniteLattice._from_up_masks(labels, [(1 << n) - (1 << i) for i in range(n)])
         return
     seen = set()
     coatom, top = 1 << (n - 2), 1 << (n - 1)
@@ -485,10 +458,11 @@ def _lattices_of_size(n, parents):
         for ideal in _admissible_ideals(below):
             down = (*below, ideal | coatom, 2 * top - 1)
             rows = [u | coatom if ideal >> i & 1 else u for i, u in enumerate(up)]
-            key = _canonical_key((*rows, coatom | top, top), down)
+            child_up = (*rows, coatom | top, top)
+            key = _canonical_key(child_up, down)
             if key not in seen:
                 seen.add(key)
-                yield _from_down_masks(labels, down)
+                yield FiniteLattice._from_up_masks(labels, child_up)
 
 
 def _admissible_ideals(down):
@@ -513,7 +487,3 @@ def _admissible_ideals(down):
         ideals = grown
     return ideals
 
-
-def _from_down_masks(labels, down):
-    n = len(labels)
-    return FiniteLattice(labels, [[(down[j] >> i) & 1 for j in range(n)] for i in range(n)])

@@ -440,6 +440,15 @@ def _extreme(mask, reach):
     return None
 
 
+def meet_join_tables(lattice):
+    """Every lattice.meet(i, j) and lattice.join(i, j), as two tables of
+    rows, in the shape meet_join_by_scan returns."""
+    n = len(lattice)
+    meet = tuple(tuple(lattice.meet(i, j) for j in range(n)) for i in range(n))
+    join = tuple(tuple(lattice.join(i, j) for j in range(n)) for i in range(n))
+    return meet, join
+
+
 def meet_join_by_scan(labels, order):
     """Meet and join tables of a labelled relation matrix, as tuples of rows.
 
@@ -714,9 +723,9 @@ def semimodular_witness_by_scan(lattice):
                             continue
                         if not lattice.covers(e, d):
                             continue
-                        if lattice._meet[b][d] != e or lattice._meet[c][d] != e:
+                        if lattice.meet(b, d) != e or lattice.meet(c, d) != e:
                             continue
-                        if lattice._join[b][d] != a or lattice._join[c][d] != a:
+                        if lattice.join(b, d) != a or lattice.join(c, d) != a:
                             continue
                         return (a, b, c, d, e)
     return None

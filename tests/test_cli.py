@@ -480,6 +480,24 @@ def test_parse_error_exit(capsys, tmp_path):
     assert err.startswith("error: line 3")
 
 
+@pytest.mark.parametrize(
+    "covers, message",
+    [
+        ("a b\na c", "elements 'b' and 'c' have no unique join"),
+        ("a c\nb c\nc d", "elements 'a' and 'b' have no unique meet"),
+        ("a b\nb a", "relation is not antisymmetric on 'a', 'b'"),
+    ],
+)
+def test_classify_rejects_an_invalid_lattice(capsys, monkeypatch, covers, message):
+    pairs = [line.split() for line in covers.splitlines()]
+    labels = sorted({lab for pair in pairs for lab in pair})
+    text = "lattice\nelements " + " ".join(labels) + "\n"
+    text += "".join(f"cover {low} {high}\n" for low, high in pairs)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "classify", "-")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_missing_file_exit(capsys):
     code, _, err = run(capsys, "classify", "/no/such/file")
     assert code == 2 and "error:" in err

@@ -1,5 +1,6 @@
 """Lattice validation, classification predicates, and enumeration."""
 
+import functools
 import itertools
 import random
 
@@ -74,12 +75,13 @@ def test_non_partial_orders_are_rejected(order, fragment):
 
 
 def _build_outcome(build):
-    """The lattice built and its tables, or the class and message raised."""
+    """The lattice built, its down-sets, every meet and join, bottom and
+    top, or the class and message raised."""
     try:
         lat = build()
     except (NotAPartialOrder, NotALattice, ValueError) as exc:
         return type(exc), str(exc)
-    return lat, lat._down, lat._meet, lat._join, lat.bottom, lat.top
+    return lat, lat._down, *helpers.meet_join_tables(lat), lat.bottom, lat.top
 
 
 def _outcomes_agree(labels, up):
@@ -94,9 +96,9 @@ def _outcomes_agree(labels, up):
 def test_up_masks_build_what_the_matrix_builds():
     """FiniteLattice._from_up_masks raises the same exception class and
     message as the matrix constructor, or builds an equal lattice with the
-    same tables, on every relation over 1-3 elements, every reflexive one
-    over 4 and a seeded sample of the rest over 4, and on empty and
-    repeated labels."""
+    same meets and joins, on every relation over 1-3 elements, every
+    reflexive one over 4 and a seeded sample of the rest over 4, and on
+    empty and repeated labels."""
     cases = [(n, rel) for n in range(1, 4) for rel in range(1 << n * n)]
     diagonal = sum(1 << 5 * i for i in range(4))
     reflexive = [rel for rel in range(1 << 16) if rel & diagonal == diagonal]
@@ -152,28 +154,6 @@ def test_up_masks_reject_lattices_less_one_element_as_the_matrix_does():
             got = _outcomes_agree(*_sub_relation(lat, keep, rng))
             kinds.add("lattice" if isinstance(got[0], FiniteLattice) else got[1][-4:])
     assert kinds == {"lattice", "meet", "join"}
-
-
-def test_flat_lattice_builds_its_tables_on_first_use(fixture_complexes):
-    """A flat lattice holds no meet or join table until one is read; the
-    first read of either builds both, equal to those of the matrix
-    constructor on the same relation."""
-    rng = random.Random(91)
-    complexes = fixture_complexes + [helpers.uniform_complex(n, 3) for n in range(3, 9)]
-    complexes += [helpers.random_triple_complex(rng, n) for n in range(6, 11)]
-    for k, c in enumerate(complexes):
-        lat = all_flats(c).lattice
-        assert "_meet" not in vars(lat) and "_join" not in vars(lat)
-        n = len(lat)
-        order = [[u >> j & 1 for j in range(n)] for u in lat._up]
-        eager = FiniteLattice(lat.labels, order)
-        assert {"_meet", "_join"} <= vars(eager).keys()
-        if k % 2:
-            assert lat.join(0, n - 1) == eager.join(0, n - 1)
-        else:
-            assert lat.meet(0, n - 1) == eager.meet(0, n - 1)
-        assert {"_meet", "_join"} <= vars(lat).keys()
-        assert (lat._meet, lat._join) == (eager._meet, eager._join)
 
 
 def test_atoms():
@@ -520,6 +500,36 @@ def test_meet_join_laws_hold_on_all_small_lattices():
         assert lat.meet_all([]) == lat.top
 
 
+def _assert_meet_all_and_join_all_fold_the_scan(lat, subsets):
+    """meet_all and join_all of each subset are the folds of the scan's
+    meet and join tables, from the greatest and the least element."""
+    n = len(lat)
+    order = [[lat.leq(i, j) for j in range(n)] for i in range(n)]
+    meet, join = helpers.meet_join_by_scan(lat.labels, order)
+    top = next(t for t in range(n) if all(row[t] for row in order))
+    bottom = next(b for b in range(n) if all(order[b]))
+    for subset in subsets:
+        assert lat.meet_all(subset) == functools.reduce(lambda x, y: meet[x][y], subset, top)
+        assert lat.join_all(subset) == functools.reduce(lambda x, y: join[x][y], subset, bottom)
+
+
+def test_meet_all_and_join_all_on_every_subset_of_small_lattices():
+    for lat in enumerate_lattices(5):
+        n = len(lat)
+        subsets = [[x for x in range(n) if s >> x & 1] for s in range(1 << n)]
+        for copy in (lat, helpers.relabelled(lat, n)):
+            _assert_meet_all_and_join_all_fold_the_scan(copy, subsets)
+
+
+def test_meet_all_and_join_all_on_seeded_subsets_of_flat_lattices(fixture_complexes):
+    rng = random.Random(1738)
+    for cx in fixture_complexes:
+        lat = all_flats(cx).lattice
+        n = len(lat)
+        subsets = [rng.sample(range(n), rng.randint(0, n)) for _ in range(200)]
+        _assert_meet_all_and_join_all_fold_the_scan(lat, subsets)
+
+
 def test_atoms_below_is_order_preserving_and_injective_when_atomistic():
     for lat in enumerate_lattices(6):
         for x in range(len(lat)):
@@ -547,7 +557,7 @@ def test_powerset_lattice_meet_join_are_set_operations(i, j):
 def _assert_tables_match_the_scan(lat):
     n = len(lat)
     order = [[lat.leq(i, j) for j in range(n)] for i in range(n)]
-    assert helpers.meet_join_by_scan(lat.labels, order) == (lat._meet, lat._join)
+    assert helpers.meet_join_by_scan(lat.labels, order) == helpers.meet_join_tables(lat)
 
 
 def test_meet_join_tables_match_the_scan_on_enumerated_lattices():
@@ -565,8 +575,7 @@ def test_meet_join_tables_match_the_scan_on_flat_lattices(fixture_complexes):
 
 
 def _tables(labels, order):
-    lat = FiniteLattice(labels, order)
-    return lat._meet, lat._join
+    return helpers.meet_join_tables(FiniteLattice(labels, order))
 
 
 def _outcome(build, labels, order):
@@ -653,9 +662,10 @@ def test_enumeration_builds_a_lattice_only_for_a_new_class(monkeypatch):
     built = []
 
     class Counting(FiniteLattice):
-        def __init__(self, labels, order):
+        @classmethod
+        def _from_up_masks(cls, labels, up):
             built.append(len(labels))
-            super().__init__(labels, order)
+            return super()._from_up_masks(labels, up)
 
     parents = [lat._down for lat in enumerate_lattices(6) if len(lat) == 6]
     monkeypatch.setattr(lattice_module, "FiniteLattice", Counting)

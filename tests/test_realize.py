@@ -93,6 +93,15 @@ def test_chain_bruteforce_examples(nonreal6):
         is_chain_transversal_bruteforce(nonreal6, {"m"})
 
 
+def test_unknown_element_label_is_a_value_error(nonreal6):
+    with pytest.raises(ValueError, match=r"^unknown element 'zz'$"):
+        nonreal6.index("zz")
+    with pytest.raises(ValueError, match=r"^unknown element 'zz'$"):
+        is_chain_transversal_bruteforce(nonreal6, ["zz"])
+    with pytest.raises(ValueError, match=r"^'T' is not an atom$"):
+        is_chain_transversal_bruteforce(nonreal6, ["T"])
+
+
 def test_chain_bruteforce_size_limit():
     wide = antichain_lattice(9)
     with pytest.raises(LimitExceeded):
