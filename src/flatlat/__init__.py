@@ -5,9 +5,8 @@ whether a finite lattice is the lattice of flats of some complex, and builds
 an explicit realizing complex when one exists.
 """
 
-from .complexes import ComplexIso, SimplicialComplex, from_faces
+from .complexes import ComplexIso, SimplicialComplex
 from .errors import (
-    AllLoops,
     ConstructionMismatch,
     EmptyRestriction,
     FlatlatError,
@@ -26,9 +25,7 @@ from .flats import (
     all_flats,
     br_violation,
     closure,
-    flats_lattice,
     is_boolean_representable,
-    is_flat,
     is_transversal_bruteforce,
     simplification,
     transversal_witness,
@@ -57,7 +54,6 @@ from .lattice import (
     LatticeIso,
     enumerate_lattices,
     lattice_from_covers,
-    validate_lattice,
 )
 from .realize import (
     RealizabilityReport,
@@ -74,7 +70,6 @@ from .realize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllLoops",
     "ComplexIso",
     "ConstructionMismatch",
     "Document",
@@ -106,14 +101,11 @@ __all__ = [
     "emit_json",
     "enumerate_lattices",
     "find_supercliques",
-    "flats_lattice",
     "format_complex",
     "format_graph",
     "format_lattice",
-    "from_faces",
     "is_boolean_representable",
     "is_chain_transversal_bruteforce",
-    "is_flat",
     "is_realizable",
     "is_superclique",
     "is_transversal_bruteforce",
@@ -126,7 +118,6 @@ __all__ = [
     "top_join_graph",
     "transversal_complex",
     "transversal_witness",
-    "validate_lattice",
     "verify_realization",
     "verify_realizing_complex",
 ]

@@ -13,7 +13,7 @@ from ._util import (
     GroundSet, IndexMap, bit_indices, byte_tables, columns, find_isomorphism,
     mask_sort_key, maximal_masks, next_closure,
 )
-from .errors import AllLoops, ConstructionMismatch, EmptyRestriction
+from .errors import ConstructionMismatch, EmptyRestriction
 
 
 class ComplexIso(IndexMap):
@@ -192,14 +192,6 @@ class SimplicialComplex(GroundSet):
         for facet in self.facet_masks:
             support |= facet
         return self.set_of(self.full_mask & ~support)
-
-    def proper_part(self):
-        """Restriction to the non-loop vertices, plus the removed loops."""
-        removed = self.loops()
-        if len(removed) == len(self.vertices):
-            raise AllLoops("every vertex is a loop")
-        keep = [v for v in self.vertices if v not in removed]
-        return self.restriction(keep), removed
 
     # -- predicates --------------------------------------------------------
 
@@ -387,11 +379,3 @@ def _ext_levels(facet_masks):
                 rest ^= low
     return levels
 
-
-def from_faces(vertices, faces):
-    """Build a complex from any family of faces.
-
-    The face family is the downward closure of the input plus the empty set;
-    only the maximal faces are stored.  Unknown vertex labels raise.
-    """
-    return SimplicialComplex(vertices, faces)

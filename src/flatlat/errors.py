@@ -40,10 +40,6 @@ class EmptyRestriction(FlatlatError):
     """Restriction to the empty vertex set is undefined."""
 
 
-class AllLoops(FlatlatError):
-    """Every vertex is a loop, so there is no proper part to take."""
-
-
 class LoopsPresent(FlatlatError):
     """Operation requires every singleton to be a face."""
 

@@ -14,8 +14,8 @@ Everything here goes through one closure operator, held on the complex as
 SimplicialComplex.flat_closure: cl(X) is the smallest flat containing X.
 all_flats lists its closed sets by NextClosure (Ganter 1984), with at most
 one closure per vertex for each flat found; closure, the BR test,
-transversal_witness, simplification and is_flat query the same operator
-and share its memo.
+transversal_witness and simplification query the same operator and share
+its memo.
 """
 
 from __future__ import annotations
@@ -118,12 +118,6 @@ def _check_flats_limit(complex_, override):
     check_limit(f"flat enumeration on {n} vertices", n, FLATS_SOFT_LIMIT, override)
 
 
-def is_flat(complex_, candidate):
-    """Decide the flat property for one subset: it is its own closure."""
-    x = complex_.mask_of(candidate)
-    return complex_.flat_closure(x) == x
-
-
 def all_flats(complex_, override=False):
     """The flats of the complex.  A complex that lists its minimal
     non-faces is closed by them and walks no face, so only a complex given
@@ -131,10 +125,6 @@ def all_flats(complex_, override=False):
     if complex_._nonface_masks is None:
         _check_flats_limit(complex_, override)
     return FlatFamily(complex_, complex_.flat_closure.flat_masks)
-
-
-def flats_lattice(complex_, override=False):
-    return all_flats(complex_, override).lattice
 
 
 def closure(complex_, subset, override=False):

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from ._util import bit_indices
-from .complexes import SimplicialComplex, from_faces
+from .complexes import SimplicialComplex
 from .errors import ParseError
 from .graphs import SimpleGraph
 from .lattice import FiniteLattice, lattice_from_covers
@@ -122,7 +122,7 @@ def _parse_complex(body):
     labels, declared, rest = _declared("vertices", body)
     lines = _directives(rest, declared, "facet", "vertex", pair=False)
     faces = [[tok for tok, _ in tokens] for _, tokens in lines]
-    return from_faces(labels, faces)
+    return SimplicialComplex(labels, faces)
 
 
 def _parse_graph(body):

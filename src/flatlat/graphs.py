@@ -153,7 +153,7 @@ def realizable_height3(lattice):
         raise WrongHeight(
             f"criterion applies to height 3 only, lattice has height {lattice.height}"
         )
-    if lattice.atomistic_violation() is not None:
+    if lattice.atomistic_violation is not None:
         return False, None
     cliques = find_supercliques(top_join_graph(lattice))
     if cliques:

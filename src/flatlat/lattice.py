@@ -126,9 +126,6 @@ class FiniteLattice:
     def __repr__(self):
         return f"FiniteLattice({len(self)} elements: {' '.join(self.labels)})"
 
-    def label(self, i):
-        return self.labels[i]
-
     def index(self, label):
         if label not in self.labels:
             raise ValueError(f"unknown element {label!r}")
@@ -197,16 +194,27 @@ class FiniteLattice:
 
     # -- classification predicates ---------------------------------------
 
+    @cached_property
     def atomistic_violation(self):
-        """First element that is not the join of the atoms below it, or None."""
-        for x in range(len(self)):
-            if self.join_all(self.atoms_below(x)) != x:
+        """First element that is not the join of the atoms below it, or None.
+
+        The atoms below x are down[x] & atom_mask, and x is their join iff
+        the AND of their up-sets, their common upper bounds, is up[x].
+        """
+        up = self._up
+        atom_mask = sum(1 << a for a in self.atoms)
+        everyone = (1 << len(self)) - 1
+        for x, below in enumerate(self._down):
+            above = everyone
+            for a in bit_indices(below & atom_mask):
+                above &= up[a]
+            if above != up[x]:
                 return x
         return None
 
     @cached_property
     def is_atomistic(self):
-        return self.atomistic_violation() is None
+        return self.atomistic_violation is None
 
     @cached_property
     def semimodular_witness(self):
@@ -224,9 +232,10 @@ class FiniteLattice:
         (a, b, c, e, d) in element indices, which a scan of a, b, c, e, d
         from the top of the element order down meets first.
 
-        Such c and d are exactly a failure of the cover law
-        (is_semimodular_by_covers) at x = d, y = c, so None means exactly
-        that the law holds.  The pass reads the masks once per pair.
+        Such c and d are exactly a failure of the cover law (x^y covered
+        by x implies y covered by x v y; is_semimodular_by_covers in
+        tests/helpers.py is its oracle) at x = d, y = c, so None means
+        exactly that the law holds.  The pass reads the masks once per pair.
         """
         up, down, by_up, by_down = self._up, self._down, self._by_up, self._by_down
         n = len(self)
@@ -251,18 +260,6 @@ class FiniteLattice:
     @property
     def is_semimodular(self):
         return self.semimodular_witness is None
-
-    def is_semimodular_by_covers(self):
-        """Textbook cover law: x^y covered by x implies y covered by x v y.
-
-        A second definition of semimodularity, beside semimodular_witness.
-        """
-        n = len(self)
-        for x in range(n):
-            for y in range(n):
-                if self.covers(self.meet(x, y), x) and not self.covers(y, self.join(x, y)):
-                    return False
-        return True
 
     @cached_property
     def is_geometric(self):
@@ -371,13 +368,6 @@ def _element_labels(labels):
     if len(set(labels)) != len(labels):
         raise ValueError("element labels must be distinct")
     return labels
-
-
-def validate_lattice(order, labels=None):
-    """Validate a relation matrix and return the FiniteLattice it defines."""
-    if labels is None:
-        labels = [str(i) for i in range(len(order))]
-    return FiniteLattice(labels, order)
 
 
 def lattice_from_covers(labels, covers):

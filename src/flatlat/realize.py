@@ -57,7 +57,7 @@ def transversal_complex(lattice):
     are discovered by a LIFO walk over atom masks from the empty face: an
     atom a extends a face when a is not below the face's join.
     """
-    violation = lattice.atomistic_violation()
+    violation = lattice.atomistic_violation
     if violation is not None:
         raise NotAtomistic(lattice.labels[violation])
     atoms = sorted(lattice.atoms)
@@ -153,7 +153,7 @@ def is_realizable(lattice, force_general=False, override=False):
     canonical complex and compares with the lattice size.
     """
     n = len(lattice)
-    violation = lattice.atomistic_violation()
+    violation = lattice.atomistic_violation
     if violation is not None:
         return RealizabilityReport(
             atomistic=False,
@@ -214,7 +214,7 @@ def boolean_matrix(lattice):
     Entry is 0 when the row element lies above the column atom.  For an
     atomistic lattice the rows are pairwise distinct.
     """
-    violation = lattice.atomistic_violation()
+    violation = lattice.atomistic_violation
     if violation is not None:
         raise NotAtomistic(lattice.labels[violation])
     atoms = sorted(lattice.atoms)

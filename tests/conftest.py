@@ -6,7 +6,7 @@ from hypothesis import settings
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from flatlat import SimplicialComplex, all_flats, from_faces
+from flatlat import SimplicialComplex, all_flats
 
 import helpers
 
@@ -49,7 +49,7 @@ def u34():
 @pytest.fixture(scope="session")
 def nonbr():
     # smallest non boolean-representable complex: only flats are {} and V
-    return from_faces(["1", "2", "3"], [{"1", "2"}, {"3"}])
+    return SimplicialComplex(["1", "2", "3"], [{"1", "2"}, {"3"}])
 
 
 @pytest.fixture(scope="session")
@@ -60,10 +60,10 @@ def empty_faces_cx():
 @pytest.fixture(scope="session")
 def loops_cx():
     # c is a loop: it appears in no face
-    return from_faces(["a", "b", "c"], [{"a", "b"}])
+    return SimplicialComplex(["a", "b", "c"], [{"a", "b"}])
 
 
 @pytest.fixture(scope="session")
 def fixture_complexes(triangles, u24, u34, nonbr, empty_faces_cx, loops_cx):
-    two_point = from_faces(["a", "b"], [{"a"}, {"b"}])
+    two_point = SimplicialComplex(["a", "b"], [{"a"}, {"b"}])
     return [triangles, u24, u34, nonbr, empty_faces_cx, loops_cx, two_point]

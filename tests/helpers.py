@@ -18,7 +18,10 @@ individualization-refinement search: the least relation over every element
 order that permutes each refined colour class.  The realizing complex oracle
 keeps the walk over every support the library made before it generated the
 facets directly.  The semimodularity oracle keeps the five-deep scan for a
-forbidden configuration that the library ran before its pass over pairs.
+forbidden configuration that the library ran before its pass over pairs,
+and the cover law beside it is the textbook second definition.  The
+atomistic oracle joins the frozenset of atoms below each element, where the
+library ANDs the up-sets of the atoms in its down-set mask.
 The BR oracle runs the memoized transversal search on every face, as the
 library did before it decided faces by the escape rule; the canonical
 complex oracle walks frozensets of atom positions instead of atom masks; and
@@ -51,9 +54,7 @@ from flatlat import (
     NotAtomistic,
     SimpleGraph,
     SimplicialComplex,
-    from_faces,
     lattice_from_covers,
-    validate_lattice,
 )
 from flatlat._util import bit_indices, columns, mask_sort_key, maximal_masks, refine
 from flatlat.complexes import _facet_implications
@@ -65,7 +66,7 @@ def chain_lattice(n, labels=None):
     if labels is None:
         labels = [str(i) for i in range(n)]
     order = [[i <= j for j in range(n)] for i in range(n)]
-    return validate_lattice(order, labels)
+    return FiniteLattice(labels, order)
 
 
 def powerset_lattice(atoms):
@@ -76,7 +77,7 @@ def powerset_lattice(atoms):
         subsets.extend(itertools.combinations(atoms, r))
     labels = ["".join(s) if s else "-" for s in subsets]
     order = [[set(a) <= set(b) for b in subsets] for a in subsets]
-    return validate_lattice(order, labels)
+    return FiniteLattice(labels, order)
 
 
 def nonrealizable6_lattice():
@@ -97,7 +98,7 @@ def nonrealizable6_lattice():
 
 
 def glued_triangles_complex():
-    return from_faces(
+    return SimplicialComplex(
         ["1", "2", "3", "4"],
         [{"1", "2", "3"}, {"1", "2", "4"}, {"3", "4"}],
     )
@@ -106,7 +107,7 @@ def glued_triangles_complex():
 def uniform_complex(n, k):
     """All subsets of size <= k on vertices 1..n (a uniform matroid)."""
     verts = [str(i) for i in range(1, n + 1)]
-    return from_faces(verts, [set(c) for c in itertools.combinations(verts, k)])
+    return SimplicialComplex(verts, [set(c) for c in itertools.combinations(verts, k)])
 
 
 def all_loopfree_complexes(n):
@@ -121,7 +122,7 @@ def all_loopfree_complexes(n):
     for bits in range(1 << len(gens)):
         faces = [{v} for v in verts]
         faces += [set(gens[i]) for i in range(len(gens)) if bits >> i & 1]
-        c = from_faces(verts, faces)
+        c = SimplicialComplex(verts, faces)
         if c.facet_masks not in seen:
             seen.add(c.facet_masks)
             out.append(c)
@@ -274,7 +275,7 @@ def relabelled(obj, seed):
         perm = list(range(n))
         rng.shuffle(perm)
         order = [[obj.leq(perm[i], perm[j]) for j in range(n)] for i in range(n)]
-        return validate_lattice(order, [f"r{perm[i]}" for i in range(n)])
+        return FiniteLattice([f"r{perm[i]}" for i in range(n)], order)
     vertices = list(obj.vertices)
     rng.shuffle(vertices)
     fresh = {v: f"r{v}" for v in vertices}
@@ -294,7 +295,7 @@ def cubic_graph_complex(n, seed):
         rng.shuffle(stubs)
         edges = {frozenset(stubs[i : i + 2]) for i in range(0, len(stubs), 2)}
         if len(edges) == len(stubs) // 2 and all(len(e) == 2 for e in edges):
-            return from_faces(
+            return SimplicialComplex(
                 [f"v{i}" for i in range(n)], [{f"v{i}" for i in e} for e in edges]
             )
 
@@ -332,7 +333,7 @@ def cycles_complex(*lengths):
         for k, n in enumerate(lengths)
         for i in range(n)
     ]
-    return from_faces(verts, edges)
+    return SimplicialComplex(verts, edges)
 
 
 def maximal_masks_naive(masks):
@@ -427,7 +428,7 @@ def assert_valid_lattice(lat):
     """Re-validate a lattice from its raw relation (paranoia helper)."""
     n = len(lat)
     order = [[lat.leq(i, j) for j in range(n)] for i in range(n)]
-    rebuilt = validate_lattice(order, list(lat.labels))
+    rebuilt = FiniteLattice(lat.labels, order)
     assert isinstance(rebuilt, FiniteLattice)
 
 
@@ -611,7 +612,7 @@ def m_lattice(k):
     """M_k: a bottom, k pairwise incomparable atoms and a top."""
     n = k + 2
     order = [[i == j or i == 0 or j == n - 1 for j in range(n)] for i in range(n)]
-    return validate_lattice(order)
+    return FiniteLattice([str(i) for i in range(n)], order)
 
 
 def canonical_key_by_permutations(up, down):
@@ -731,6 +732,30 @@ def semimodular_witness_by_scan(lattice):
     return None
 
 
+def is_semimodular_by_covers(lattice):
+    """Textbook cover law: x^y covered by x implies y covered by x v y.
+
+    A second definition of semimodularity, beside semimodular_witness.
+    """
+    n = len(lattice)
+    for x in range(n):
+        for y in range(n):
+            if lattice.covers(lattice.meet(x, y), x) and not lattice.covers(
+                y, lattice.join(x, y)
+            ):
+                return False
+    return True
+
+
+def atomistic_violation_by_joins(lattice):
+    """First element that is not the join of the atoms below it, or None,
+    by joining the frozenset of those atoms for every element."""
+    for x in range(len(lattice)):
+        if lattice.join_all(lattice.atoms_below(x)) != x:
+            return x
+    return None
+
+
 def br_violation_by_search(complex_):
     """First face (by size, then vertex order) that is not a transversal,
     by the memoized transversal search on every face."""
@@ -744,7 +769,7 @@ def br_violation_by_search(complex_):
 def transversal_complex_by_label_walk(lattice):
     """The canonical complex and its chain_tags, by the subset walk over
     frozensets of atom positions whose faces become label sets."""
-    violation = lattice.atomistic_violation()
+    violation = lattice.atomistic_violation
     if violation is not None:
         raise NotAtomistic(lattice.labels[violation])
     atoms = sorted(lattice.atoms)
@@ -814,7 +839,7 @@ def random_triple_complex(rng, n):
     triples = list(itertools.combinations(verts, 3))
     chosen = rng.sample(triples, round(rng.uniform(0.5, 1.0) * len(triples)))
     pairs = itertools.combinations(verts, 2)
-    return from_faces(verts, [set(f) for f in itertools.chain(pairs, chosen)])
+    return SimplicialComplex(verts, [set(f) for f in itertools.chain(pairs, chosen)])
 
 
 def flat_lattice_by_matrix(family):

@@ -8,11 +8,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from flatlat import (
-    AllLoops,
     EmptyRestriction,
     SimplicialComplex,
     UnknownVertex,
-    from_faces,
     parse,
     realizing_complex,
 )
@@ -32,18 +30,18 @@ def test_facets_of_running_example(triangles):
     ]
 
 
-def test_from_faces_normalizes():
-    c = from_faces(["a"], [set()])
+def test_complex_constructor_normalizes_faces():
+    c = SimplicialComplex(["a"], [set()])
     assert c.facets == (frozenset(),)
-    c = from_faces(["a", "b"], [{"a"}, {"a", "b"}])
+    c = SimplicialComplex(["a", "b"], [{"a"}, {"a", "b"}])
     assert c.facets == (frozenset({"a", "b"}),)
     # downward closure recovers the dropped subsets
     assert c.is_face({"b"}) and c.is_face(set())
 
 
-def test_from_faces_rejects_unknown_vertices():
+def test_complex_constructor_rejects_unknown_vertices():
     with pytest.raises(UnknownVertex):
-        from_faces(["a", "b"], [{"a", "z"}])
+        SimplicialComplex(["a", "b"], [{"a", "z"}])
 
 
 def test_vertex_set_must_be_nonempty_and_distinct():
@@ -117,19 +115,10 @@ def test_restriction_faces_are_intersections(triangles):
     assert {frozenset(f) for f in r.faces} == expected
 
 
-def test_loops_and_proper_part(loops_cx, triangles, empty_faces_cx):
+def test_loops(loops_cx, triangles, empty_faces_cx):
     assert loops_cx.loops() == frozenset({"c"})
-    part, removed = loops_cx.proper_part()
-    assert removed == frozenset({"c"})
-    assert part.vertices == ("a", "b")
-    assert part.is_face({"a", "b"})
-
-    part, removed = triangles.proper_part()
-    assert removed == frozenset()
-    assert part == triangles
-
-    with pytest.raises(AllLoops):
-        empty_faces_cx.proper_part()
+    assert triangles.loops() == frozenset()
+    assert empty_faces_cx.loops() == frozenset(empty_faces_cx.vertices)
 
 
 def test_exchange_violation_of_running_example(triangles):
@@ -181,8 +170,8 @@ def test_isomorphism_identity(triangles):
 
 
 def test_isomorphism_relabelled():
-    a = from_faces(["1", "2"], [{"1"}, {"2"}])
-    b = from_faces(["x", "y"], [{"x"}, {"y"}])
+    a = SimplicialComplex(["1", "2"], [{"1"}, {"2"}])
+    b = SimplicialComplex(["x", "y"], [{"x"}, {"y"}])
     assert a.isomorphism(b) is not None
 
 
@@ -275,7 +264,7 @@ def test_isomorphism_onto_a_relabelled_cubic_graph():
 
 
 def test_equality_is_structural(triangles):
-    clone = from_faces(
+    clone = SimplicialComplex(
         ["1", "2", "3", "4"],
         [{"3", "4"}, {"1", "2", "4"}, {"1", "2", "3"}, {"2"}],
     )

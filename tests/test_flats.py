@@ -16,10 +16,7 @@ from flatlat import (
     br_violation,
     closure,
     enumerate_lattices,
-    flats_lattice,
-    from_faces,
     is_boolean_representable,
-    is_flat,
     is_transversal_bruteforce,
     realizing_complex,
     simplification,
@@ -32,10 +29,10 @@ import helpers
 from conftest import FIXTURES
 
 
-def test_is_flat_on_running_example(triangles):
-    assert is_flat(triangles, {"1", "2"})
-    assert not is_flat(triangles, {"1", "3"})
-    assert is_flat(triangles, set(triangles.vertices))
+def test_closure_fixes_the_flats_of_the_running_example(triangles):
+    assert closure(triangles, {"1", "2"}) == frozenset({"1", "2"})
+    assert closure(triangles, {"1", "3"}) != frozenset({"1", "3"})
+    assert closure(triangles, triangles.vertices) == frozenset(triangles.vertices)
 
 
 def test_flats_of_running_example(triangles_flats):
@@ -78,9 +75,9 @@ def test_family_is_intersection_closed_and_contains_v(fixture_complexes):
 def test_every_listed_flat_passes_the_predicate(fixture_complexes):
     for c in fixture_complexes:
         for f in all_flats(c).flats:
-            assert is_flat(c, f)
+            assert closure(c, f) == f
         for x in itertools.combinations(c.vertices, 2):
-            got = is_flat(c, set(x))
+            got = closure(c, x) == frozenset(x)
             assert got == (frozenset(x) in {frozenset(f) for f in all_flats(c).flats})
 
 
@@ -141,7 +138,7 @@ def test_transversal_witness_structure(triangles):
         for small, big in zip(w.chain, w.chain[1:]):
             assert small < big
         for f in w.chain:
-            assert is_flat(triangles, f)
+            assert closure(triangles, f) == f
         for i, x in enumerate(w.ordering, start=1):
             assert x in w.chain[i] and x not in w.chain[i - 1]
 
@@ -205,7 +202,7 @@ def test_simplification_of_running_example(triangles):
 
 
 def test_simplification_merges_equal_closures():
-    c = from_faces(["a", "b"], [{"a"}, {"b"}])
+    c = SimplicialComplex(["a", "b"], [{"a"}, {"b"}])
     quotient, classes = simplification(c)
     assert classes == (frozenset({"a", "b"}),)
     assert len(quotient.vertices) == 1
@@ -220,7 +217,7 @@ def test_simplification_requires_no_loops(loops_cx):
 def test_simplification_preserves_the_flat_lattice():
     # vertex 5 mirrors vertex 4 in every face but {4,5} itself is not a
     # face, so the two singleton closures coincide at {4,5}
-    doubled = from_faces(
+    doubled = SimplicialComplex(
         ["1", "2", "3", "4", "5"],
         [
             {"1", "2", "3"},
@@ -232,8 +229,8 @@ def test_simplification_preserves_the_flat_lattice():
     )
     quotient, classes = simplification(doubled)
     assert frozenset({"4", "5"}) in classes
-    a = flats_lattice(doubled)
-    b = flats_lattice(quotient)
+    a = all_flats(doubled).lattice
+    b = all_flats(quotient).lattice
     assert a.isomorphism(b) is not None
 
 
@@ -295,16 +292,17 @@ def test_flats_restrict_to_flats(fixture_complexes):
             for keep in itertools.combinations(c.vertices, r):
                 sub = c.restriction(set(keep))
                 for f in flats:
-                    assert is_flat(sub, frozenset(f) & frozenset(keep))
+                    x = frozenset(f) & frozenset(keep)
+                    assert closure(sub, x) == x
 
 
 def test_injected_loops_do_not_change_the_flat_lattice(triangles):
-    padded = from_faces(
+    padded = SimplicialComplex(
         ["1", "2", "3", "4", "x", "y"],
         [set(f) for f in triangles.facets],
     )
     assert padded.loops() == frozenset({"x", "y"})
-    assert flats_lattice(padded).isomorphism(flats_lattice(triangles)) is not None
+    assert all_flats(padded).lattice.isomorphism(all_flats(triangles).lattice) is not None
     # and the flats themselves are the originals with every loop adjoined
     got = {frozenset(f) for f in all_flats(padded).flats}
     want = {frozenset(f) | {"x", "y"} for f in all_flats(triangles).flats}
@@ -314,7 +312,7 @@ def test_injected_loops_do_not_change_the_flat_lattice(triangles):
 def test_flat_lattice_of_br_fixture_is_atomistic(triangles, u24, u34):
     for c in (triangles, u24, u34):
         assert br_violation(c) is None
-        assert flats_lattice(c).is_atomistic
+        assert all_flats(c).lattice.is_atomistic
 
 
 def test_vertex_set_is_union_of_atom_flats_for_br_complexes():
@@ -331,7 +329,7 @@ def test_vertex_set_is_union_of_atom_flats_for_br_complexes():
 
 def test_atomistic_flat_lattices_exactly_for_br_three_vertex_complexes():
     for c in helpers.all_loopfree_complexes(3):
-        lat = flats_lattice(c)
+        lat = all_flats(c).lattice
         if is_boolean_representable(c):
             assert lat.is_atomistic
 
@@ -342,8 +340,27 @@ def test_flats_scan_soft_limit():
         all_flats(big)
 
 
+def test_every_flats_entry_point_is_held_to_the_soft_limit():
+    # a 25-vertex path: its only flats are the empty set and every vertex,
+    # so each query answers at once, but only when the limit is lifted
+    names = [f"v{i:02d}" for i in range(25)]
+    path = SimplicialComplex(names, [{a, b} for a, b in zip(names, names[1:])])
+    everything = frozenset(names)
+    queries = [
+        (lambda **kw: all_flats(path, **kw).flats, (frozenset(), everything)),
+        (lambda **kw: closure(path, {"v00"}, **kw), everything),
+        (lambda **kw: br_violation(path, **kw), frozenset({"v00", "v01"})),
+        (lambda **kw: transversal_witness(path, {"v00", "v01"}, **kw), None),
+        (lambda **kw: simplification(path, **kw)[1], (everything,)),
+    ]
+    for query, answer in queries:
+        with pytest.raises(LimitExceeded):
+            query()
+        assert query(override=True) == answer
+
+
 def test_separator_in_a_vertex_name_does_not_merge_flat_labels():
-    c = from_faces(["x", "y", "x,y"], [{"x", "x,y"}, {"y", "x,y"}])
+    c = SimplicialComplex(["x", "y", "x,y"], [{"x", "x,y"}, {"y", "x,y"}])
     lat = all_flats(c).lattice
     assert lat.labels == ("{}", "{x\\,y}", "{x,y}", "{x,y,x\\,y}")
 
@@ -364,8 +381,8 @@ def test_flat_labels_match_the_per_flat_escape():
     complexes += [helpers.uniform_complex(n, 3) for n in range(3, 13)]
     names = ["", "\\", ",", "{", "}", "a\\,b", "{x}", "\\0", "c"]
     complexes += [
-        from_faces(names, [set(names[:4]), set(names[3:7]), set(names[6:])]),
-        from_faces(names, [{a, b} for a, b in itertools.combinations(names, 2)]),
+        SimplicialComplex(names, [set(names[:4]), set(names[3:7]), set(names[6:])]),
+        SimplicialComplex(names, [{a, b} for a, b in itertools.combinations(names, 2)]),
         SimplicialComplex(names[:5], []),
     ]
     for c in complexes:
@@ -398,11 +415,11 @@ def test_next_closure_matches_scan_on_rank_three_uniform_matroids():
         _assert_flats_match_scan(helpers.uniform_complex(n, 3))
 
 
-def test_is_flat_agrees_with_the_scan_on_every_subset(fixture_complexes):
+def test_closure_fixes_exactly_the_scanned_flats(fixture_complexes):
     for c in fixture_complexes:
         flats = set(helpers.flat_masks_by_scan(c))
         for x in range(c.full_mask + 1):
-            assert is_flat(c, c.set_of(x)) == (x in flats)
+            assert (closure(c, c.set_of(x)) == c.set_of(x)) == (x in flats)
 
 
 def test_flat_cache_is_freed_with_the_complex():

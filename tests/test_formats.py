@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flatlat import (
+    FiniteLattice,
     NotALattice,
     ParseError,
     SimpleGraph,
@@ -21,7 +22,6 @@ from flatlat import (
     is_realizable,
     parse,
     top_join_graph,
-    validate_lattice,
 )
 
 import helpers
@@ -158,7 +158,7 @@ def labelled_lattices(draw):
     n = len(lat)
     labels = draw(st.lists(TOKENS, min_size=n, max_size=n, unique=True))
     order = [[lat.leq(i, j) for j in range(n)] for i in range(n)]
-    return validate_lattice(order, labels)
+    return FiniteLattice(labels, order)
 
 
 @st.composite

@@ -9,9 +9,9 @@ from flatlat import (
     LimitExceeded,
     SimpleGraph,
     WrongHeight,
+    all_flats,
     edge_closure,
     find_supercliques,
-    flats_lattice,
     is_superclique,
     realizable_height3,
     supercliques_bruteforce,
@@ -47,7 +47,7 @@ def test_atom_graph_of_example_flats(triangles_flats):
 
 
 def test_atom_graph_of_geometric_height3_lattice(u34):
-    lat = flats_lattice(u34)
+    lat = all_flats(u34).lattice
     assert lat.is_geometric and lat.height == 3
     g = top_join_graph(lat)
     assert g.edges == ()
@@ -145,7 +145,7 @@ def test_height3_criterion(nonreal6, triangles_flats, u34):
     ok, witness = realizable_height3(nonreal6)
     assert (ok, witness) == (False, frozenset({"1", "3"}))
     assert realizable_height3(triangles_flats.lattice) == (True, None)
-    assert realizable_height3(flats_lattice(u34)) == (True, None)
+    assert realizable_height3(all_flats(u34).lattice) == (True, None)
 
 
 def test_height3_criterion_needs_height3():

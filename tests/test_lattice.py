@@ -14,10 +14,8 @@ from flatlat import (
     NotAPartialOrder,
     all_flats,
     enumerate_lattices,
-    flats_lattice,
     lattice_from_covers,
     transversal_complex,
-    validate_lattice,
 )
 
 import helpers
@@ -26,7 +24,7 @@ from flatlat.lattice import _canonical_key, _lattices_of_size
 
 
 def test_trivial_lattice():
-    lat = validate_lattice([[True]], ["x"])
+    lat = FiniteLattice(["x"], [[True]])
     assert lat.bottom == lat.top == 0
     assert lat.height == 0
     assert lat.atoms == frozenset()
@@ -49,7 +47,7 @@ def test_missing_join_is_rejected_with_pair():
         [False, False, False, True],
     ]
     with pytest.raises(NotALattice) as exc:
-        validate_lattice(order, ["B", "a", "b", "c"])
+        FiniteLattice(["B", "a", "b", "c"], order)
     assert exc.value.kind == "join"
     assert exc.value.pair == ("a", "b")
 
@@ -71,7 +69,7 @@ def test_missing_join_is_rejected_with_pair():
 )
 def test_non_partial_orders_are_rejected(order, fragment):
     with pytest.raises(NotAPartialOrder, match=fragment):
-        validate_lattice(order, [str(i) for i in range(len(order))])
+        FiniteLattice([str(i) for i in range(len(order))], order)
 
 
 def _build_outcome(build):
@@ -175,7 +173,7 @@ def test_covers():
 
 
 def test_height(triangles_flats):
-    assert validate_lattice([[True]], ["x"]).height == 0
+    assert FiniteLattice(["x"], [[True]]).height == 0
     assert helpers.nonrealizable6_lattice().height == 3
     assert triangles_flats.lattice.height == 3
 
@@ -242,15 +240,15 @@ def test_both_semimodularity_predicates_agree_up_to_seven_elements():
     disagreements = [
         (len(lat), lat.cover_pairs)
         for lat in enumerate_lattices(7)
-        if (lat.semimodular_witness is None) != lat.is_semimodular_by_covers()
+        if (lat.semimodular_witness is None) != helpers.is_semimodular_by_covers(lat)
     ]
     assert disagreements == []
 
 
-def test_semimodular_witness_matches_the_scan():
-    # the pass over (b, c, d) returns the witness the five-deep scan finds
-    # first, on every class up to 8 elements in several element orders and
-    # on flat and incidence lattices, semimodular or not
+@functools.cache
+def _witness_lattices():
+    """Every class up to 8 elements, with three relabelled copies of each
+    from 4 elements up, and flat and incidence lattices."""
     lattices = []
     for lat in enumerate_lattices(8, override=True):
         lattices.append(lat)
@@ -263,9 +261,24 @@ def test_semimodular_witness_matches_the_scan():
         for n in (6, 8, 10)
         for seed in range(2)
     ]
+    return tuple(lattices)
+
+
+def test_semimodular_witness_matches_the_scan():
+    # the pass over (b, c, d) returns the witness the five-deep scan finds
+    # first, on every class up to 8 elements in several element orders and
+    # on flat and incidence lattices, semimodular or not
+    lattices = _witness_lattices()
     witnesses = [lat.semimodular_witness for lat in lattices]
     assert witnesses == [helpers.semimodular_witness_by_scan(lat) for lat in lattices]
     assert sum(w is not None for w in witnesses) > len(lattices) // 2
+
+
+def test_atomistic_violation_matches_the_joins_of_atoms():
+    lattices = _witness_lattices()
+    violations = [lat.atomistic_violation for lat in lattices]
+    assert violations == [helpers.atomistic_violation_by_joins(lat) for lat in lattices]
+    assert 0 < sum(v is not None for v in violations) < len(lattices)
 
 
 def _pentagon_below_boolean(k):
@@ -288,14 +301,14 @@ def test_semimodular_witness_of_a_pentagon_below_a_large_boolean_lattice():
 
 def test_is_geometric(triangles_flats, u24):
     assert not triangles_flats.lattice.is_geometric
-    assert flats_lattice(u24).is_geometric
+    assert all_flats(u24).lattice.is_geometric
     assert not helpers.chain_lattice(3).is_geometric
 
 
 def test_geometric_for_matroid_fixtures(u24, u34):
     for matroid in (u24, u34, helpers.uniform_complex(3, 3)):
         assert matroid.exchange_violation() is None
-        assert flats_lattice(matroid).is_geometric
+        assert all_flats(matroid).lattice.is_geometric
 
 
 def test_is_boolean():
@@ -320,7 +333,7 @@ def test_isomorphism_size_mismatch(nonreal6):
 
 def test_canonical_complex_of_the_nonrealizable_lattice_is_a_cube(nonreal6):
     t = transversal_complex(nonreal6)
-    lat = flats_lattice(t.complex)
+    lat = all_flats(t.complex).lattice
     assert lat.isomorphism(helpers.powerset_lattice("abc")) is not None
 
 

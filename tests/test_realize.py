@@ -6,13 +6,13 @@ import pytest
 
 from flatlat import (
     ConstructionMismatch,
+    FiniteLattice,
     LimitExceeded,
     NotAtomistic,
     SimplicialComplex,
     all_flats,
     boolean_matrix,
     br_violation,
-    flats_lattice,
     is_boolean_representable,
     is_chain_transversal_bruteforce,
     is_realizable,
@@ -64,11 +64,27 @@ def test_canonical_complex_requires_atomistic():
     assert exc.value.witness == "T"
 
 
-def test_canonical_complex_rejects_trivial_lattice():
-    from flatlat import validate_lattice
+def test_realizability_and_matrix_share_one_atomistic_witness():
+    # the witness is a cached property: after is_realizable it is stored on
+    # the lattice, and boolean_matrix reads it from there
+    for lat, witness in [
+        (helpers.nonrealizable6_lattice(), None),
+        (helpers.powerset_lattice("abc"), None),
+        (helpers.chain_lattice(3), 2),
+    ]:
+        is_realizable(lat)
+        assert lat.__dict__["atomistic_violation"] == witness
+        if witness is None:
+            boolean_matrix(lat)
+        else:
+            with pytest.raises(NotAtomistic):
+                boolean_matrix(lat)
+        assert lat.__dict__["atomistic_violation"] == witness
 
+
+def test_canonical_complex_rejects_trivial_lattice():
     with pytest.raises(ValueError):
-        transversal_complex(validate_lattice([[True]], ["B"]))
+        transversal_complex(FiniteLattice(["B"], [[True]]))
 
 
 def test_chain_tags_witness_the_membership(nonreal6):
@@ -138,7 +154,8 @@ def test_transversal_complex_matches_the_label_walk():
         for copy in [lat] + [helpers.relabelled(lat, seed) for seed in range(3)]:
             _assert_matches_the_label_walk(copy)
     for n in range(3, 9):
-        _assert_matches_the_label_walk(flats_lattice(helpers.uniform_complex(n, 3)))
+        lat = all_flats(helpers.uniform_complex(n, 3)).lattice
+        _assert_matches_the_label_walk(lat)
 
 
 def test_canonical_complex_is_simple_and_representable():
@@ -175,7 +192,7 @@ def test_realizable_iff_isomorphic_to_canonical_flats():
         if len(lat) == 1:
             continue
         report = is_realizable(lat, force_general=True)
-        iso = flats_lattice(transversal_complex(lat).complex).isomorphism(lat)
+        iso = all_flats(transversal_complex(lat).complex).lattice.isomorphism(lat)
         assert report.realizable == (iso is not None)
 
 
@@ -236,9 +253,7 @@ def test_realizable_examples(triangles_flats):
 
 
 def test_trivial_lattice_is_realizable():
-    from flatlat import validate_lattice
-
-    rep = is_realizable(validate_lattice([[True]], ["B"]), force_general=True)
+    rep = is_realizable(FiniteLattice(["B"], [[True]]), force_general=True)
     assert rep.realizable
 
 
@@ -315,9 +330,7 @@ def test_boolean_matrix_requires_atomistic_and_has_distinct_rows():
 
 
 def test_construction_for_trivial_lattice():
-    from flatlat import validate_lattice
-
-    trivial = validate_lattice([[True]], ["B"])
+    trivial = FiniteLattice(["B"], [[True]])
     complex_, predicted = realizing_complex(trivial)
     assert complex_.facets == (frozenset(),)
     assert len(complex_.vertices) == 1
