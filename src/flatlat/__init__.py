@@ -17,7 +17,6 @@ from .errors import (
     NotAtomistic,
     ParseError,
     UnknownVertex,
-    WrongHeight,
 )
 from .flats import (
     FlatFamily,
@@ -32,7 +31,6 @@ from .flats import (
 )
 from .formats import (
     Document,
-    emit_dot_graph,
     emit_dot_hasse,
     emit_json,
     format_complex,
@@ -42,10 +40,8 @@ from .formats import (
 )
 from .graphs import (
     SimpleGraph,
-    edge_closure,
     find_supercliques,
     is_superclique,
-    realizable_height3,
     supercliques_bruteforce,
     top_join_graph,
 )
@@ -90,13 +86,10 @@ __all__ = [
     "TransversalComplex",
     "TransversalWitness",
     "UnknownVertex",
-    "WrongHeight",
     "all_flats",
     "boolean_matrix",
     "br_violation",
     "closure",
-    "edge_closure",
-    "emit_dot_graph",
     "emit_dot_hasse",
     "emit_json",
     "enumerate_lattices",
@@ -111,7 +104,6 @@ __all__ = [
     "is_transversal_bruteforce",
     "lattice_from_covers",
     "parse",
-    "realizable_height3",
     "realizing_complex",
     "simplification",
     "supercliques_bruteforce",

@@ -30,7 +30,7 @@ class SimplicialComplex(GroundSet):
             raise ValueError("vertex set must be nonempty")
         masks = [self.mask_of(face) for face in faces]
         masks.append(0)
-        self._set_facet_masks(maximal_masks(masks))
+        self.facet_masks = tuple(sorted(maximal_masks(masks)))
 
     @classmethod
     def _from_facet_masks(cls, vertices, masks, nonface_masks=None):
@@ -43,13 +43,10 @@ class SimplicialComplex(GroundSet):
         """
         complex_ = cls.__new__(cls)
         GroundSet.__init__(complex_, vertices)
-        complex_._set_facet_masks(masks)
+        complex_.facet_masks = tuple(sorted(masks))
         if nonface_masks is not None:
             complex_._nonface_masks = tuple(nonface_masks)
         return complex_
-
-    def _set_facet_masks(self, masks):
-        self.facet_masks = tuple(sorted(masks))
 
     @cached_property
     def facets(self):
@@ -124,7 +121,7 @@ class SimplicialComplex(GroundSet):
                     f"listed non-face {shown(nonface)} lies in a facet"
                 )
         closure = FlatClosure(_nonface_implications(self._nonface_masks), n)
-        closed = sorted(next_closure(closure, n), key=mask_sort_key)
+        closed = closure.flat_masks
         for i, p in enumerate(closed):
             meet = full  # of the closed sets above p, which come after it
             for q in closed[i + 1 :]:
@@ -147,7 +144,6 @@ class SimplicialComplex(GroundSet):
                         f"a flat: the face {shown(trace)} does not extend by "
                         f"{shown(missing & -missing)}"
                     )
-        closure.flat_masks = tuple(closed)
         return closure
 
     def _shown(self, mask):
@@ -252,9 +248,6 @@ class SimplicialComplex(GroundSet):
             for i in bit_indices(facet):
                 out[i] |= 1 << (n + k)
         return out, [0] * n + list(facets), [0] * n + [1] * len(facets)
-
-    def is_isomorphic(self, other):
-        return self.isomorphism(other) is not None
 
 
 class FlatClosure:

@@ -52,10 +52,6 @@ class NotAtomistic(FlatlatError):
         super().__init__(f"lattice is not atomistic: {witness!r} is not a join of atoms")
 
 
-class WrongHeight(FlatlatError):
-    """Lattice height does not match what the procedure requires."""
-
-
 class ConstructionMismatch(FlatlatError):
     """A constructed complex does not have the flats its construction claims:
     the predicted flat map is not an isomorphism, or the minimal non-faces

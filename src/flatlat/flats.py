@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._util import bit_indices, check_limit, columns, mask_sort_key
+from ._util import bit_indices, check_limit, columns, mask_sort_key, maximal_masks
 from .complexes import SimplicialComplex
 from .errors import LoopsPresent
 from .lattice import FiniteLattice
@@ -63,13 +63,6 @@ class FlatFamily:
 
     def __len__(self):
         return len(self._masks)
-
-    def __iter__(self):
-        return iter(self.flats)
-
-    def index(self, flat):
-        """Element index of the given flat in the lattice."""
-        return self.flats.index(frozenset(flat))
 
     @cached_property
     def lattice(self):
@@ -253,6 +246,8 @@ def simplification(complex_, override=False):
 
     Requires every singleton to be a face.  Returns the quotient complex
     (vertices renamed to the first vertex of each class) and the classes.
+    The quotient's facets are the maximal sets of classes that a facet
+    meets.
     """
     _check_flats_limit(complex_, override)
     if complex_.loops():
@@ -261,25 +256,20 @@ def simplification(complex_, override=False):
             + " ".join(sorted(complex_.loops()))
         )
     cl = complex_.flat_closure
-    by_closure = {}
-    for v in range(len(complex_.vertices)):
+    vertices = complex_.vertices
+    by_closure = {}  # in the order of each class's first vertex
+    for v in range(len(vertices)):
         by_closure.setdefault(cl(1 << v), []).append(v)
-    classes = sorted(by_closure.values(), key=lambda c: c[0])
-    partition = tuple(
-        frozenset(complex_.vertices[v] for v in cls) for cls in classes
+    classes = list(by_closure.values())
+    facets = complex_.facet_masks
+    # with every class one vertex the facets are already the quotient's,
+    # and a remap would only cost a pass over them
+    if len(classes) < len(vertices):
+        bit = {v: 1 << k for k, cls in enumerate(classes) for v in cls}
+        # the distinct bits of the classes a facet meets sum to their OR
+        facets = maximal_masks([sum({bit[v] for v in bit_indices(f)}) for f in facets])
+    quotient = SimplicialComplex._from_facet_masks(
+        tuple(vertices[cls[0]] for cls in classes), facets
     )
-    if len(classes) == len(complex_.vertices):  # each vertex its own class
-        quotient = SimplicialComplex._from_facet_masks(
-            complex_.vertices, complex_.facet_masks
-        )
-    else:
-        rep = {}
-        for cls in classes:
-            for v in cls:
-                rep[v] = complex_.vertices[cls[0]]
-        new_vertices = tuple(complex_.vertices[cls[0]] for cls in classes)
-        faces = [
-            {rep[i] for i in bit_indices(facet)} for facet in complex_.facet_masks
-        ]
-        quotient = SimplicialComplex(new_vertices, faces)
+    partition = tuple(frozenset(vertices[v] for v in cls) for cls in classes)
     return quotient, partition

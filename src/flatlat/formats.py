@@ -176,16 +176,6 @@ def emit_dot_hasse(lattice: FiniteLattice):
     return "\n".join(lines) + "\n"
 
 
-def emit_dot_graph(graph: SimpleGraph):
-    lines = ["graph atoms {"]
-    for lab in graph.vertices:
-        lines.append(f"  {_dot_quote(lab)};")
-    for a, b in graph.edges:
-        lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def emit_json(value):
     """Serialize a report; dict order is preserved, set witnesses sorted."""
     return json.dumps(_jsonable(value), indent=2)

@@ -3,7 +3,8 @@
 For an atomistic lattice of height 3, being a lattice of flats is equivalent
 to its atom graph (edges between atoms joining to the top) having no
 superclique: a clique of size at least two such that every outside vertex is
-adjacent to at most one of its members.
+adjacent to at most one of its members.  is_realizable applies the criterion
+as its height-3 method.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from functools import cached_property
 
 from ._util import GroundSet, bit_indices, check_limit, mask_sort_key
-from .errors import WrongHeight
 
 # the brute-force superclique scan looks at every vertex subset
 NAIVE_SUPERCLIQUE_LIMIT = 16
@@ -30,12 +30,6 @@ class SimpleGraph(GroundSet):
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self._adj = tuple(adj)
-
-    def has_edge(self, a, b):
-        return bool((self._adj[self._vertex(a)] >> self._vertex(b)) & 1)
-
-    def neighbors(self, label):
-        return self.set_of(self._adj[self._vertex(label)])
 
     @cached_property
     def edges(self):
@@ -109,14 +103,6 @@ def _grow(graph, mask):
     return mask
 
 
-def edge_closure(graph, a, b):
-    """Grow {a, b} by outside vertices adjacent to two members until stable,
-    adding all of them in each round."""
-    if not graph.has_edge(a, b):
-        raise ValueError(f"{a!r} and {b!r} are not adjacent")
-    return graph.set_of(_grow(graph, graph.mask_of((a, b))))
-
-
 def find_supercliques(graph):
     """Every superclique, via the edge-closure growth.
 
@@ -145,17 +131,3 @@ def supercliques_bruteforce(graph, override=False):
         mask for mask in range(1 << n) if _is_superclique_mask(graph, mask)
     ]
     return tuple(graph.set_of(m) for m in sorted(found, key=mask_sort_key))
-
-
-def realizable_height3(lattice):
-    """Atomistic with no superclique in the atom graph; witness on failure."""
-    if lattice.height != 3:
-        raise WrongHeight(
-            f"criterion applies to height 3 only, lattice has height {lattice.height}"
-        )
-    if lattice.atomistic_violation is not None:
-        return False, None
-    cliques = find_supercliques(top_join_graph(lattice))
-    if cliques:
-        return False, cliques[0]
-    return True, None

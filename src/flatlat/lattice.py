@@ -134,26 +134,11 @@ class FiniteLattice:
     def leq(self, i, j):
         return bool((self._up[i] >> j) & 1)
 
-    def lt(self, i, j):
-        return i != j and self.leq(i, j)
-
     def meet(self, i, j):
         return self._by_down[self._down[i] & self._down[j]]
 
     def join(self, i, j):
         return self._by_up[self._up[i] & self._up[j]]
-
-    def meet_all(self, elems):
-        below = self._down[self.top]  # the common lower bounds
-        for x in elems:
-            below &= self._down[x]
-        return self._by_down[below]
-
-    def join_all(self, elems):
-        above = self._up[self.bottom]  # the common upper bounds
-        for x in elems:
-            above &= self._up[x]
-        return self._by_up[above]
 
     def covers(self, x, y):
         """True iff y covers x: x < y with nothing strictly between."""
@@ -187,10 +172,6 @@ class FiniteLattice:
             below = self._down[x] & ~(1 << x)
             depth[x] = max((depth[y] + 1 for y in bit_indices(below)), default=0)
         return depth[self.top]
-
-    def atoms_below(self, x):
-        """The set of atoms that lie below x."""
-        return frozenset(a for a in self.atoms if self.leq(a, x))
 
     # -- classification predicates ---------------------------------------
 
@@ -269,8 +250,9 @@ class FiniteLattice:
     def is_boolean(self):
         """True iff the lattice is a powerset lattice of its atoms.
 
-        In an atomistic lattice x -> atoms_below(x) is an injective order
-        embedding, so with 2^k elements it is onto the powerset of the atoms.
+        In an atomistic lattice the map from x to the atoms below it is an
+        injective order embedding, so with 2^k elements it is onto the
+        powerset of the atoms.
         """
         return self.is_atomistic and len(self) == 1 << len(self.atoms)
 
@@ -280,9 +262,6 @@ class FiniteLattice:
         """An order isomorphism onto other as a LatticeIso, or None."""
         mapping = find_isomorphism(self._relation, other._relation)
         return None if mapping is None else LatticeIso(mapping)
-
-    def is_isomorphic(self, other):
-        return self.isomorphism(other) is not None
 
     @property
     def _relation(self):

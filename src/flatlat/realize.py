@@ -33,17 +33,10 @@ REALIZE_SOFT_LIMIT = 10
 
 
 class TransversalComplex:
-    """The canonical complex of an atomistic lattice, tagged with witnesses.
+    """The canonical complex T(L) of an atomistic lattice, as .complex."""
 
-    chain_tags maps each face to the (ordering, chain) pair discovered while
-    generating it: the atoms in order, and the labels of the joins of the
-    prefixes (starting from the bottom element).
-    """
-
-    def __init__(self, lattice, complex_, chain_tags):
-        self.lattice = lattice
+    def __init__(self, complex_):
         self.complex = complex_
-        self.chain_tags = chain_tags
 
     def __repr__(self):
         return f"TransversalComplex({self.complex!r})"
@@ -54,8 +47,9 @@ def transversal_complex(lattice):
 
     Whether an atom can extend a partial enumeration depends only on the set
     of atoms already placed (their join is order independent), so the faces
-    are discovered by a LIFO walk over atom masks from the empty face: an
-    atom a extends a face when a is not below the face's join.
+    are discovered by a LIFO walk over atom masks from the empty face, each
+    kept with its join: an atom a extends a face when a is not below the
+    face's join.
     """
     violation = lattice.atomistic_violation
     if violation is not None:
@@ -67,29 +61,19 @@ def transversal_complex(lattice):
             "its atom set is empty"
         )
     labels = tuple(lattice.labels[a] for a in atoms)
-    # face mask -> (ordering, chain-of-prefix-joins, join element)
-    discovered = {0: ((), (lattice.labels[lattice.bottom],), lattice.bottom)}
+    joins = {0: lattice.bottom}  # face mask -> the join of its atoms
     queue = [0]
     while queue:
         face = queue.pop()
-        ordering, chain, join = discovered[face]
+        join = joins[face]
         for p, a in enumerate(atoms):
             bigger = face | 1 << p
-            if lattice.leq(a, join) or bigger in discovered:
+            if lattice.leq(a, join) or bigger in joins:
                 continue
-            j2 = lattice.join(join, a)
-            discovered[bigger] = (
-                ordering + (labels[p],),
-                chain + (lattice.labels[j2],),
-                j2,
-            )
+            joins[bigger] = lattice.join(join, a)
             queue.append(bigger)
-    complex_ = SimplicialComplex._from_facet_masks(labels, maximal_masks(discovered))
-    chain_tags = {
-        complex_.set_of(face): (ordering, chain)
-        for face, (ordering, chain, _) in discovered.items()
-    }
-    return TransversalComplex(lattice, complex_, chain_tags)
+    complex_ = SimplicialComplex._from_facet_masks(labels, maximal_masks(joins))
+    return TransversalComplex(complex_)
 
 
 def is_chain_transversal_bruteforce(lattice, atom_labels, override=False):

@@ -20,8 +20,10 @@ keeps the walk over every support the library made before it generated the
 facets directly.  The semimodularity oracle keeps the five-deep scan for a
 forbidden configuration that the library ran before its pass over pairs,
 and the cover law beside it is the textbook second definition.  The
-atomistic oracle joins the frozenset of atoms below each element, where the
-library ANDs the up-sets of the atoms in its down-set mask.
+atomistic oracle joins the frozenset of atoms below each element, pair by
+pair from the bottom (atoms_below and join_all, written from leq and
+join), where the library ANDs the up-sets of the atoms in its down-set
+mask.
 The BR oracle runs the memoized transversal search on every face, as the
 library did before it decided faces by the escape rule; the canonical
 complex oracle walks frozensets of atom positions instead of atom masks; and
@@ -32,8 +34,8 @@ still closes generic complexes, where realizing_complex reads them off the
 lattice.  The flat lattice oracle builds it from the inclusion matrix of
 every pair of flats, as the library did before it read each up-set off the
 columns of the flat masks, and the simplification oracle relabels the
-facets and rebuilds the quotient even when every closure class is one
-vertex, where the library now keeps the facets as they are.  The flat label
+facets and rebuilds the quotient from label sets, where the library ORs
+the class bits of each facet mask.  The flat label
 oracle escapes each name again for every flat that holds it, where the
 library escapes each name once; the face oracle takes the union of the
 submasks of every facet, where the library walks each face once, level by
@@ -709,18 +711,18 @@ def semimodular_witness_by_scan(lattice):
     order = range(n - 1, -1, -1)
     for a in order:
         for b in order:
-            if b == a or not lattice.lt(b, a):
+            if b == a or not lt(lattice, b, a):
                 continue
             for c in order:
-                if c in (a, b) or not lattice.lt(c, b):
+                if c in (a, b) or not lt(lattice, c, b):
                     continue
                 for e in order:
-                    if e in (a, b, c) or not lattice.lt(e, c):
+                    if e in (a, b, c) or not lt(lattice, e, c):
                         continue
                     for d in order:
                         if d in (a, b, c, e):
                             continue
-                        if not (lattice.lt(e, d) and lattice.lt(d, a)):
+                        if not (lt(lattice, e, d) and lt(lattice, d, a)):
                             continue
                         if not lattice.covers(e, d):
                             continue
@@ -747,11 +749,26 @@ def is_semimodular_by_covers(lattice):
     return True
 
 
+def lt(lattice, i, j):
+    """i lies strictly below j."""
+    return i != j and lattice.leq(i, j)
+
+
+def atoms_below(lattice, x):
+    """The frozenset of atoms that lie below x."""
+    return frozenset(a for a in lattice.atoms if lattice.leq(a, x))
+
+
+def join_all(lattice, elems):
+    """The join of the elements, folded pairwise from the bottom."""
+    return functools.reduce(lattice.join, elems, lattice.bottom)
+
+
 def atomistic_violation_by_joins(lattice):
     """First element that is not the join of the atoms below it, or None,
     by joining the frozenset of those atoms for every element."""
     for x in range(len(lattice)):
-        if lattice.join_all(lattice.atoms_below(x)) != x:
+        if join_all(lattice, atoms_below(lattice, x)) != x:
             return x
     return None
 
@@ -767,8 +784,8 @@ def br_violation_by_search(complex_):
 
 
 def transversal_complex_by_label_walk(lattice):
-    """The canonical complex and its chain_tags, by the subset walk over
-    frozensets of atom positions whose faces become label sets."""
+    """The canonical complex, by the subset walk over frozensets of atom
+    positions whose faces become label sets."""
     violation = lattice.atomistic_violation
     if violation is not None:
         raise NotAtomistic(lattice.labels[violation])
@@ -779,40 +796,26 @@ def transversal_complex_by_label_walk(lattice):
             "its atom set is empty"
         )
     labels = tuple(lattice.labels[a] for a in atoms)
-    bottom_label = lattice.labels[lattice.bottom]
-    # face -> (ordering, chain-of-prefix-joins, join element)
-    discovered = {frozenset(): ((), (bottom_label,), lattice.bottom)}
+    joins = {frozenset(): lattice.bottom}  # face -> the join of its atoms
     queue = [frozenset()]
     while queue:
         face = queue.pop()
-        ordering, chain, join = discovered[face]
+        join = joins[face]
         for p, a in enumerate(atoms):
             if p in face or lattice.leq(a, join):
                 continue
             bigger = face | {p}
-            if bigger in discovered:
+            if bigger in joins:
                 continue
-            j2 = lattice.join(join, a)
-            discovered[bigger] = (
-                ordering + (labels[p],),
-                chain + (lattice.labels[j2],),
-                j2,
-            )
+            joins[bigger] = lattice.join(join, a)
             queue.append(bigger)
-    complex_ = SimplicialComplex(
-        labels, [{labels[p] for p in face} for face in discovered]
-    )
-    chain_tags = {
-        frozenset(labels[p] for p in face): (ordering, chain)
-        for face, (ordering, chain, _) in discovered.items()
-    }
-    return complex_, chain_tags
+    return SimplicialComplex(labels, [{labels[p] for p in face} for face in joins])
 
 
 def edge_closure_one_at_a_time(graph, a, b, order=None):
     """Grow {a, b} by outside vertices adjacent to two members until stable,
     adding the first eligible vertex of the scan order and rescanning."""
-    if not graph.has_edge(a, b):
+    if (a, b) not in graph.edges and (b, a) not in graph.edges:
         raise ValueError(f"{a!r} and {b!r} are not adjacent")
     if order is None:
         scan = range(len(graph.vertices))

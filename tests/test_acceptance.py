@@ -18,7 +18,6 @@ from flatlat import (
     is_chain_transversal_bruteforce,
     is_realizable,
     is_transversal_bruteforce,
-    realizable_height3,
     supercliques_bruteforce,
     top_join_graph,
     transversal_complex,
@@ -122,9 +121,9 @@ def test_criterion_6_superclique_criterion_matches_general_path():
     for lat in enumerate_lattices(7):
         if not lat.is_atomistic or lat.height != 3:
             continue
-        fast, _ = realizable_height3(lat)
+        fast = is_realizable(lat)
         general = is_realizable(lat, force_general=True).realizable
-        assert fast == general
+        assert fast.method == "height-3" and fast.realizable == general
         checked += 1
     assert checked > 0
 
@@ -215,7 +214,7 @@ def test_criterion_8_structural_invariants_hold_on_the_fixture_set(
 
         family = all_flats(complex_)
         atom_sets = [
-            frozenset(lat.labels[a] for a in lat.atoms_below(x))
+            frozenset(lat.labels[a] for a in helpers.atoms_below(lat, x))
             for x in range(len(lat))
         ]
         if len(set(atom_sets)) != len(lat):

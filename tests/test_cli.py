@@ -498,6 +498,29 @@ def test_classify_rejects_an_invalid_lattice(capsys, monkeypatch, covers, messag
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("format 1\n", 1, 1, "expected a kind line"),
+        ("# no kind\n  format 1 # header only\n", 2, 3, "expected a kind line"),
+        ("lattice extra\n", 1, 9, "unexpected token after kind"),
+        ("format 1\ngraph x\n", 2, 7, "unexpected token after kind"),
+        ("complex\n", 1, 1, "expected a vertices line"),
+        ("graph\n  vertices\n", 2, 3, "vertices line needs at least one label"),
+        ("lattice\nelements # none\n", 2, 1, "elements line needs at least one label"),
+    ],
+)
+def test_a_document_without_its_kind_or_header_labels_exits_2(
+    capsys, monkeypatch, text, line, column, message
+):
+    with pytest.raises(flatlat.ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "classify", "-")
+    assert (code, out, err) == (2, "", f"error: line {line}, column {column}: {message}\n")
+
+
 def test_missing_file_exit(capsys):
     code, _, err = run(capsys, "classify", "/no/such/file")
     assert code == 2 and "error:" in err

@@ -236,11 +236,13 @@ def test_simplification_preserves_the_flat_lattice():
 
 def test_simplification_matches_the_relabelled_quotient(fixture_complexes):
     """The same quotient and classes as relabelling the facets and
-    rebuilding, on the loop-free complex fixtures, U(3,n) up to n = 12 and
-    seeded random triple complexes on 9-13 vertices: those where every
-    closure class is one vertex keep their facets as they are."""
+    rebuilding, on the loop-free complex fixtures, every complex on 1-4
+    vertices, U(3,n) up to n = 12 and seeded random triple complexes on
+    9-13 vertices: those where every closure class is one vertex keep their
+    facets as they are, and merged classes may make facet images nest."""
     rng = random.Random(46)
     complexes = list(fixture_complexes)
+    complexes += [c for n in range(1, 5) for c in helpers.all_complexes(n)]
     complexes += [parse(path.read_text()).value for path in FIXTURES.glob("*.cx")]
     complexes += [helpers.uniform_complex(n, 3) for n in range(3, 13)]
     complexes += [

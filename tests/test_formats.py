@@ -11,7 +11,6 @@ from flatlat import (
     ParseError,
     SimpleGraph,
     SimplicialComplex,
-    emit_dot_graph,
     emit_dot_hasse,
     emit_json,
     enumerate_lattices,
@@ -202,12 +201,6 @@ def test_hasse_dot_output(nonreal6, triangles_flats):
 
     dot = emit_dot_hasse(triangles_flats.lattice)
     assert dot.count("->") == 9
-
-
-def test_graph_dot_output(nonreal6):
-    dot = emit_dot_graph(top_join_graph(nonreal6))
-    assert dot.startswith("graph")
-    assert dot.count("--") == 2
 
 
 def test_json_report_for_three_chain():

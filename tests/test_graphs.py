@@ -8,25 +8,34 @@ import pytest
 from flatlat import (
     LimitExceeded,
     SimpleGraph,
-    WrongHeight,
     all_flats,
-    edge_closure,
+    enumerate_lattices,
     find_supercliques,
+    is_realizable,
     is_superclique,
-    realizable_height3,
     supercliques_bruteforce,
     top_join_graph,
 )
+from flatlat.graphs import _grow
 
 import helpers
 
 
+def adjacent(graph, a, b):
+    return (a, b) in graph.edges or (b, a) in graph.edges
+
+
+def grown(graph, a, b):
+    """The edge closure of {a, b}: the least superset holding every vertex
+    adjacent to two of its members."""
+    return graph.set_of(_grow(graph, graph.mask_of((a, b))))
+
+
 def test_simple_graph_basics():
     g = SimpleGraph(["a", "b", "c"], [("a", "b")])
-    assert g.has_edge("a", "b") and g.has_edge("b", "a")
-    assert not g.has_edge("a", "c")
-    assert g.neighbors("a") == frozenset({"b"})
     assert g.edges == (("a", "b"),)
+    assert SimpleGraph(["a", "b", "c"], [("b", "a")]) == g
+    assert SimpleGraph(["a", "b", "c"], [("a", "c")]) != g
     with pytest.raises(ValueError):
         SimpleGraph(["a"], [("a", "a")])
 
@@ -41,7 +50,7 @@ def test_atom_graph_of_example_flats(triangles_flats):
     g = top_join_graph(triangles_flats.lattice)
     assert g.vertices == ("{1}", "{2}", "{3}", "{4}")
     non_edges = [
-        pair for pair in itertools.combinations(g.vertices, 2) if not g.has_edge(*pair)
+        pair for pair in itertools.combinations(g.vertices, 2) if not adjacent(g, *pair)
     ]
     assert non_edges == [("{1}", "{2}")]
 
@@ -74,11 +83,9 @@ def test_complete_graph_is_its_own_superclique():
 
 def test_edge_closure_growth(nonreal6, triangles_flats):
     g = top_join_graph(nonreal6)
-    assert edge_closure(g, "1", "3") == frozenset({"1", "3"})
+    assert grown(g, "1", "3") == frozenset({"1", "3"})
     gamma = top_join_graph(triangles_flats.lattice)
-    assert edge_closure(gamma, "{3}", "{4}") == frozenset(gamma.vertices)
-    with pytest.raises(ValueError):
-        edge_closure(g, "1", "2")
+    assert grown(gamma, "{3}", "{4}") == frozenset(gamma.vertices)
 
 
 def test_edge_closure_matches_one_vertex_at_a_time():
@@ -93,7 +100,7 @@ def test_edge_closure_matches_one_vertex_at_a_time():
             order = list(g.vertices)
             rng.shuffle(order)
             closed = helpers.edge_closure_one_at_a_time(g, a, b, order)
-            assert edge_closure(g, a, b) == closed
+            assert grown(g, a, b) == closed
             closures.add(closed)
         cliques = [w for w in closures if is_superclique(g, w)]
         assert find_supercliques(g) == tuple(
@@ -122,9 +129,9 @@ def test_supercliques_are_maximal_cliques():
         g = helpers.random_graph(rng)
         for w in find_supercliques(g):
             for a, b in itertools.combinations(sorted(w), 2):
-                assert g.has_edge(a, b)
+                assert adjacent(g, a, b)
             for c in set(g.vertices) - w:
-                assert not all(g.has_edge(c, v) for v in w)
+                assert not all(adjacent(g, c, v) for v in w)
 
 
 def test_growth_matches_naive_scan_on_random_graphs():
@@ -142,28 +149,40 @@ def test_naive_scan_limit():
 
 
 def test_height3_criterion(nonreal6, triangles_flats, u34):
-    ok, witness = realizable_height3(nonreal6)
-    assert (ok, witness) == (False, frozenset({"1", "3"}))
-    assert realizable_height3(triangles_flats.lattice) == (True, None)
-    assert realizable_height3(all_flats(u34).lattice) == (True, None)
+    report = is_realizable(nonreal6)
+    assert (report.method, report.realizable) == ("height-3", False)
+    assert report.supercliques[0] == ("1", "3")
+    for lat in (triangles_flats.lattice, all_flats(u34).lattice):
+        report = is_realizable(lat)
+        assert (report.method, report.realizable) == ("height-3", True)
+        assert report.supercliques is None
 
 
 def test_height3_criterion_needs_height3():
-    with pytest.raises(WrongHeight):
-        realizable_height3(helpers.powerset_lattice("ab"))
+    """The criterion decides exactly the atomistic lattices of height 3."""
+    for lat in enumerate_lattices(7):
+        decided = is_realizable(lat).method == "height-3"
+        assert decided == (lat.is_atomistic and lat.height == 3)
+    report = is_realizable(helpers.powerset_lattice("ab"))
+    assert (report.method, report.realizable) == ("height-le-2", True)
 
 
 def test_height3_criterion_on_non_atomistic_lattice():
     chain = helpers.chain_lattice(4)
     assert chain.height == 3
-    assert realizable_height3(chain) == (False, None)
+    report = is_realizable(chain)
+    assert (report.method, report.realizable) == ("atomistic", False)
+    assert report.supercliques is None
 
 
 def test_height3_criterion_matches_general_decision():
-    from flatlat import is_realizable
-
     for lat in helpers.atomistic_lattices(7):
         if lat.height != 3:
             continue
-        ok, _ = realizable_height3(lat)
-        assert ok == is_realizable(lat, force_general=True).realizable
+        report = is_realizable(lat)
+        assert report.method == "height-3"
+        assert report.realizable == is_realizable(lat, force_general=True).realizable
+        cliques = find_supercliques(top_join_graph(lat))
+        assert report.supercliques == (
+            tuple(tuple(sorted(w, key=lat.labels.index)) for w in cliques) or None
+        )

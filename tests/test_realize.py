@@ -87,21 +87,6 @@ def test_canonical_complex_rejects_trivial_lattice():
         transversal_complex(FiniteLattice(["B"], [[True]]))
 
 
-def test_chain_tags_witness_the_membership(nonreal6):
-    t = transversal_complex(nonreal6)
-    for face in t.complex.faces:
-        ordering, chain = t.chain_tags[frozenset(face)]
-        assert sorted(ordering) == sorted(face)
-        assert len(chain) == len(face) + 1
-        prefix = nonreal6.bottom
-        assert chain[0] == nonreal6.labels[prefix]
-        for atom_label, tag in zip(ordering, chain[1:]):
-            atom = nonreal6.index(atom_label)
-            assert not nonreal6.leq(atom, prefix)
-            prefix = nonreal6.join(prefix, atom)
-            assert tag == nonreal6.labels[prefix]
-
-
 def test_chain_bruteforce_examples(nonreal6):
     assert is_chain_transversal_bruteforce(nonreal6, {"1", "2", "3"})
     assert is_chain_transversal_bruteforce(nonreal6, set())
@@ -114,6 +99,9 @@ def test_unknown_element_label_is_a_value_error(nonreal6):
         nonreal6.index("zz")
     with pytest.raises(ValueError, match=r"^unknown element 'zz'$"):
         is_chain_transversal_bruteforce(nonreal6, ["zz"])
+    for covers in ([("1", "zz")], [("zz", "1")], [("1", "T"), ("T", "zz")]):
+        with pytest.raises(ValueError, match=r"^unknown element 'zz'$"):
+            lattice_from_covers(nonreal6.labels, covers)
     with pytest.raises(ValueError, match=r"^'T' is not an atom$"):
         is_chain_transversal_bruteforce(nonreal6, ["T"])
 
@@ -137,25 +125,18 @@ def test_membership_agrees_with_chain_bruteforce_on_small_lattices():
                 )
 
 
-def _assert_matches_the_label_walk(lat):
-    t = transversal_complex(lat)
-    complex_, chain_tags = helpers.transversal_complex_by_label_walk(lat)
-    assert t.complex == complex_
-    assert list(t.chain_tags.items()) == list(chain_tags.items())
-
-
 def test_transversal_complex_matches_the_label_walk():
-    """Facets and chain_tags, in discovery order, as the walk over label
-    sets found them: on every atomistic class of up to 8 elements and three
-    relabellings of each, and on the flat lattices of U(3,n), n <= 8."""
+    """The complex the walk over label sets builds: on every atomistic
+    class of up to 8 elements and three relabellings of each, and on the
+    flat lattices of U(3,n), n <= 8."""
+    lattices = []
     for lat in helpers.atomistic_lattices(8, override=True):
-        if len(lat) == 1:
-            continue
-        for copy in [lat] + [helpers.relabelled(lat, seed) for seed in range(3)]:
-            _assert_matches_the_label_walk(copy)
-    for n in range(3, 9):
-        lat = all_flats(helpers.uniform_complex(n, 3)).lattice
-        _assert_matches_the_label_walk(lat)
+        if len(lat) > 1:
+            lattices += [lat] + [helpers.relabelled(lat, seed) for seed in range(3)]
+    lattices += [all_flats(helpers.uniform_complex(n, 3)).lattice for n in range(3, 9)]
+    for lat in lattices:
+        want = helpers.transversal_complex_by_label_walk(lat)
+        assert transversal_complex(lat).complex == want
 
 
 def test_canonical_complex_is_simple_and_representable():
@@ -178,7 +159,7 @@ def test_atom_map_embeds_the_lattice_into_its_canonical_flats():
         flat_set = {frozenset(f) for f in fam.flats}
         image = []
         for x in range(len(lat)):
-            xi = frozenset(lat.labels[a] for a in lat.atoms_below(x))
+            xi = frozenset(lat.labels[a] for a in helpers.atoms_below(lat, x))
             assert xi in flat_set
             image.append(xi)
         assert len(set(image)) == len(lat)
@@ -205,8 +186,8 @@ def test_join_of_canonical_flat_stays_inside_it():
         fam = all_flats(transversal_complex(lat).complex)
         for flat in fam.flats:
             members = [lat.index(v) for v in flat]
-            top_of_flat = lat.join_all(members)
-            xi = {lat.labels[a] for a in lat.atoms_below(top_of_flat)}
+            top_of_flat = helpers.join_all(lat, members)
+            xi = {lat.labels[a] for a in helpers.atoms_below(lat, top_of_flat)}
             assert xi <= set(flat)
 
 
