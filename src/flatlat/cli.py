@@ -13,7 +13,7 @@ import itertools
 import os
 import sys
 
-from .errors import FlatlatError, LimitExceeded, ParseError
+from .errors import FlatlatError, LimitExceeded
 from .flats import (
     all_flats,
     br_violation,
@@ -22,12 +22,7 @@ from .flats import (
     split_vertex_set,
     transversal_witness,
 )
-from .formats import (
-    emit_dot_hasse,
-    emit_json,
-    format_complex,
-    parse,
-)
+from .formats import _parse, emit_dot_hasse, emit_json, format_complex
 from .graphs import find_supercliques, supercliques_bruteforce, top_join_graph
 from .realize import (
     boolean_matrix,
@@ -60,11 +55,7 @@ def _read(path):
 
 
 def _load(args, kinds):
-    doc = parse(_read(args.path))
-    if doc.kind not in kinds:
-        expected = " or ".join(kinds)
-        raise ParseError(1, 1, f"expected a {expected} document, found {doc.kind}")
-    return doc
+    return _parse(_read(args.path), kinds)
 
 
 def _bool(flag):

@@ -30,12 +30,11 @@ from .complexes import SimplicialComplex
 from .errors import LoopsPresent
 from .lattice import FiniteLattice
 
-# flats come from NextClosure over the closure operator; for a complex given
-# by its facets its implications are derived from every face, and past 24
-# vertices neither the faces nor the flats are desk scale any more.  The
-# realizing complex lists its minimal non-faces and walks no face, and
-# realizing_complex has already held it to REALIZE_SOFT_LIMIT, so all_flats
-# does not hold it to this one
+# the limit bounds the face walk: for a complex given by its facets the
+# implications of the closure operator are derived from every face, and past
+# 24 vertices neither the faces nor the flats are desk scale any more.  The
+# realizing complex lists its minimal non-faces and walks no face for its
+# closure, and realizing_complex has already held it to REALIZE_SOFT_LIMIT
 FLATS_SOFT_LIMIT = 24
 # the transversal oracle tries every ordering of X against every flat chain
 ORACLE_SIZE_LIMIT = 8
@@ -106,17 +105,18 @@ def split_vertex_set(text):
     return [re.sub(r"\\([\\,])", r"\1", name) for name in names]
 
 
-def _check_flats_limit(complex_, override):
-    n = len(complex_.vertices)
-    check_limit(f"flat enumeration on {n} vertices", n, FLATS_SOFT_LIMIT, override)
+def _check_flats_limit(complex_, override, walks_faces=False):
+    """Hold the complex to FLATS_SOFT_LIMIT when the call walks its faces:
+    itself (walks_faces), or to derive the closure, which a complex that
+    lists its minimal non-faces does not."""
+    if walks_faces or complex_._nonface_masks is None:
+        n = len(complex_.vertices)
+        check_limit(f"flat enumeration on {n} vertices", n, FLATS_SOFT_LIMIT, override)
 
 
 def all_flats(complex_, override=False):
-    """The flats of the complex.  A complex that lists its minimal
-    non-faces is closed by them and walks no face, so only a complex given
-    by its facets is held to FLATS_SOFT_LIMIT."""
-    if complex_._nonface_masks is None:
-        _check_flats_limit(complex_, override)
+    """The flats of the complex."""
+    _check_flats_limit(complex_, override)
     return FlatFamily(complex_, complex_.flat_closure.flat_masks)
 
 
@@ -218,7 +218,7 @@ def br_violation(complex_, override=False):
     returned: only failing faces are ever sorted.  The sizes are the levels
     of the complex's one face walk (SimplicialComplex._ext_levels).
     """
-    _check_flats_limit(complex_, override)
+    _check_flats_limit(complex_, override, walks_faces=True)
     cl = complex_.flat_closure
     for faces in complex_._ext_levels[1:]:
         failing = []

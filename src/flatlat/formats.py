@@ -2,8 +2,8 @@
 
 The text format is line oriented.  # starts a comment, blank lines are
 skipped, tokens are whitespace separated.  An optional "format 1" header may
-precede the kind line ("lattice", "complex" or "graph"); the kind-specific
-directives follow:
+precede the kind line ("lattice", "complex" or "graph"); the kind's header
+line and its directives follow:
 
     lattice                     complex                 graph
     elements B 1 2 3 m T        vertices 1 2 3 4        vertices a b c
@@ -12,6 +12,10 @@ directives follow:
 
 Lattices are given by order generators (lower upper); the order is their
 reflexive-transitive closure.  Unknown directives are errors.
+
+The table _GRAMMAR is the one definition of the format: each kind's header
+word, directive word and label rules, and the object it builds.  parse reads
+and the format_* emitters write every kind through it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from ._util import bit_indices
 from .complexes import SimplicialComplex
@@ -26,7 +31,23 @@ from .errors import ParseError
 from .graphs import SimpleGraph
 from .lattice import FiniteLattice, lattice_from_covers
 
-KINDS = ("lattice", "complex", "graph")
+
+class _Grammar(NamedTuple):
+    """One kind's words: the header line and each directive line."""
+
+    header: str  # the word of the line declaring the labels
+    directive: str  # the word of each line after it
+    noun: str  # an undeclared label in a directive is an unknown <noun>
+    pair: bool  # a directive names exactly two labels, or else any number
+    distinct: bool  # the labels of one directive must differ
+    build: Callable  # (labels, rows of directive labels) -> the value
+
+
+_GRAMMAR = {
+    "lattice": _Grammar("elements", "cover", "element", True, False, lattice_from_covers),
+    "complex": _Grammar("vertices", "facet", "vertex", False, False, SimplicialComplex),
+    "graph": _Grammar("vertices", "edge", "vertex", True, True, SimpleGraph),
+}
 
 
 @dataclass(frozen=True)
@@ -37,30 +58,65 @@ class Document:
 
 def parse(text):
     """Parse a text document into a Document(kind, value)."""
+    return _parse(text, _GRAMMAR)
+
+
+def _parse(text, kinds):
+    """parse, for a document that must be of one of the given kinds.
+
+    The lines are checked in document order, so the first error in the
+    document is the one raised; a document of another kind is rejected at
+    its kind token once it has been read.
+    """
     lines = _directive_lines(text)
     if not lines:
         raise ParseError(1, 1, "empty document: expected a kind line")
-    pos = 0
-    line_no, tokens = lines[pos]
+    line_no, tokens = lines[0]
     if tokens[0][0] == "format":
         if len(tokens) != 2 or tokens[1][0] != "1":
             where = tokens[1] if len(tokens) > 1 else tokens[0]
             raise ParseError(line_no, where[1], "unsupported format version")
-        pos += 1
-        if pos == len(lines):
+        lines = lines[1:]
+        if not lines:
             raise ParseError(line_no, tokens[0][1], "expected a kind line")
-        line_no, tokens = lines[pos]
+        line_no, tokens = lines[0]
     kind, col = tokens[0]
-    if kind not in KINDS:
+    grammar = _GRAMMAR.get(kind)
+    if grammar is None:
         raise ParseError(line_no, col, f"unknown kind {kind!r}")
     if len(tokens) > 1:
         raise ParseError(line_no, tokens[1][1], "unexpected token after kind")
-    body = lines[pos + 1 :]
-    if kind == "lattice":
-        return Document(kind, _parse_lattice(body))
-    if kind == "complex":
-        return Document(kind, _parse_complex(body))
-    return Document(kind, _parse_graph(body))
+    header = grammar.header
+    if len(lines) == 1:
+        article = "an" if header[0] in "aeiou" else "a"
+        raise ParseError(line_no, col, f"expected {article} {header} line")
+    head_no, ((word, head_col), *declared) = lines[1]
+    if word != header:
+        raise ParseError(head_no, head_col, f"expected {header!r}, found {word!r}")
+    if not declared:
+        raise ParseError(head_no, head_col, f"{header} line needs at least one label")
+    labels = {}
+    for tok, tok_col in declared:
+        if tok in labels:
+            raise ParseError(head_no, tok_col, f"duplicate label {tok!r}")
+        labels[tok] = None
+    rows = []
+    for row_no, ((word, word_col), *row) in lines[2:]:
+        if word != grammar.directive:
+            raise ParseError(row_no, word_col, f"unknown directive {word!r}")
+        if grammar.pair and len(row) != 2:
+            raise ParseError(row_no, word_col, f"{word} needs exactly two labels")
+        for tok, tok_col in row:
+            if tok not in labels:
+                raise ParseError(row_no, tok_col, f"unknown {grammar.noun} {tok!r}")
+        if grammar.distinct and row[0][0] == row[1][0]:
+            raise ParseError(row_no, row[1][1], f"loop {word}s are not allowed")
+        rows.append([tok for tok, _ in row])
+    value = grammar.build(list(labels), rows)
+    if kind not in kinds:
+        expected = " or ".join(kinds)
+        raise ParseError(line_no, col, f"expected a {expected} document, found {kind}")
+    return Document(kind, value)
 
 
 def _directive_lines(text):
@@ -73,92 +129,31 @@ def _directive_lines(text):
     return out
 
 
-def _declared(header_name, body):
-    if not body:
-        raise ParseError(1, 1, f"expected a {header_name} line")
-    line_no, tokens = body[0]
-    word, col = tokens[0]
-    if word != header_name:
-        raise ParseError(line_no, col, f"expected {header_name!r}, found {word!r}")
-    if len(tokens) == 1:
-        raise ParseError(line_no, col, f"{header_name} line needs at least one label")
-    labels = []
-    seen = set()
-    for tok, tok_col in tokens[1:]:
-        if tok in seen:
-            raise ParseError(line_no, tok_col, f"duplicate label {tok!r}")
-        seen.add(tok)
-        labels.append(tok)
-    return labels, seen, body[1:]
-
-
-def _directives(rest, declared, word, noun, pair):
-    """Yield (line, label tokens) for each line after the header.
-
-    Each line must start with the directive word, name exactly two labels
-    when pair is set, and name only declared labels.  Lines are checked as
-    they are consumed, so the first error in the document is the one raised.
-    """
-    for line_no, tokens in rest:
-        head, col = tokens[0]
-        if head != word:
-            raise ParseError(line_no, col, f"unknown directive {head!r}")
-        if pair and len(tokens) != 3:
-            raise ParseError(line_no, col, f"{word} needs exactly two labels")
-        for tok, tok_col in tokens[1:]:
-            if tok not in declared:
-                raise ParseError(line_no, tok_col, f"unknown {noun} {tok!r}")
-        yield line_no, tokens[1:]
-
-
-def _parse_lattice(body):
-    labels, declared, rest = _declared("elements", body)
-    lines = _directives(rest, declared, "cover", "element", pair=True)
-    covers = [(low, high) for _, ((low, _), (high, _)) in lines]
-    return lattice_from_covers(labels, covers)
-
-
-def _parse_complex(body):
-    labels, declared, rest = _declared("vertices", body)
-    lines = _directives(rest, declared, "facet", "vertex", pair=False)
-    faces = [[tok for tok, _ in tokens] for _, tokens in lines]
-    return SimplicialComplex(labels, faces)
-
-
-def _parse_graph(body):
-    labels, declared, rest = _declared("vertices", body)
-    edges = []
-    lines = _directives(rest, declared, "edge", "vertex", pair=True)
-    for line_no, ((a, _), (b, col)) in lines:
-        if a == b:
-            raise ParseError(line_no, col, "loop edges are not allowed")
-        edges.append((a, b))
-    return SimpleGraph(labels, edges)
-
-
 # -- emitters ------------------------------------------------------------
 
 
-def format_lattice(lattice: FiniteLattice):
-    lines = ["lattice", "elements " + " ".join(lattice.labels)]
-    for x, y in lattice.cover_pairs:
-        lines.append(f"cover {lattice.labels[x]} {lattice.labels[y]}")
+def _format(kind, labels, rows):
+    grammar = _GRAMMAR[kind]
+    lines = [kind, " ".join([grammar.header, *labels])]
+    lines += [" ".join([grammar.directive, *row]) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def format_lattice(lattice: FiniteLattice):
+    labels = lattice.labels
+    covers = [(labels[x], labels[y]) for x, y in lattice.cover_pairs]
+    return _format("lattice", labels, covers)
 
 
 def format_complex(complex_: SimplicialComplex):
     """Facets are listed in the order of their vertex-index tuples."""
-    lines = ["complex", "vertices " + " ".join(complex_.vertices)]
-    for facet in sorted(list(bit_indices(m)) for m in complex_.facet_masks if m):
-        lines.append("facet " + " ".join(complex_.vertices[i] for i in facet))
-    return "\n".join(lines) + "\n"
+    vertices = complex_.vertices
+    facets = sorted(list(bit_indices(m)) for m in complex_.facet_masks if m)
+    return _format("complex", vertices, [[vertices[i] for i in f] for f in facets])
 
 
 def format_graph(graph: SimpleGraph):
-    lines = ["graph", "vertices " + " ".join(graph.vertices)]
-    for a, b in graph.edges:
-        lines.append(f"edge {a} {b}")
-    return "\n".join(lines) + "\n"
+    return _format("graph", graph.vertices, graph.edges)
 
 
 def _dot_quote(label):

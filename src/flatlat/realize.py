@@ -26,9 +26,9 @@ from .lattice import LatticeIso
 # transversals for n elements.  Verifying it walks no face, only the facets
 # once per meet-irreducible flat: M8 builds in 7-10 ms and verifies in
 # 44-76 ms, chain10 in 3-4 ms and 21-32 ms.  So this is the one limit on
-# construct --verify: its complex lists its minimal non-faces, and all_flats
-# does not hold such a complex to FLATS_SOFT_LIMIT, though a 10-element
-# lattice gives 27 vertices
+# construct --verify: its complex lists its minimal non-faces and walks no
+# face, so FLATS_SOFT_LIMIT, which bounds the face walk, does not hold it,
+# though a 10-element lattice gives 27 vertices
 REALIZE_SOFT_LIMIT = 10
 
 

@@ -506,6 +506,9 @@ def test_classify_rejects_an_invalid_lattice(capsys, monkeypatch, covers, messag
         ("lattice extra\n", 1, 9, "unexpected token after kind"),
         ("format 1\ngraph x\n", 2, 7, "unexpected token after kind"),
         ("complex\n", 1, 1, "expected a vertices line"),
+        ("# c\n\ncomplex\n", 3, 1, "expected a vertices line"),
+        ("lattice\n", 1, 1, "expected an elements line"),
+        ("format 1\n\n# x\nlattice\n", 4, 1, "expected an elements line"),
         ("graph\n  vertices\n", 2, 3, "vertices line needs at least one label"),
         ("lattice\nelements # none\n", 2, 1, "elements line needs at least one label"),
     ],
@@ -526,10 +529,14 @@ def test_missing_file_exit(capsys):
     assert code == 2 and "error:" in err
 
 
-def test_wrong_kind_exit(capsys):
+def test_wrong_kind_exit(capsys, monkeypatch):
     code, _, err = run(capsys, "flats", NONREAL6)
     assert code == 2
     assert "expected a complex document" in err
+    monkeypatch.setattr(sys, "stdin", io.StringIO("# k\n\nlattice\nelements a\n"))
+    code, out, err = run(capsys, "flats", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: line 3, column 1: expected a complex document, found lattice\n"
 
 
 def test_flats_scan_limit(capsys, tmp_path):

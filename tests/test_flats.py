@@ -361,6 +361,26 @@ def test_every_flats_entry_point_is_held_to_the_soft_limit():
         assert query(override=True) == answer
 
 
+def test_the_soft_limit_bounds_only_the_face_walk():
+    # the realizing complex of the 10-chain has 27 vertices and lists its
+    # minimal non-faces: the closure queries walk no face and answer without
+    # override, while br_violation walks the faces and stays held
+    complex_, _ = realizing_complex(helpers.chain_lattice(10))
+    assert len(complex_.vertices) == 27
+    face = {"1^1", "2^1"}
+    closed = {"1^1", "1^2", "1^3", "2^1", "2^2", "2^3"}
+    queries = [
+        (lambda **kw: closure(complex_, face, **kw), closed),
+        (lambda **kw: transversal_witness(complex_, face, **kw).ordering, ("1^1", "2^1")),
+        (lambda **kw: is_transversal_bruteforce(complex_, face, **kw), True),
+        (lambda **kw: len(simplification(complex_, **kw)[1]), 9),
+    ]
+    for query, answer in queries:
+        assert query() == query(override=True) == answer
+    with pytest.raises(LimitExceeded, match="flat enumeration on 27 vertices"):
+        br_violation(complex_)
+
+
 def test_separator_in_a_vertex_name_does_not_merge_flat_labels():
     c = SimplicialComplex(["x", "y", "x,y"], [{"x", "x,y"}, {"y", "x,y"}])
     lat = all_flats(c).lattice
