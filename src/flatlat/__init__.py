@@ -24,7 +24,6 @@ from .flats import (
     all_flats,
     br_violation,
     closure,
-    is_boolean_representable,
     is_transversal_bruteforce,
     simplification,
     transversal_witness,
@@ -41,7 +40,6 @@ from .formats import (
 from .graphs import (
     SimpleGraph,
     find_supercliques,
-    is_superclique,
     supercliques_bruteforce,
     top_join_graph,
 )
@@ -97,10 +95,8 @@ __all__ = [
     "format_complex",
     "format_graph",
     "format_lattice",
-    "is_boolean_representable",
     "is_chain_transversal_bruteforce",
     "is_realizable",
-    "is_superclique",
     "is_transversal_bruteforce",
     "lattice_from_covers",
     "parse",

@@ -2,14 +2,14 @@
 
 Vertex and element sets are stored as int bitmasks throughout the package;
 these helpers keep the loops readable.  GroundSet is the one place where
-vertex labels turn into bitmasks and back.  find_isomorphism, for lattices
-and complexes alike, and lattice._canonical_key are the two searches by
-individualization-refinement; both call refine and individualize.
+vertex labels turn into bitmasks and back.  leaves is the one search by
+individualization-refinement: lattice._canonical_key takes the least of its
+leaf readings, and find_isomorphism, for lattices and complexes alike,
+matches the first leaf of one relation against the leaves of the other.
 """
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import LimitExceeded, UnknownVertex
 
@@ -198,8 +198,8 @@ def refine(succ, pred, colours):
 
     A node's next colour ranks its colour with the sorted colours of its
     successors and predecessors (at first: how many of each it has), so
-    colours depend on the structure alone and are comparable across
-    relations refined as one disjoint union.  The result is equitable
+    colours depend on the structure alone: an isomorphism that keeps the
+    given colours keeps the refined ones.  The result is equitable
     (nodes of one colour have as many successors, and predecessors, of each
     colour), and it only splits the given classes.
     """
@@ -217,10 +217,63 @@ def refine(succ, pred, colours):
         ]
 
 
-def individualize(colours, *nodes):
-    """The colouring with nodes of one class ranked just below the rest."""
-    t = colours[nodes[0]]
-    return [t if i in nodes else c + (c >= t) for i, c in enumerate(colours)]
+def individualize(colours, node):
+    """The colouring with node ranked just below the rest of its class."""
+    t = colours[node]
+    return [t if i == node else c + (c >= t) for i, c in enumerate(colours)]
+
+
+def leaves(out, into, colours):
+    """Yield (reading, order) for each leaf of an individualization-
+    refinement search (McKay 1981) over a relation from the given colours:
+    order lists the nodes by their discrete leaf colours, and reading is
+    out in that order, as masks over the new positions.
+
+    The children of a refined colouring individualize each node of its
+    first class of several and refine again.  The tree is built from the
+    structure alone, so an isomorphism maps the trees of two relations onto
+    each other, leaf readings kept.  A leaf that reads like the least one
+    so far maps onto it by an automorphism fixing both paths up to their
+    split, so the search jumps back there; a node skips the children in the
+    orbit of one tried under the automorphisms found that fix its path.
+    Every subtree skipped is thus the image of a visited one under an
+    automorphism, and its leaves read like visited ones.
+    """
+    n = len(out)
+    succ, pred = ([list(bit_indices(row)) for row in rows] for rows in (out, into))
+    frames = [(refine(succ, pred, colours), [])]  # a colouring, its children tried
+    best, autos = None, []
+    while frames:
+        colours, tried = frames[-1]
+        path = [f[1][-1] for f in frames[:-1]]
+        if len(set(colours)) == n:  # a leaf: its reading, order and path
+            order = sorted(range(n), key=colours.__getitem__)
+            bit = [1 << c for c in colours].__getitem__
+            leaf = tuple(sum(map(bit, succ[i])) for i in order), order, path
+            yield leaf[:2]
+            if best and leaf[0] == best[0]:
+                autos.append([best[1][c] for c in colours])
+                split = next(k for k, (v, x) in enumerate(zip(path, best[2])) if v != x)
+                del frames[split + 1 :]
+                continue
+            best = min(best or leaf, leaf)
+            frames.pop()
+            continue
+        side = sorted(colours)
+        t = next(c for c, d in zip(side, side[1:]) if c == d)  # the first class of several
+        fixing = [g for g in autos if all(g[v] == v for v in path)]
+        done = set(tried)  # grown to the orbits of the children tried
+        while len(done) < len(grown := done | {g[v] for g in fixing for v in done}):
+            done = grown
+        w = next((v for v, c in enumerate(colours) if c == t and v not in done), None)
+        if w is None:
+            frames.pop()
+            continue
+        tried.append(w)
+        child = individualize(colours, w)
+        if len(set(child)) < n:  # a discrete colouring is refined
+            child = refine(succ, pred, child)
+        frames.append((child, []))
 
 
 def _degrees(relation):
@@ -233,33 +286,16 @@ def find_isomorphism(a, b):
     """A colour-keeping bijection m with i -> j in a iff m[i] -> m[j] in b,
     as a tuple, or None; a and b are (out, into, colours).
 
-    Individualization-refinement on the disjoint union of a and b (McKay &
-    Piperno 2014): a branch refines, ends if a and b differ in the number
-    of nodes of some colour, and else individualizes the first a-node u of
-    the first colour several a-nodes share together with each b-node of
-    u's colour in turn.  When each colour holds one a-node and one b-node,
-    the colouring is an isomorphism, since refined colours are equitable.
+    The first leaf of a's search is matched against the leaves of b's: if
+    a and b are isomorphic, some leaf of b reads like it (see leaves), and
+    the map takes each node of a's leaf order to the node at the same place
+    in b's.  Colours keep their relative order down the tree, so the map
+    keeps them once the degree check has matched the colour counts.
     """
-    (out_a, in_a, col_a), (out_b, in_b, col_b) = a, b
     if _degrees(a) != _degrees(b):
         return None  # an isomorphism keeps colours and degrees
-    n = len(out_a)
-    shifted = [*out_a, *(row << n for row in out_b)], [*in_a, *(row << n for row in in_b)]
-    succ, pred = ([list(bit_indices(row)) for row in rows] for rows in shifted)
-    branches = [iter([[*col_a, *col_b]])]  # per level, its untried colourings
-    while branches:
-        colours = next(branches[-1], None)
-        if colours is None:
-            branches.pop()
-            continue
-        colours = refine(succ, pred, colours)
-        side = sorted(colours[:n])
-        if side != sorted(colours[n:]):
-            continue
-        t = next((c for c, d in zip(side, side[1:]) if c == d), None)
-        if t is None:
-            image = {c: v for v, c in enumerate(colours[n:])}
-            return tuple(image[c] for c in colours[:n])
-        same = [v for v in range(n, 2 * n) if colours[v] == t]
-        branches.append(map(partial(individualize, colours, colours.index(t)), same))
+    reading, order = next(leaves(*a))
+    for other, image in leaves(*b):
+        if other == reading:
+            return tuple(v for _, v in sorted(zip(order, image)))
     return None

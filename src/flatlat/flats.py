@@ -236,11 +236,6 @@ def br_violation(complex_, override=False):
     return None
 
 
-def is_boolean_representable(complex_, override=False):
-    """True iff every face is a transversal of successive differences."""
-    return br_violation(complex_, override) is None
-
-
 def simplification(complex_, override=False):
     """Quotient by the same-closure equivalence on vertices.
 

@@ -82,12 +82,6 @@ def _is_superclique_mask(graph, mask):
     return True
 
 
-def is_superclique(graph, vertices):
-    """Clique of size >= 2 whose every outside vertex misses at least one
-    member of each pair inside."""
-    return _is_superclique_mask(graph, graph.mask_of(vertices))
-
-
 def _grow(graph, mask):
     """The least superset of mask holding every vertex adjacent to two of
     its members.  Each round adds every outside vertex with two neighbours

@@ -21,9 +21,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from ._util import (
-    IndexMap, bit_indices, check_limit, columns, find_isomorphism, individualize, refine,
-)
+from ._util import IndexMap, bit_indices, check_limit, columns, find_isomorphism, leaves
 from .errors import NotALattice, NotAPartialOrder
 
 # Unlabeled-lattice enumeration is doubly exponential in spirit; beyond this
@@ -279,50 +277,10 @@ class FiniteLattice:
 
 
 def _canonical_key(up, down):
-    """The canonical_key of the lattice with these up- and down-set masks.
-
-    Individualization-refinement (McKay 1981): the children of a refined
-    colouring individualize each node of its first class of several, and
-    the key is the least reading of the relation in a discrete leaf's
-    order.  A leaf that reads like the best one maps onto it by an
-    automorphism fixing both paths up to their split, so the search jumps
-    back there; a node skips the children in the orbit of one tried under
-    the automorphisms found that fix its path.
+    """The canonical_key of the lattice with these up- and down-set masks:
+    the least reading of a leaf of the search _util.leaves, from one colour.
     """
-    n = len(up)
-    ups, downs = ([list(bit_indices(row)) for row in rows] for rows in (up, down))
-    frames = [(refine(ups, downs, [0] * n), [])]  # a colouring, its children tried
-    best, autos = None, []
-    while frames:
-        colours, tried = frames[-1]
-        path = [f[1][-1] for f in frames[:-1]]
-        if len(set(colours)) == n:  # a leaf: its reading, order and path
-            order = sorted(range(n), key=colours.__getitem__)
-            bit = [1 << c for c in colours].__getitem__
-            leaf = tuple(sum(map(bit, ups[i])) for i in order), order, path
-            if best and leaf[0] == best[0]:
-                autos.append([best[1][c] for c in colours])
-                split = next(k for k, (v, x) in enumerate(zip(path, best[2])) if v != x)
-                del frames[split + 1 :]
-                continue
-            best = min(best or leaf, leaf)
-            frames.pop()
-            continue
-        t = min(c for c in colours if colours.count(c) > 1)  # the first class of several
-        fixing = [g for g in autos if all(g[v] == v for v in path)]
-        done = set(tried)  # grown to the orbits of the children tried
-        while len(done) < len(grown := done | {g[v] for g in fixing for v in done}):
-            done = grown
-        w = next((v for v, c in enumerate(colours) if c == t and v not in done), None)
-        if w is None:
-            frames.pop()
-            continue
-        tried.append(w)
-        child = individualize(colours, w)
-        if len(set(child)) < n:  # a discrete colouring is refined
-            child = refine(ups, downs, child)
-        frames.append((child, []))
-    return best[0]
+    return min(reading for reading, _ in leaves(up, down, [0] * len(up)))
 
 
 def _raise_first_failing_pair(labels, up, down, by_up, by_down):

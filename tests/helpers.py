@@ -338,6 +338,20 @@ def cycles_complex(*lengths):
     return SimplicialComplex(verts, edges)
 
 
+K4 = tuple(itertools.combinations(range(4), 2))
+Q3 = tuple((i, i | 1 << b) for i in range(8) for b in range(3) if not i >> b & 1)
+
+
+def graphs_complex(*graphs):
+    """The disjoint union of graphs, each given by its edges on the vertices
+    0..k-1, as a 1-dimensional complex."""
+    verts, edges = [], []
+    for k, graph in enumerate(graphs):
+        verts += [f"g{k}_{i}" for i in range(max(map(max, graph)) + 1)]
+        edges += [{f"g{k}_{i}", f"g{k}_{j}"} for i, j in graph]
+    return SimplicialComplex(verts, edges)
+
+
 def maximal_masks_naive(masks):
     """Subset-maximal members of a mask collection, largest first, each
     compared with every mask kept before it."""

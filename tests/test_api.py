@@ -2,6 +2,7 @@
 
 import flatlat
 import flatlat.errors
+import flatlat.flats
 import flatlat.formats
 import flatlat.graphs
 from flatlat import (
@@ -18,10 +19,12 @@ REMOVED_NAMES = {
     flatlat: (
         "from_faces", "validate_lattice", "flats_lattice", "is_flat", "AllLoops",
         "realizable_height3", "WrongHeight", "edge_closure", "emit_dot_graph",
+        "is_boolean_representable", "is_superclique",
     ),
     flatlat.errors: ("WrongHeight",),
+    flatlat.flats: ("is_boolean_representable",),
     flatlat.formats: ("emit_dot_graph",),
-    flatlat.graphs: ("realizable_height3", "edge_closure"),
+    flatlat.graphs: ("realizable_height3", "edge_closure", "is_superclique"),
 }
 REMOVED_MEMBERS = {
     FiniteLattice: (

@@ -15,7 +15,7 @@ from flatlat import (
     realizing_complex,
 )
 
-from flatlat._util import maximal_masks
+from flatlat._util import maximal_masks, refine
 from flatlat.complexes import _facet_implications, _nonface_implications
 
 import helpers
@@ -361,3 +361,35 @@ def test_byte_table_closure_matches_the_vertex_loop(fixture_complexes):
         oracle = helpers.closure_by_vertex_loop(_nonface_implications(c._nonface_masks), n)
         masks = _random_masks(rng, n, 800)
         assert [c.flat_closure(mask) for mask in masks] == list(map(oracle, masks))
+
+
+def test_unions_of_cubic_graphs_are_decided_within_500_refinements(monkeypatch):
+    # 4 K4 and 2 K4 + Q3 are 3-regular on 16 vertices, so refinement gives
+    # every vertex one colour; a search that does not prune by the
+    # automorphisms it finds needs 11 609 refinements to tell them apart
+    # (15 913 for the incidence lattices)
+    import flatlat._util as util
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        if len(calls) > 500:
+            raise AssertionError("over 500 refinements")
+        return refine(*args)
+
+    monkeypatch.setattr(util, "refine", counting)
+    a = helpers.graphs_complex(*[helpers.K4] * 4)
+    b = helpers.graphs_complex(helpers.K4, helpers.K4, helpers.Q3)
+    pairs = [
+        (a, b, helpers.maps_facets_onto_facets),
+        (helpers.incidence_lattice(a), helpers.incidence_lattice(b), helpers.is_order_isomorphism),
+    ]
+    for x, y, is_isomorphism in pairs:
+        for u, v in ((x, y), (y, x)):
+            calls.clear()
+            assert u.isomorphism(v) is None
+            copy = helpers.relabelled(u, 1)
+            calls.clear()
+            iso = u.isomorphism(copy)
+            assert iso is not None and is_isomorphism(u, copy, iso.mapping)

@@ -16,7 +16,6 @@ from flatlat import (
     br_violation,
     closure,
     enumerate_lattices,
-    is_boolean_representable,
     is_transversal_bruteforce,
     realizing_complex,
     simplification,
@@ -183,10 +182,8 @@ def test_bruteforce_size_limit(triangles):
 
 def test_br_decisions(triangles, u24, nonbr):
     assert br_violation(triangles) is None
-    assert is_boolean_representable(triangles)
     assert br_violation(u24) is None
     assert br_violation(nonbr) == frozenset({"1", "2"})
-    assert not is_boolean_representable(nonbr)
 
 
 def test_matroids_are_boolean_representable(u24, u34):
@@ -325,14 +322,14 @@ def test_vertex_set_is_union_of_atom_flats_for_br_complexes():
         union = set()
         for a in fam.lattice.atoms:
             union |= set(fam.flats[a])
-        if is_boolean_representable(c):
+        if br_violation(c) is None:
             assert union == set(c.vertices)
 
 
 def test_atomistic_flat_lattices_exactly_for_br_three_vertex_complexes():
     for c in helpers.all_loopfree_complexes(3):
         lat = all_flats(c).lattice
-        if is_boolean_representable(c):
+        if br_violation(c) is None:
             assert lat.is_atomistic
 
 

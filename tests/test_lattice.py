@@ -434,7 +434,7 @@ def test_canonical_key_searches_past_the_first_leaf_where_refinement_cannot_spli
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_m_k_keys_and_isomorphism_stay_polynomial(monkeypatch, k):
-    import flatlat.lattice as lattice_module
+    import flatlat._util as util
 
     calls = []
 
@@ -442,7 +442,7 @@ def test_m_k_keys_and_isomorphism_stay_polynomial(monkeypatch, k):
         calls.append(1)
         return refine(*args)
 
-    monkeypatch.setattr(lattice_module, "refine", counting)
+    monkeypatch.setattr(util, "refine", counting)
     lat = helpers.m_lattice(k)
     copy = helpers.relabelled(lat, k)
     keys = []

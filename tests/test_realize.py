@@ -13,7 +13,6 @@ from flatlat import (
     all_flats,
     boolean_matrix,
     br_violation,
-    is_boolean_representable,
     is_chain_transversal_bruteforce,
     is_realizable,
     lattice_from_covers,
@@ -147,7 +146,7 @@ def test_canonical_complex_is_simple_and_representable():
         atoms = t.complex.vertices
         for pair in itertools.combinations(atoms, 2):
             assert t.complex.is_face(pair)
-        assert is_boolean_representable(t.complex)
+        assert br_violation(t.complex) is None
 
 
 def test_atom_map_embeds_the_lattice_into_its_canonical_flats():
