@@ -1,5 +1,9 @@
 """Command line interface.
 
+The table _COMMANDS declares each command once: its handler, the document
+kinds it reads, its help text and its switches.  main reads and parses the
+document with those kinds and hands the value to the handler.
+
 Exit codes: 0 for success or a decided-true answer, 1 for decided-false,
 2 for input errors, 3 when a soft limit is exceeded, 4 when --oracle finds a
 disagreement between a fast path and its brute-force oracle.  Setting
@@ -12,6 +16,7 @@ import argparse
 import itertools
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .errors import FlatlatError, LimitExceeded
 from .flats import (
@@ -24,6 +29,7 @@ from .flats import (
 )
 from .formats import _parse, emit_dot_hasse, emit_json, format_complex
 from .graphs import find_supercliques, supercliques_bruteforce, top_join_graph
+from .lattice import FiniteLattice
 from .realize import (
     boolean_matrix,
     is_chain_transversal_bruteforce,
@@ -37,8 +43,10 @@ from .realize import (
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     override = os.environ.get("FLATLAT_LIMIT_OVERRIDE") == "1"
+    command = _COMMANDS[args.command]
     try:
-        return args.handler(args, override)
+        value = _parse(_read(args.path), command.kinds).value
+        return command.handler(args, value, override)
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -54,12 +62,20 @@ def _read(path):
         return handle.read()
 
 
-def _load(args, kinds):
-    return _parse(_read(args.path), kinds)
-
-
-def _bool(flag):
-    return "true" if flag else "false"
+def _lines(payload, keys=None):
+    """One `key: value` line per key whose value is not None: a list as its
+    items joined by spaces, a bool as true or false."""
+    lines = []
+    for key in payload if keys is None else keys:
+        value = payload.get(key)
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, list):
+            value = " ".join(value)
+        lines.append(f"{key}: {value}")
+    return lines
 
 
 def _emit(args, payload, text_lines):
@@ -98,14 +114,12 @@ def _oracle(cases):
 # -- subcommands -----------------------------------------------------------
 
 
-def _cmd_classify(args, override):
-    lat = _load(args, ("lattice",)).value
+def _cmd_classify(args, lat, override):
     witness = lat.semimodular_witness
     witness_labels = None if witness is None else [lat.labels[i] for i in witness]
-    atom_labels = [lat.labels[a] for a in sorted(lat.atoms)]
     payload = {
         "elements": list(lat.labels),
-        "atoms": atom_labels,
+        "atoms": [lat.labels[a] for a in sorted(lat.atoms)],
         "height": lat.height,
         "atomistic": lat.is_atomistic,
         "semimodular": lat.is_semimodular,
@@ -113,25 +127,11 @@ def _cmd_classify(args, override):
         "geometric": lat.is_geometric,
         "boolean": lat.is_boolean,
     }
-    text = [
-        f"elements: {' '.join(lat.labels)}",
-        f"atoms: {' '.join(atom_labels)}",
-        f"height: {lat.height}",
-        f"atomistic: {_bool(lat.is_atomistic)}",
-        f"semimodular: {_bool(lat.is_semimodular)}",
-    ]
-    if witness_labels:
-        text.append("semimodular_witness: " + " ".join(witness_labels))
-    text += [
-        f"geometric: {_bool(lat.is_geometric)}",
-        f"boolean: {_bool(lat.is_boolean)}",
-    ]
-    _emit(args, payload, text)
+    _emit(args, payload, _lines(payload))
     return 0
 
 
-def _cmd_flats(args, override):
-    complex_ = _load(args, ("complex",)).value
+def _cmd_flats(args, complex_, override):
     family = all_flats(complex_, override=override)
     if args.dot:
         print(emit_dot_hasse(family.lattice), end="")
@@ -149,17 +149,15 @@ def _cmd_flats(args, override):
     return 0
 
 
-def _cmd_closure(args, override):
-    complex_ = _load(args, ("complex",)).value
+def _cmd_closure(args, complex_, override):
     subset = split_vertex_set(args.set)
     closed_sorted = complex_.ordered(closure(complex_, subset, override=override))
     payload = {"set": subset, "closure": closed_sorted}
-    _emit(args, payload, ["closure: " + " ".join(closed_sorted)])
+    _emit(args, payload, _lines(payload, ["closure"]))
     return 0
 
 
-def _cmd_brsc(args, override):
-    complex_ = _load(args, ("complex",)).value
+def _cmd_brsc(args, complex_, override):
     violation = br_violation(complex_, override=override)
     faces = complex_.faces if args.verbose or args.oracle else ()
     witnesses = [transversal_witness(complex_, f, override=override) for f in faces]
@@ -176,9 +174,7 @@ def _cmd_brsc(args, override):
             return code
     shown = complex_.ordered(violation) if violation else None
     payload = {"boolean_representable": violation is None, "violation": shown}
-    text = [f"boolean_representable: {_bool(violation is None)}"]
-    if shown:
-        text.append("violation: " + " ".join(shown))
+    text = _lines(payload)
     if args.verbose:
         detail = []
         for face, witness in zip(faces, witnesses):
@@ -198,8 +194,7 @@ def _cmd_brsc(args, override):
     return 0 if violation is None else 1
 
 
-def _cmd_realizable(args, override):
-    lat = _load(args, ("lattice",)).value
+def _cmd_realizable(args, lat, override):
     report = is_realizable(lat, force_general=args.force_general, override=override)
     if args.oracle:
         general = is_realizable(lat, force_general=True, override=override)
@@ -209,13 +204,10 @@ def _cmd_realizable(args, override):
         )
         if code := _oracle([(where, report.realizable, general.realizable)]):
             return code
-    text = [
-        f"atomistic: {_bool(report.atomistic)}",
-        f"realizable: {_bool(report.realizable)}",
-        f"method: {report.method}",
-    ]
-    if report.non_atomistic_witness is not None:
-        text.append(f"non_atomistic_witness: {report.non_atomistic_witness}")
+    text = _lines(
+        report.to_jsonable(),
+        ["atomistic", "realizable", "method", "non_atomistic_witness"],
+    )
     if report.canonical_flat_count is not None:
         text.append(
             f"canonical_flat_count: {report.canonical_flat_count} "
@@ -228,8 +220,7 @@ def _cmd_realizable(args, override):
     return 0 if report.realizable else 1
 
 
-def _cmd_construct(args, override):
-    lat = _load(args, ("lattice",)).value
+def _cmd_construct(args, lat, override):
     complex_, predicted = realizing_complex(lat, override=override)
     extra = {"predicted_flats": {lab: sorted(predicted[lab]) for lab in lat.labels}}
     comment = None
@@ -241,8 +232,7 @@ def _cmd_construct(args, override):
     return 0
 
 
-def _cmd_tl(args, override):
-    lat = _load(args, ("lattice",)).value
+def _cmd_tl(args, lat, override):
     canonical = transversal_complex(lat)
     if args.oracle:
         atom_labels = [lat.labels[a] for a in sorted(lat.atoms)]
@@ -261,8 +251,7 @@ def _cmd_tl(args, override):
     return 0
 
 
-def _cmd_matrix(args, override):
-    lat = _load(args, ("lattice",)).value
+def _cmd_matrix(args, lat, override):
     rows = boolean_matrix(lat)
     atoms = [lat.labels[a] for a in sorted(lat.atoms)]
     payload = {"elements": list(lat.labels), "atoms": atoms, "rows": rows}
@@ -271,9 +260,8 @@ def _cmd_matrix(args, override):
     return 0
 
 
-def _cmd_superclique(args, override):
-    doc = _load(args, ("graph", "lattice"))
-    graph = doc.value if doc.kind == "graph" else top_join_graph(doc.value)
+def _cmd_superclique(args, value, override):
+    graph = top_join_graph(value) if isinstance(value, FiniteLattice) else value
     fast = None if args.naive and not args.oracle else find_supercliques(graph)
     slow = None
     if args.naive or args.oracle:
@@ -288,10 +276,57 @@ def _cmd_superclique(args, override):
     return 0 if listed else 1
 
 
-def _cmd_hasse(args, override):
-    lat = _load(args, ("lattice",)).value
+def _cmd_hasse(args, lat, override):
     print(emit_dot_hasse(lat), end="")
     return 0
+
+
+class _Command(NamedTuple):
+    """One command: what it runs, what it reads and how it is called."""
+
+    handler: Callable  # (args, the document's value, override) -> exit code
+    kinds: tuple  # the document kinds it reads
+    help: str
+    switches: dict  # flag -> help of an on/off switch, or its add_argument keywords
+
+
+_SET_HELP = r"comma or space separated vertices; write \, and \\ for , and \ in a name"
+_COMMANDS = {
+    "classify": _Command(_cmd_classify, ("lattice",), "lattice structure report", {}),
+    "flats": _Command(
+        _cmd_flats, ("complex",), "list flats of a complex",
+        {"--dot": "emit the flat lattice as DOT"},
+    ),
+    "closure": _Command(
+        _cmd_closure, ("complex",), "closure of a vertex set",
+        {"--set": {"required": True, "help": _SET_HELP}},
+    ),
+    "brsc": _Command(
+        _cmd_brsc, ("complex",), "decide boolean representability",
+        {"--verbose": "per-face witnesses", "--oracle": "cross-check with brute force"},
+    ),
+    "realizable": _Command(
+        _cmd_realizable, ("lattice",), "is the lattice a lattice of flats",
+        {
+            "--force-general": "skip shortcuts and count canonical flats",
+            "--oracle": "cross-check with general path",
+        },
+    ),
+    "construct": _Command(
+        _cmd_construct, ("lattice",), "complex whose flats realize the lattice",
+        {"--verify": "verify the predicted map"},
+    ),
+    "tl": _Command(
+        _cmd_tl, ("lattice",), "canonical complex of an atomistic lattice",
+        {"--oracle": "cross-check with chain search"},
+    ),
+    "matrix": _Command(_cmd_matrix, ("lattice",), "element/atom 0-1 matrix", {}),
+    "superclique": _Command(
+        _cmd_superclique, ("graph", "lattice"), "supercliques of a graph or atom graph",
+        {"--naive": "use the subset scan", "--oracle": "cross-check growth vs scan"},
+    ),
+    "hasse": _Command(_cmd_hasse, ("lattice",), "Hasse diagram as DOT", {}),
+}
 
 
 def _build_parser():
@@ -305,65 +340,12 @@ def _build_parser():
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", parents=[common], help="lattice structure report")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("flats", parents=[common], help="list flats of a complex")
-    p.add_argument("--dot", action="store_true", help="emit the flat lattice as DOT")
-    p.set_defaults(handler=_cmd_flats)
-
-    p = sub.add_parser("closure", parents=[common], help="closure of a vertex set")
-    p.add_argument(
-        "--set",
-        required=True,
-        help=r"comma or space separated vertices; write \, and \\ for , and \ in a name",
-    )
-    p.set_defaults(handler=_cmd_closure)
-
-    p = sub.add_parser(
-        "brsc", parents=[common], help="decide boolean representability"
-    )
-    p.add_argument("--verbose", action="store_true", help="per-face witnesses")
-    p.add_argument("--oracle", action="store_true", help="cross-check with brute force")
-    p.set_defaults(handler=_cmd_brsc)
-
-    p = sub.add_parser(
-        "realizable", parents=[common], help="is the lattice a lattice of flats"
-    )
-    p.add_argument(
-        "--force-general",
-        action="store_true",
-        help="skip shortcuts and count canonical flats",
-    )
-    p.add_argument("--oracle", action="store_true", help="cross-check with general path")
-    p.set_defaults(handler=_cmd_realizable)
-
-    p = sub.add_parser(
-        "construct", parents=[common], help="complex whose flats realize the lattice"
-    )
-    p.add_argument("--verify", action="store_true", help="verify the predicted map")
-    p.set_defaults(handler=_cmd_construct)
-
-    p = sub.add_parser(
-        "tl", parents=[common], help="canonical complex of an atomistic lattice"
-    )
-    p.add_argument("--oracle", action="store_true", help="cross-check with chain search")
-    p.set_defaults(handler=_cmd_tl)
-
-    p = sub.add_parser("matrix", parents=[common], help="element/atom 0-1 matrix")
-    p.set_defaults(handler=_cmd_matrix)
-
-    p = sub.add_parser(
-        "superclique", parents=[common], help="supercliques of a graph or atom graph"
-    )
-    p.add_argument("--naive", action="store_true", help="use the subset scan")
-    p.add_argument("--oracle", action="store_true", help="cross-check growth vs scan")
-    p.set_defaults(handler=_cmd_superclique)
-
-    p = sub.add_parser("hasse", parents=[common], help="Hasse diagram as DOT")
-    p.set_defaults(handler=_cmd_hasse)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for flag, spec in command.switches.items():
+            if isinstance(spec, str):
+                spec = {"action": "store_true", "help": spec}
+            p.add_argument(flag, **spec)
     return parser
 
 

@@ -53,11 +53,6 @@ class SimplicialComplex(GroundSet):
         return tuple(self.set_of(m) for m in self.facet_masks)
 
     @cached_property
-    def dimension(self):
-        """Largest face size minus one; -1 for the complex with no vertices in faces."""
-        return max(m.bit_count() for m in self.facet_masks) - 1
-
-    @cached_property
     def _ext_levels(self):
         """The complex's one face walk: levels[k] maps each face of size k
         to its ext, the union of the facets that contain it (the function

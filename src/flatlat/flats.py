@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from ._util import bit_indices, check_limit, columns, mask_sort_key, maximal_masks
 from .complexes import SimplicialComplex
@@ -177,32 +177,41 @@ def transversal_witness(complex_, subset, override=False):
     return TransversalWitness(ordering, tuple(chain))
 
 
+def _chain_bruteforce(items, nodes, below, holds):
+    """The literal transversal search, shared by both chain oracles: some
+    ordering x_1..x_k of the items and some chain y_0 < ... < y_k of the
+    nodes (below is the strict order) with holds(x_i, y_i) and not
+    holds(x_i, y_{i-1}), trying every ordering against every chain.  The
+    nodes above a chain's end are listed once, when first reached."""
+
+    @cache
+    def above(y):
+        return [z for z in nodes if below(y, z)]
+
+    def chain_from(prev, rest):  # extend a chain ending at prev by rest, in order
+        if not rest:
+            return True
+        x = rest[0]
+        if holds(x, prev):
+            return False
+        return any(holds(x, y) and chain_from(y, rest[1:]) for y in above(prev))
+
+    orderings = itertools.permutations(items)
+    return any(chain_from(y, perm) for perm in orderings for y in nodes)
+
+
 def is_transversal_bruteforce(complex_, subset, override=False):
     """Literal transversal check: every ordering against every flat chain."""
     x_mask = complex_.mask_of(subset)
     k = x_mask.bit_count()
     check_limit(f"transversal oracle on {k} vertices", k, ORACLE_SIZE_LIMIT, override)
     _check_flats_limit(complex_, override)
-    flat_list = complex_.flat_closure.flat_masks
-
-    def chain_from(pos, prev, perm):
-        if pos > k:
-            return True
-        for f in flat_list:
-            if prev is not None:
-                if prev == f or prev & ~f:
-                    continue
-                v = perm[pos - 1]
-                if not (f >> v) & 1 or (prev >> v) & 1:
-                    continue
-            if chain_from(pos + 1, f, perm):
-                return True
-        return False
-
-    for perm in itertools.permutations(bit_indices(x_mask)):
-        if chain_from(0, None, perm):
-            return True
-    return False
+    return _chain_bruteforce(
+        bit_indices(x_mask),
+        complex_.flat_closure.flat_masks,
+        lambda f, g: f != g and not f & ~g,
+        lambda v, f: (f >> v) & 1,
+    )
 
 
 def br_violation(complex_, override=False):

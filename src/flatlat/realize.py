@@ -12,13 +12,12 @@ isomorphism" a property worth deciding in the first place.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
 
 from ._util import check_limit, maximal_masks
 from .complexes import SimplicialComplex
 from .errors import ConstructionMismatch, NotAtomistic
-from .flats import ORACLE_SIZE_LIMIT, all_flats
+from .flats import ORACLE_SIZE_LIMIT, _chain_bruteforce, all_flats
 from .graphs import find_supercliques, top_join_graph
 from .lattice import LatticeIso
 
@@ -89,26 +88,12 @@ def is_chain_transversal_bruteforce(lattice, atom_labels, override=False):
             raise ValueError(f"{lattice.labels[a]!r} is not an atom")
     m = len(atom_set)
     check_limit(f"chain oracle on {m} atoms", m, ORACLE_SIZE_LIMIT, override)
-    n = len(lattice)
-
-    def chain_from(pos, prev, perm):
-        if pos > m:
-            return True
-        for x in range(n):
-            if prev is not None:
-                if x == prev or not lattice.leq(prev, x):
-                    continue
-                a = perm[pos - 1]
-                if not lattice.leq(a, x) or lattice.leq(a, prev):
-                    continue
-            if chain_from(pos + 1, x, perm):
-                return True
-        return False
-
-    for perm in itertools.permutations(sorted(atom_set)):
-        if chain_from(0, None, perm):
-            return True
-    return False
+    return _chain_bruteforce(
+        sorted(atom_set),
+        range(len(lattice)),
+        lambda x, y: x != y and lattice.leq(x, y),
+        lattice.leq,
+    )
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ REMOVED_MEMBERS = {
         "label", "is_semimodular_by_covers", "atoms_below", "meet_all", "join_all",
         "lt", "is_isomorphic",
     ),
-    SimplicialComplex: ("proper_part", "is_isomorphic"),
+    SimplicialComplex: ("proper_part", "is_isomorphic", "dimension"),
     SimpleGraph: ("neighbors", "has_edge"),
     FlatFamily: ("index", "__iter__"),
 }

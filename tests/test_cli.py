@@ -628,6 +628,31 @@ def test_every_command_on_random_small_documents_exits_cleanly(command_line):
     assert "Traceback" not in err.getvalue()
 
 
+WRONG_KINDS = [
+    (command, kind)
+    for command in sorted(set().union(*COMMANDS.values()))
+    for kind in sorted(COMMANDS)
+    if command not in COMMANDS[kind]
+]
+MINIMAL_DOCUMENTS = {
+    "lattice": "lattice\nelements a\n",
+    "complex": "complex\nvertices a\n",
+    "graph": "graph\nvertices a\n",
+}
+
+
+@pytest.mark.parametrize("command, kind", WRONG_KINDS)
+def test_every_command_rejects_the_kinds_it_does_not_read(
+    capsys, monkeypatch, command, kind
+):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(MINIMAL_DOCUMENTS[kind]))
+    argv = [command, "-"] + (["--set", "a"] if command == "closure" else [])
+    code, out, err = run(capsys, *argv)
+    expected = " or ".join(k for k in sorted(COMMANDS) if command in COMMANDS[k])
+    assert (code, out) == (2, "")
+    assert err == f"error: line 1, column 1: expected a {expected} document, found {kind}\n"
+
+
 def test_python_dash_m_flatlat_runs_the_cli():
     src = str(pathlib.Path(flatlat.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])

@@ -71,12 +71,6 @@ def test_facets_form_an_antichain(fixture_complexes):
             assert a & ~b and b & ~a
 
 
-def test_dimension(triangles, empty_faces_cx):
-    assert triangles.dimension == 2
-    assert helpers.uniform_complex(3, 1).dimension == 0
-    assert empty_faces_cx.dimension == -1
-
-
 def test_restriction_of_running_example(triangles):
     r = triangles.restriction({"1", "2", "3"})
     assert r.vertices == ("1", "2", "3")
