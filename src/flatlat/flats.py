@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 from ._util import bit_indices, check_limit, columns, mask_sort_key, maximal_masks
 from .complexes import SimplicialComplex
@@ -181,12 +181,7 @@ def _chain_bruteforce(items, nodes, below, holds):
     """The literal transversal search, shared by both chain oracles: some
     ordering x_1..x_k of the items and some chain y_0 < ... < y_k of the
     nodes (below is the strict order) with holds(x_i, y_i) and not
-    holds(x_i, y_{i-1}), trying every ordering against every chain.  The
-    nodes above a chain's end are listed once, when first reached."""
-
-    @cache
-    def above(y):
-        return [z for z in nodes if below(y, z)]
+    holds(x_i, y_{i-1}), trying every ordering against every chain."""
 
     def chain_from(prev, rest):  # extend a chain ending at prev by rest, in order
         if not rest:
@@ -194,7 +189,10 @@ def _chain_bruteforce(items, nodes, below, holds):
         x = rest[0]
         if holds(x, prev):
             return False
-        return any(holds(x, y) and chain_from(y, rest[1:]) for y in above(prev))
+        for y in nodes:
+            if below(prev, y) and holds(x, y) and chain_from(y, rest[1:]):
+                return True
+        return False
 
     orderings = itertools.permutations(items)
     return any(chain_from(y, perm) for perm in orderings for y in nodes)
