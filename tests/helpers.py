@@ -44,10 +44,17 @@ missing vertices one vertex at a time, where the library looks up a byte of
 them at a time.
 """
 
+import contextlib
 import functools
+import io
 import itertools
+import os
 import random
 import re
+import sys
+from unittest import mock
+
+import flatlat.cli
 
 from flatlat import (
     FiniteLattice,
@@ -938,3 +945,28 @@ def closure_by_vertex_loop(implications, n):
                 got |= conclusions[k]
 
     return close
+
+
+def run_cli(argv):
+    """One in-process flatlat run as a golden corpus entry: its argv, exit
+    code, stdout and stderr, and whether argparse ended it (help or a usage
+    error, whose wording varies across Python versions).  stdin is empty,
+    the terminal is 80 columns wide and the soft limits are in force."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(os.environ, {"COLUMNS": "80"}))
+        os.environ.pop("FLATLAT_LIMIT_OVERRIDE", None)
+        stack.enter_context(mock.patch.object(sys, "stdin", io.StringIO()))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            code, by_argparse = flatlat.cli.main(list(argv)), False
+        except SystemExit as exc:
+            code, by_argparse = exc.code, True
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stdout": out.getvalue(),
+        "stderr": err.getvalue(),
+        "argparse": by_argparse,
+    }
