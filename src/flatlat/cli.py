@@ -1,8 +1,11 @@
 """Command line interface.
 
 The table _COMMANDS declares each command once: its handler, the document
-kinds it reads, its help text and its switches.  main reads and parses the
-document with those kinds and hands the value to the handler.
+kinds it reads, its help text and its switches.  Each handler maps the
+parsed document to its report, (exit code, payload, text): payload is what
+--format json writes, or None when the text is written in either format.
+main reads and parses the document, calls the handler, writes the report
+and maps errors to exit codes; no other code writes.
 
 Exit codes: 0 for success or a decided-true answer, 1 for decided-false,
 2 for input errors, 3 when a soft limit is exceeded, 4 when --oracle finds a
@@ -46,7 +49,14 @@ def main(argv=None):
     command = _COMMANDS[args.command]
     try:
         value = _parse(_read(args.path), command.kinds).value
-        return command.handler(args, value, override)
+        code, payload, text = command.handler(args, value, override)
+        if payload is not None and args.format == "json":
+            text = emit_json(payload) + "\n"
+        sys.stdout.write(text)
+        return code
+    except _Disagreement as exc:
+        print(f"oracle disagreement{exc}", file=sys.stderr)
+        return 4
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -65,7 +75,7 @@ def _read(path):
 def _lines(payload, keys=None):
     """One `key: value` line per key whose value is not None: a list as its
     items joined by spaces, a bool as true or false."""
-    lines = []
+    text = ""
     for key in payload if keys is None else keys:
         value = payload.get(key)
         if value is None:
@@ -74,41 +84,33 @@ def _lines(payload, keys=None):
             value = "true" if value else "false"
         elif isinstance(value, list):
             value = " ".join(value)
-        lines.append(f"{key}: {value}")
-    return lines
+        text += f"{key}: {value}\n"
+    return text
 
 
-def _emit(args, payload, text_lines):
-    if args.format == "json":
-        print(emit_json(payload))
-    else:
-        for line in text_lines:
-            print(line)
+class _ComplexPayload(NamedTuple):
+    """A complex's JSON payload: vertices, facets, then the extra keys.  It
+    is built only when emit_json writes it, as text runs need no facet sets."""
+
+    complex_: object
+    extra: dict
+
+    def to_jsonable(self):
+        vertices = list(self.complex_.vertices)
+        facets = [sorted(f) for f in self.complex_.facets]
+        return {"vertices": vertices, "facets": facets, **self.extra}
 
 
-def _emit_complex(args, complex_, extra=None, comment=None):
-    """A complex as JSON (vertices, facets, then the extra keys) or as text."""
-    if args.format == "json":
-        payload = {
-            "vertices": list(complex_.vertices),
-            "facets": [sorted(f) for f in complex_.facets],
-            **(extra or {}),
-        }
-        print(emit_json(payload))
-    else:
-        if comment:
-            print(comment)
-        print(format_complex(complex_), end="")
+class _Disagreement(Exception):
+    """A fast path and its brute-force oracle disagree; main exits 4."""
 
 
 def _oracle(cases):
-    """Report the first (where, fast, slow) case with fast != slow and
-    return exit code 4, or None; given a generator, the oracle stops there."""
+    """Raise _Disagreement at the first (where, fast, slow) case with
+    fast != slow; given a generator, the oracle stops there."""
     for where, fast, slow in cases:
         if fast != slow:
-            print(f"oracle disagreement{where}", file=sys.stderr)
-            return 4
-    return None
+            raise _Disagreement(where)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -127,34 +129,30 @@ def _cmd_classify(args, lat, override):
         "geometric": lat.is_geometric,
         "boolean": lat.is_boolean,
     }
-    _emit(args, payload, _lines(payload))
-    return 0
+    return 0, payload, _lines(payload)
 
 
 def _cmd_flats(args, complex_, override):
     family = all_flats(complex_, override=override)
-    if args.dot:
-        print(emit_dot_hasse(family.lattice), end="")
-        return 0
     lat = family.lattice
+    if args.dot:
+        return 0, None, emit_dot_hasse(lat)
     covers = [[lat.labels[x], lat.labels[y]] for x, y in lat.cover_pairs]
     payload = {
         "count": len(family),
         "flats": [complex_.ordered(f) for f in family.flats],
         "covers": covers,
     }
-    text = [f"count: {len(family)}", "flats: " + " ".join(lat.labels)]
-    text += [f"cover: {low} {high}" for low, high in covers]
-    _emit(args, payload, text)
-    return 0
+    text = f"count: {len(family)}\nflats: {' '.join(lat.labels)}\n"
+    text += "".join(f"cover: {low} {high}\n" for low, high in covers)
+    return 0, payload, text
 
 
 def _cmd_closure(args, complex_, override):
     subset = split_vertex_set(args.set)
     closed_sorted = complex_.ordered(closure(complex_, subset, override=override))
     payload = {"set": subset, "closure": closed_sorted}
-    _emit(args, payload, _lines(payload, ["closure"]))
-    return 0
+    return 0, payload, _lines(payload, ["closure"])
 
 
 def _cmd_brsc(args, complex_, override):
@@ -170,8 +168,7 @@ def _cmd_brsc(args, complex_, override):
             )
             for face, witness in zip(faces, witnesses)
         )
-        if code := _oracle(cases):
-            return code
+        _oracle(cases)
     shown = complex_.ordered(violation) if violation else None
     payload = {"boolean_representable": violation is None, "violation": shown}
     text = _lines(payload)
@@ -188,10 +185,9 @@ def _cmd_brsc(args, complex_, override):
             else:
                 line += ": no transversal ordering"
             detail.append(entry)
-            text.append(line)
+            text += line + "\n"
         payload["faces"] = detail
-    _emit(args, payload, text)
-    return 0 if violation is None else 1
+    return 0 if violation is None else 1, payload, text
 
 
 def _cmd_realizable(args, lat, override):
@@ -202,34 +198,30 @@ def _cmd_realizable(args, lat, override):
             f": {report.method} says {report.realizable}, "
             f"general path says {general.realizable}"
         )
-        if code := _oracle([(where, report.realizable, general.realizable)]):
-            return code
+        _oracle([(where, report.realizable, general.realizable)])
     text = _lines(
         report.to_jsonable(),
         ["atomistic", "realizable", "method", "non_atomistic_witness"],
     )
     if report.canonical_flat_count is not None:
-        text.append(
+        text += (
             f"canonical_flat_count: {report.canonical_flat_count} "
-            f"(lattice has {report.lattice_size} elements)"
+            f"(lattice has {report.lattice_size} elements)\n"
         )
-    if report.supercliques is not None:
-        for clique in report.supercliques:
-            text.append("superclique: " + " ".join(clique))
-    _emit(args, report, text)
-    return 0 if report.realizable else 1
+    for clique in report.supercliques or ():
+        text += "superclique: " + " ".join(clique) + "\n"
+    return 0 if report.realizable else 1, report, text
 
 
 def _cmd_construct(args, lat, override):
     complex_, predicted = realizing_complex(lat, override=override)
     extra = {"predicted_flats": {lab: sorted(predicted[lab]) for lab in lat.labels}}
-    comment = None
+    comment = ""
     if args.verify:
         verify_realization(lat, complex_, predicted, override=override)
         extra["verified"] = True
-        comment = "# verified: flat lattice of this complex matches the input"
-    _emit_complex(args, complex_, extra, comment)
-    return 0
+        comment = "# verified: flat lattice of this complex matches the input\n"
+    return 0, _ComplexPayload(complex_, extra), comment + format_complex(complex_)
 
 
 def _cmd_tl(args, lat, override):
@@ -245,19 +237,15 @@ def _cmd_tl(args, lat, override):
             for r in range(len(atom_labels) + 1)
             for combo in itertools.combinations(atom_labels, r)
         )
-        if code := _oracle(cases):
-            return code
-    _emit_complex(args, canonical.complex)
-    return 0
+        _oracle(cases)
+    return 0, _ComplexPayload(canonical.complex, {}), format_complex(canonical.complex)
 
 
 def _cmd_matrix(args, lat, override):
     rows = boolean_matrix(lat)
     atoms = [lat.labels[a] for a in sorted(lat.atoms)]
     payload = {"elements": list(lat.labels), "atoms": atoms, "rows": rows}
-    text = [" ".join(str(v) for v in row) for row in rows]
-    _emit(args, payload, text)
-    return 0
+    return 0, payload, "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
 
 def _cmd_superclique(args, value, override):
@@ -267,24 +255,21 @@ def _cmd_superclique(args, value, override):
     if args.naive or args.oracle:
         slow = supercliques_bruteforce(graph, override=override)
     if args.oracle:
-        if code := _oracle([(" between growth and naive scan", fast, slow)]):
-            return code
+        _oracle([(" between growth and naive scan", fast, slow)])
     listed = [graph.ordered(w) for w in (slow if args.naive else fast)]
     payload = {"count": len(listed), "supercliques": listed}
-    text = ["superclique: " + " ".join(w) for w in listed] or ["supercliques: none"]
-    _emit(args, payload, text)
-    return 0 if listed else 1
+    text = "".join("superclique: " + " ".join(w) + "\n" for w in listed)
+    return 0 if listed else 1, payload, text or "supercliques: none\n"
 
 
 def _cmd_hasse(args, lat, override):
-    print(emit_dot_hasse(lat), end="")
-    return 0
+    return 0, None, emit_dot_hasse(lat)
 
 
 class _Command(NamedTuple):
     """One command: what it runs, what it reads and how it is called."""
 
-    handler: Callable  # (args, the document's value, override) -> exit code
+    handler: Callable  # (args, document value, override) -> (code, payload, text)
     kinds: tuple  # the document kinds it reads
     help: str
     switches: dict  # flag -> help of an on/off switch, or its add_argument keywords
