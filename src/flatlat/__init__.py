@@ -5,7 +5,7 @@ whether a finite lattice is the lattice of flats of some complex, and builds
 an explicit realizing complex when one exists.
 """
 
-from .complexes import ComplexIso, SimplicialComplex
+from .complexes import SimplicialComplex
 from .errors import (
     ConstructionMismatch,
     EmptyRestriction,
@@ -45,7 +45,6 @@ from .graphs import (
 )
 from .lattice import (
     FiniteLattice,
-    LatticeIso,
     enumerate_lattices,
     lattice_from_covers,
 )
@@ -64,14 +63,12 @@ from .realize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexIso",
     "ConstructionMismatch",
     "Document",
     "EmptyRestriction",
     "FiniteLattice",
     "FlatFamily",
     "FlatlatError",
-    "LatticeIso",
     "LimitExceeded",
     "LoopsPresent",
     "NotALattice",

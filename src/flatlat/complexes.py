@@ -16,10 +16,6 @@ from ._util import (
 from .errors import ConstructionMismatch, EmptyRestriction
 
 
-class ComplexIso(IndexMap):
-    """Vertex bijection witnessing a complex isomorphism, as an index map."""
-
-
 class SimplicialComplex(GroundSet):
     # the minimal non-faces, when the construction of the complex lists them
     _nonface_masks = None
@@ -229,9 +225,10 @@ class SimplicialComplex(GroundSet):
     # -- isomorphism -------------------------------------------------------
 
     def isomorphism(self, other):
-        """A vertex bijection mapping faces onto faces, or None."""
+        """A vertex bijection mapping faces onto faces, as an IndexMap of
+        vertex indices, or None."""
         mapping = find_isomorphism(self._incidence, other._incidence)
-        return None if mapping is None else ComplexIso(mapping[: len(self.vertices)])
+        return None if mapping is None else IndexMap(mapping[: len(self.vertices)])
 
     @cached_property
     def _incidence(self):

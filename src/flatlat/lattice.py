@@ -29,10 +29,6 @@ from .errors import NotALattice, NotAPartialOrder
 ENUMERATION_SOFT_LIMIT = 7
 
 
-class LatticeIso(IndexMap):
-    """Order isomorphism between two lattices as an element-index map."""
-
-
 class FiniteLattice:
     """A finite lattice over an indexed, labeled element set.
 
@@ -257,9 +253,10 @@ class FiniteLattice:
     # -- isomorphism ------------------------------------------------------
 
     def isomorphism(self, other):
-        """An order isomorphism onto other as a LatticeIso, or None."""
+        """An order isomorphism onto other as an IndexMap of element
+        indices, or None."""
         mapping = find_isomorphism(self._relation, other._relation)
-        return None if mapping is None else LatticeIso(mapping)
+        return None if mapping is None else IndexMap(mapping)
 
     @property
     def _relation(self):

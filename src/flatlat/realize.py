@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from ._util import check_limit, maximal_masks
+from ._util import IndexMap, check_limit, maximal_masks
 from .complexes import SimplicialComplex
 from .errors import ConstructionMismatch, NotAtomistic
 from .flats import ORACLE_SIZE_LIMIT, _chain_bruteforce, all_flats
 from .graphs import find_supercliques, top_join_graph
-from .lattice import LatticeIso
 
 # realizing_complex costs the size of its output, at least the 3^(n-1) full
 # transversals for n elements.  Verifying it walks no face, only the facets
@@ -318,7 +317,7 @@ def verify_realization(lattice, complex_, predicted, override=False):
     """Check that a predicted flat map, as realizing_complex returns it, is
     an isomorphism onto the flats of complex_.
 
-    Returns the element-index map into the flat lattice; raises
+    Returns the element-index map into the flat lattice, as an IndexMap; raises
     ConstructionMismatch if the predicted map fails (reporting whether an
     isomorphism exists at all).
     """
@@ -351,4 +350,4 @@ def verify_realization(lattice, complex_, predicted, override=False):
                     f"predicted map does not preserve order on "
                     f"{lattice.labels[i]!r}, {lattice.labels[j]!r}"
                 )
-    return LatticeIso(tuple(mapping))
+    return IndexMap(tuple(mapping))
