@@ -1,13 +1,13 @@
 """Write tests/golden/cli.json, the corpus that tests/test_golden.py replays.
 
-Run from anywhere with `python tests/golden/regenerate.py`; it runs the CLI
-of the checkout it sits in, from the repository root, under
-PYTHONHASHSEED=0.  The corpus holds the exit code, stdout and stderr of:
-every command with every subset of its switches, in both formats, on every
-fixture (closure with `--set a` on trivial.cx and `--set 1` elsewhere);
-`flatlat --help` and each `<command> --help`; a missing file, an unknown
-command and closure without `--set`.  A change that means to change output
-runs this script and lists each changed entry in CHANGES.md.
+Run `python3 tests/golden/regenerate.py` from the repository root.  It runs
+the CLI of the checkout it sits in, in-process, under PYTHONHASHSEED=0 (it
+re-executes itself to set it).  The corpus holds the exit code, stdout and
+stderr of: every command with every subset of its switches, in both formats,
+on every fixture (closure with `--set a` on trivial.cx and `--set 1`
+elsewhere); `flatlat --help` and each `<command> --help`; a missing file, an
+unknown command and closure without `--set`.  A change that means to change
+output runs this script and lists each changed entry in CHANGES.md.
 """
 
 import itertools
@@ -28,7 +28,7 @@ def argvs(commands):
     )
     for path in fixtures:
         for name, command in commands.items():
-            switches = [f for f, spec in command.switches.items() if isinstance(spec, str)]
+            switches = [f for f, kw in command.switches.items() if isinstance(kw, str)]
             extra = []
             if name == "closure":
                 extra = ["--set", "a" if path.endswith("trivial.cx") else "1"]

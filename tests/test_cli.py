@@ -529,6 +529,16 @@ def test_missing_file_exit(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_an_error_while_writing_the_report_exits_2(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = cli.main(["classify", CHAIN3])
+    assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
 def test_wrong_kind_exit(capsys, monkeypatch):
     code, _, err = run(capsys, "flats", NONREAL6)
     assert code == 2

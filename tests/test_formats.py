@@ -223,3 +223,7 @@ def test_json_round_trips_nested_reports(triangles_flats):
         "flats": [sorted(f) for f in triangles_flats.flats],
     }
     assert json.loads(emit_json(payload)) == payload
+
+
+def test_json_sorts_a_set_of_unorderable_values_by_their_json_text():
+    assert json.loads(emit_json({1, "a"})) == ["a", 1]

@@ -14,7 +14,7 @@ import helpers
 from conftest import FIXTURES
 
 ROOT = FIXTURES.parent.parent
-CORPUS = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text(encoding="utf-8"))
+CORPUS = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text("utf-8"))
 
 
 def test_every_cli_output_matches_the_golden_corpus(monkeypatch):
