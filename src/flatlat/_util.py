@@ -4,8 +4,9 @@ Vertex and element sets are stored as int bitmasks throughout the package;
 these helpers keep the loops readable.  GroundSet is the one place where
 vertex labels turn into bitmasks and back.  leaves is the one search by
 individualization-refinement: lattice._canonical_key takes the least of its
-leaf readings, and find_isomorphism, for lattices and complexes alike,
-matches the first leaf of one relation against the leaves of the other.
+leaf readings (and the enumeration the automorphisms it finds), and
+find_isomorphism, for lattices and complexes alike, matches the first leaf
+of one relation against the leaves of the other.
 """
 
 import itertools
@@ -188,9 +189,14 @@ class IndexMap:
         return self.mapping[index]
 
 
-# A relation on nodes 0..n-1 is a pair of bitmask lists: bit j of out[i] and
-# bit i of into[j] are set when i -> j.  refine takes it as the lists of
-# those bits' indices, the successors and predecessors of each node.
+# A relation on nodes 0..n-1 is given by the successors and predecessors
+# of each node, as lists of indices: j is in succ[i] and i in pred[j] when
+# i -> j.  indices(masks) decodes bitmask rows into such lists.
+
+
+def indices(masks):
+    """The bit indices of each mask, as one list per mask."""
+    return [list(bit_indices(mask)) for mask in masks]
 
 
 def refine(succ, pred, colours):
@@ -223,11 +229,11 @@ def individualize(colours, node):
     return [t if i == node else c + (c >= t) for i, c in enumerate(colours)]
 
 
-def leaves(out, into, colours):
+def leaves(succ, pred, colours, autos=None):
     """Yield (reading, order) for each leaf of an individualization-
     refinement search (McKay 1981) over a relation from the given colours:
     order lists the nodes by their discrete leaf colours, and reading is
-    out in that order, as masks over the new positions.
+    the successor lists in that order, as masks over the new positions.
 
     The children of a refined colouring individualize each node of its
     first class of several and refine again.  The tree is built from the
@@ -237,12 +243,14 @@ def leaves(out, into, colours):
     split, so the search jumps back there; a node skips the children in the
     orbit of one tried under the automorphisms found that fix its path.
     Every subtree skipped is thus the image of a visited one under an
-    automorphism, and its leaves read like visited ones.
+    automorphism, and its leaves read like visited ones.  Each automorphism
+    found is appended to autos, when given, as the tuple of node images.
     """
-    n = len(out)
-    succ, pred = ([list(bit_indices(row)) for row in rows] for rows in (out, into))
+    n = len(succ)
     frames = [(refine(succ, pred, colours), [])]  # a colouring, its children tried
-    best, autos = None, []
+    best = None
+    if autos is None:
+        autos = []
     while frames:
         colours, tried = frames[-1]
         path = [f[1][-1] for f in frames[:-1]]
@@ -252,7 +260,7 @@ def leaves(out, into, colours):
             leaf = tuple(sum(map(bit, succ[i])) for i in order), order, path
             yield leaf[:2]
             if best and leaf[0] == best[0]:
-                autos.append([best[1][c] for c in colours])
+                autos.append(tuple(map(best[1].__getitem__, colours)))
                 split = next(k for k, (v, x) in enumerate(zip(path, best[2])) if v != x)
                 del frames[split + 1 :]
                 continue
@@ -278,13 +286,13 @@ def leaves(out, into, colours):
 
 def _degrees(relation):
     """The sorted (colour, out-degree, in-degree) triples of the nodes."""
-    out, into, colours = relation
-    return sorted(zip(colours, map(int.bit_count, out), map(int.bit_count, into)))
+    succ, pred, colours = relation
+    return sorted(zip(colours, map(len, succ), map(len, pred)))
 
 
 def find_isomorphism(a, b):
     """A colour-keeping bijection m with i -> j in a iff m[i] -> m[j] in b,
-    as a tuple, or None; a and b are (out, into, colours).
+    as a tuple, or None; a and b are (succ, pred, colours).
 
     The first leaf of a's search is matched against the leaves of b's: if
     a and b are isomorphic, some leaf of b reads like it (see leaves), and

@@ -3,7 +3,8 @@
 The table _COMMANDS declares each command once: its handler, the document
 kinds it reads, its help text and its switches.  Each handler maps the
 parsed document to its report, (exit code, payload, text): payload is what
---format json writes, or None when the text is written in either format.
+--format json writes, or None when the text is written in either format,
+and text is the text or, where it costs work, a function that makes it.
 main reads and parses the document, calls the handler, writes the report
 and maps errors to exit codes; no other code writes.
 
@@ -52,6 +53,8 @@ def main(argv=None):
         code, payload, text = command.handler(args, value, override)
         if payload is not None and args.format == "json":
             text = emit_json(payload) + "\n"
+        elif callable(text):
+            text = text()
         sys.stdout.write(text)
         return code
     except _Disagreement as exc:
@@ -221,7 +224,7 @@ def _cmd_construct(args, lat, override):
         verify_realization(lat, complex_, predicted, override=override)
         extra["verified"] = True
         comment = "# verified: flat lattice of this complex matches the input\n"
-    return 0, _ComplexPayload(complex_, extra), comment + format_complex(complex_)
+    return 0, _ComplexPayload(complex_, extra), lambda: comment + format_complex(complex_)
 
 
 def _cmd_tl(args, lat, override):
@@ -238,7 +241,7 @@ def _cmd_tl(args, lat, override):
             for combo in itertools.combinations(atom_labels, r)
         )
         _oracle(cases)
-    return 0, _ComplexPayload(canonical.complex, {}), format_complex(canonical.complex)
+    return 0, _ComplexPayload(canonical.complex, {}), lambda: format_complex(canonical.complex)
 
 
 def _cmd_matrix(args, lat, override):

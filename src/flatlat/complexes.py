@@ -11,7 +11,7 @@ from functools import cached_property
 
 from ._util import (
     GroundSet, IndexMap, bit_indices, byte_tables, columns, find_isomorphism,
-    mask_sort_key, maximal_masks, next_closure,
+    indices, mask_sort_key, maximal_masks, next_closure,
 )
 from .errors import ConstructionMismatch, EmptyRestriction
 
@@ -235,11 +235,13 @@ class SimplicialComplex(GroundSet):
         """Vertices (colour 0), then facets (colour 1), as find_isomorphism
         takes them: the vertex i -> the k-th facet when i lies in it."""
         n, facets = len(self.vertices), self.facet_masks
-        out = [0] * (n + len(facets))
-        for k, facet in enumerate(facets):
-            for i in bit_indices(facet):
-                out[i] |= 1 << (n + k)
-        return out, [0] * n + list(facets), [0] * n + [1] * len(facets)
+        members = indices(facets)
+        succ = [[] for _ in range(n)]
+        for k, vertices in enumerate(members, n):
+            for i in vertices:
+                succ[i].append(k)
+        succ += [[] for _ in facets]
+        return succ, [[] for _ in range(n)] + members, [0] * n + [1] * len(facets)
 
 
 class FlatClosure:

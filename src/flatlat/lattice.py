@@ -13,7 +13,10 @@ the instance.
 Enumeration grows the lattice classes of each size from those one element
 smaller by coatom augmentation (McKay-style isomorph-free generation, with
 a set of canonical keys per size): each class loses its top and gains a
-new coatom, above an admissible down-set, and a new top.
+new coatom, above an admissible down-set, and a new top.  Down-sets that a
+parent automorphism maps onto each other give isomorphic children, so one
+per orbit is keyed (McKay 1998), under the automorphisms that the parent's
+own key search found.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from ._util import IndexMap, bit_indices, check_limit, columns, find_isomorphism, leaves
+from ._util import (
+    IndexMap, bit_indices, check_limit, columns, find_isomorphism, indices, leaves,
+)
 from .errors import NotALattice, NotAPartialOrder
 
 # Unlabeled-lattice enumeration is doubly exponential in spirit; beyond this
@@ -260,7 +265,9 @@ class FiniteLattice:
 
     @property
     def _relation(self):
-        return self._up, self._down, [0] * len(self)
+        """The order as leaves and find_isomorphism take it: the elements
+        above and below each element, itself included, and one colour."""
+        return indices(self._up), indices(self._down), [0] * len(self)
 
     @cached_property
     def canonical_key(self):
@@ -270,14 +277,17 @@ class FiniteLattice:
         best leaf of an individualization-refinement search (_canonical_key):
         keys are equal exactly for isomorphic lattices, and mean nothing else.
         """
-        return _canonical_key(self._up, self._down)
+        succ, pred, _ = self._relation
+        return _canonical_key(succ, pred)
 
 
-def _canonical_key(up, down):
-    """The canonical_key of the lattice with these up- and down-set masks:
-    the least reading of a leaf of the search _util.leaves, from one colour.
+def _canonical_key(succ, pred, autos=None):
+    """The canonical_key of the lattice in which succ[i] and pred[i] list
+    the elements above and below i, i itself included: the least reading of
+    a leaf of the search _util.leaves, from one colour.  The automorphisms
+    the search finds are appended to autos, when given.
     """
-    return min(reading for reading, _ in leaves(up, down, [0] * len(up)))
+    return min(reading for reading, _ in leaves(succ, pred, [0] * len(succ), autos))
 
 
 def _raise_first_failing_pair(labels, up, down, by_up, by_down):
@@ -338,27 +348,34 @@ def enumerate_lattices(max_size, override=False):
     of what is left, and gets a new top.  Every lattice on n >= 3 elements
     arises so, because removing a coatom c from a lattice leaves a lattice
     (a meet of two elements other than c is never c, and the top stays),
-    and I is then the strict down-set of c.  Each child is keyed by
-    _canonical_key from its masks, and a FiniteLattice is built only for the
-    first child of each class.  Every representative on n >= 2 elements is
-    naturally labeled (i below j only if i <= j), with its top last.
+    and I is then the strict down-set of c.  One I per orbit of the
+    parent's automorphisms is tried, each child is keyed by _canonical_key
+    from its parent's adjacency lists, and a FiniteLattice is built only for
+    the first child of each class.  Every representative on n >= 2 elements
+    is naturally labeled (i below j only if i <= j), with its top last.
+    Each class of a size below max_size is kept, as its down-sets and the
+    automorphisms its key search found, to grow the next size.
     """
     what = f"lattice enumeration up to {max_size} elements"
     check_limit(what, max_size, ENUMERATION_SOFT_LIMIT, override)
     parents = []
     for n in range(1, max_size + 1):
         classes = []
-        for lat in _lattices_of_size(n, parents):
-            classes.append(lat._down)
+        for lat, autos in _lattices_of_size(n, parents):
+            if n < max_size:
+                classes.append((lat._down, autos))
             yield lat
         parents = classes
 
 
 def _lattices_of_size(n, parents):
-    """Lattice classes on n elements, each built once, in the order of the
-    first child of its class.  parents holds the down-set masks of one
-    naturally labeled representative, top last, of every class on n - 1
-    elements; it is not read for n <= 2, where the chain is the only class.
+    """Yield (lattice, automorphisms) for each lattice class on n elements,
+    each built once, in the order of the first child of its class, with the
+    automorphisms, as tuples of images, that its key search found.  parents
+    holds the down-set masks of one naturally labeled representative, top
+    last, of every class on n - 1 elements, each with some of its
+    automorphisms; it is not read for n <= 2, where the chain is the only
+    class.
 
     A child keeps the parent's elements 0..n-3 with their down-sets, adds
     the coatom n-2 with down-set I | bit n-2 and the top n-1.  The down-set
@@ -366,27 +383,61 @@ def _lattices_of_size(n, parents):
     down-set of a parent element for every x <= n-3: it is then that of the
     meet of x with the coatom.  Meets among parent elements are unchanged,
     so the child is a finite meet-semilattice with a top, hence a lattice.
+
+    An automorphism g of the parent fixes its top, so it maps admissible
+    down-sets onto admissible ones, and g with the coatom and the top fixed
+    maps the child of I onto the child of g(I).  Whatever automorphisms are
+    given, a down-set in the orbit of one already tried gives a child whose
+    key is already seen, so skipping it (_orbit_representatives) changes
+    neither the classes nor their order.  A child's successor and
+    predecessor lists are the parent's, without its top, plus the coatom
+    and the top, so they are read off the parent's masks once per parent.
     """
     labels = tuple(str(i) for i in range(n))
     if n <= 2:  # the chain
-        yield FiniteLattice._from_up_masks(labels, [(1 << n) - (1 << i) for i in range(n)])
+        chain = FiniteLattice._from_up_masks(labels, [(1 << n) - (1 << i) for i in range(n)])
+        yield chain, ()
         return
     seen = set()
-    coatom, top = 1 << (n - 2), 1 << (n - 1)
-    for parent in parents:
+    c, t = n - 2, n - 1
+    coatom, top = 1 << c, 1 << t
+    every = list(range(n))
+    for parent, parent_autos in parents:
         below = parent[:-1]  # the parent without its top: elements 0..n-3
-        up = [top] * (n - 2)
-        for j, d in enumerate(below):
-            for i in bit_indices(d):
-                up[i] |= 1 << j
-        for ideal in _admissible_ideals(below):
-            down = (*below, ideal | coatom, 2 * top - 1)
-            rows = [u | coatom if ideal >> i & 1 else u for i, u in enumerate(up)]
-            child_up = (*rows, coatom | top, top)
-            key = _canonical_key(child_up, down)
+        up = [u | top for u in columns(below, c)]
+        pred = indices(below)
+        succ = indices(up)  # each list ends at the top
+        to_coatom = [s[:-1] + [c, t] for s in succ]
+        for ideal in _orbit_representatives(_admissible_ideals(below), parent_autos):
+            child_succ = [to_coatom[i] if ideal >> i & 1 else s for i, s in enumerate(succ)]
+            child_succ += [[c, t], [t]]
+            child_pred = [*pred, [*bit_indices(ideal), c], every]
+            autos = []
+            key = _canonical_key(child_succ, child_pred, autos)
             if key not in seen:
                 seen.add(key)
-                yield FiniteLattice._from_up_masks(labels, child_up)
+                rows = [u | coatom if ideal >> i & 1 else u for i, u in enumerate(up)]
+                child_up = (*rows, coatom | top, top)
+                yield FiniteLattice._from_up_masks(labels, child_up), tuple(autos)
+
+
+def _orbit_representatives(ideals, autos):
+    """The first down-set of each orbit, in the order of ideals, of the
+    group that the element permutations autos generate."""
+    images = [[1 << i for i in g] for g in autos]  # the image bit of each element
+    covered = set()
+    for ideal in ideals:
+        if ideal in covered:
+            continue
+        yield ideal
+        covered.add(ideal)
+        orbit = [ideal]
+        for mask in orbit:
+            for bits in images:
+                image = sum(map(bits.__getitem__, bit_indices(mask)))
+                if image not in covered:
+                    covered.add(image)
+                    orbit.append(image)
 
 
 def _admissible_ideals(down):

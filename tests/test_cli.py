@@ -325,6 +325,21 @@ def test_construct_verify_of_a_ten_element_chain_passes_without_override(
     assert code == 0 and json.loads(out)["verified"] is True
 
 
+@pytest.mark.parametrize("argv", [["construct", CHAIN3, "--verify"], ["tl", NONREAL6]])
+def test_complex_text_is_formatted_only_when_written(capsys, monkeypatch, argv):
+    calls, format_complex = [], cli.format_complex
+
+    def counting(complex_):
+        calls.append(1)
+        return format_complex(complex_)
+
+    monkeypatch.setattr(cli, "format_complex", counting)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert (code, calls) == (0, []) and json.loads(out)["vertices"]
+    code, out, _ = run(capsys, *argv)
+    assert (code, calls) == (0, [1]) and parse(out).value.vertices
+
+
 # -- tl / matrix ----------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Lattice validation, classification predicates, and enumeration."""
 
 import functools
+import hashlib
 import itertools
 import random
 
@@ -19,8 +20,13 @@ from flatlat import (
 )
 
 import helpers
-from flatlat._util import refine
-from flatlat.lattice import _canonical_key, _lattices_of_size
+from flatlat._util import columns, refine
+from flatlat.lattice import (
+    _admissible_ideals,
+    _canonical_key,
+    _lattices_of_size,
+    _orbit_representatives,
+)
 
 
 def test_trivial_lattice():
@@ -380,9 +386,10 @@ def _keyed_by_enumeration(monkeypatch, max_size):
 
     keyed = []
 
-    def recording(up, down):
-        keyed.append((tuple(up), tuple(down)))
-        return _canonical_key(up, down)
+    def recording(succ, pred, autos):
+        up, down = (tuple(sum(1 << j for j in s) for s in lists) for lists in (succ, pred))
+        keyed.append((up, down))
+        return _canonical_key(succ, pred, autos)
 
     monkeypatch.setattr(lattice_module, "_canonical_key", recording)
     classes = list(enumerate_lattices(max_size, override=True))
@@ -394,7 +401,7 @@ def test_canonical_key_classes_match_the_permutation_key_up_to_eight_elements(mo
     # every candidate of the prefix walk, the oracle enumeration
     candidates = [c for n in range(1, 9) for c in helpers.meet_prefix_candidates(n)]
     assert len(candidates) == 4008
-    keys = [_canonical_key(up, down) for up, down in candidates]
+    keys = [helpers.canonical_key(up, down) for up, down in candidates]
     oracle = [helpers.canonical_key_by_permutations(up, down) for up, down in candidates]
     assert _same_partition(keys, oracle)
 
@@ -408,15 +415,15 @@ def test_canonical_key_classes_match_the_permutation_key_up_to_eight_elements(mo
 
     # every child coatom growth keys
     classes, keyed = _keyed_by_enumeration(monkeypatch, 8)
-    keys = [_canonical_key(up, down) for up, down in keyed]
+    keys = [helpers.canonical_key(up, down) for up, down in keyed]
     oracle = [helpers.canonical_key_by_permutations(up, down) for up, down in keyed]
-    assert _same_partition(keys, oracle) and len(keyed) == 694
+    assert _same_partition(keys, oracle) and len(keyed) == 519
 
     copies = [helpers.relabelled(lat, seed) for lat in classes for seed in range(3)]
-    keys = [_canonical_key(lat._up, lat._down) for lat in copies]
+    keys = [lat.canonical_key for lat in copies]
     oracle = [helpers.canonical_key_by_permutations(lat._up, lat._down) for lat in copies]
     assert _same_partition(keys, oracle) and len(set(keys)) == 300
-    assert keys[::3] == [_canonical_key(lat._up, lat._down) for lat in classes]
+    assert keys[::3] == [lat.canonical_key for lat in classes]
 
 
 def test_canonical_key_searches_past_the_first_leaf_where_refinement_cannot_split():
@@ -463,6 +470,27 @@ def test_enumeration_counts_are_frozen():
     for lat in enumerate_lattices(7):
         by_size[len(lat)] = by_size.get(len(lat), 0) + 1
     assert by_size == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
+
+
+def _enumeration_digest(max_size):
+    """sha256 of every representative's labels, up-sets and canonical_key,
+    in the order enumerate_lattices yields them."""
+    lats = enumerate_lattices(max_size, override=True)
+    text = repr([(lat.labels, lat._up, lat.canonical_key) for lat in lats])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_representatives_and_keys_are_frozen_up_to_eight_elements():
+    assert _enumeration_digest(8) == (
+        "ec6777f67ae47e5a6bc428fcbdd351ff51588b0961760e81c74495539c1809ce"
+    )
+
+
+@pytest.mark.census
+def test_representatives_and_keys_are_frozen_up_to_ten_elements():
+    assert _enumeration_digest(10) == (
+        "3361aa072315d88e8d5c4aa0e60b61311d73b0024c49b93fb0a9a2924bdda2be"
+    )
 
 
 def test_enumeration_up_to_three_gives_chains():
@@ -624,7 +652,7 @@ def test_coatom_growth_labels_naturally_and_deletes_to_a_smaller_class(monkeypat
     counts = {}
     for up, _ in keyed:
         counts[len(up)] = counts.get(len(up), 0) + 1
-    assert counts == {3: 1, 4: 2, 5: 7, 6: 27, 7: 116, 8: 541}
+    assert counts == {3: 1, 4: 2, 5: 6, 6: 21, 7: 86, 8: 403}
 
     keys = {n: set() for n in range(1, 9)}
     for lat in classes:
@@ -641,6 +669,34 @@ def test_coatom_growth_labels_naturally_and_deletes_to_a_smaller_class(monkeypat
         assert smaller.canonical_key in keys[n - 1]
 
 
+def _child_masks(below, ideal):
+    """The up- and down-set masks of the child that coatom growth makes
+    from a parent's down-sets without its top and an admissible ideal."""
+    n = len(below) + 2
+    down = (*below, ideal | 1 << (n - 2), (1 << n) - 1)
+    return tuple(columns(down, n)), down
+
+
+def test_orbit_pruning_skips_only_children_isomorphic_to_a_sibling_tried_before():
+    classes, skipped = [], 0  # (lattice, automorphisms) of one size
+    for n in range(1, 9):
+        classes = list(_lattices_of_size(n, [(lat._down, autos) for lat, autos in classes]))
+        for lat, autos in classes:
+            assert all(helpers.is_order_isomorphism(lat, lat, g) for g in autos)
+            below = lat._down[:-1]
+            ideals = _admissible_ideals(below)
+            tried = set(_orbit_representatives(ideals, autos))
+            earlier = set()  # the oracle keys of the siblings tried so far
+            for ideal in ideals:
+                key = helpers.canonical_key_by_permutations(*_child_masks(below, ideal))
+                if ideal in tried:
+                    earlier.add(key)
+                else:
+                    assert key in earlier
+                    skipped += 1
+    assert skipped > 0
+
+
 def test_enumeration_builds_a_lattice_only_for_a_new_class(monkeypatch):
     import flatlat.lattice as lattice_module
 
@@ -652,7 +708,7 @@ def test_enumeration_builds_a_lattice_only_for_a_new_class(monkeypatch):
             built.append(len(labels))
             return super()._from_up_masks(labels, up)
 
-    parents = [lat._down for lat in enumerate_lattices(6) if len(lat) == 6]
+    parents = [(lat._down, ()) for lat in enumerate_lattices(6) if len(lat) == 6]
     monkeypatch.setattr(lattice_module, "FiniteLattice", Counting)
     assert sum(1 for _ in _lattices_of_size(7, parents)) == 53
     assert built == [7] * 53
