@@ -113,28 +113,43 @@ def byte_tables(cols):
     return [ByteTable(cols[v : v + 8]) for v in range(0, len(cols), 8)]
 
 
-def next_closure(closure, n):
-    """Yield every closed set of a closure operator on n bits, lectically.
+def closed_sets(closure, n):
+    """Yield every closed set of a closure operator on n bits, each once.
 
-    Ganter's NextClosure: from a closed set A, the next one is
-    closure((A & low) | bit) for the highest absent bit whose closure adds
-    nothing below it (low = the bits below bit).  At most n closures are
+    Fast Close-by-One (Outrata & Vychodil 2012, Information Sciences 185),
+    depth first from an explicit stack.  The root is closure(0); a closed
+    set A reached by adding bit j tries closure(A | bit) for each absent
+    bit above j (every absent bit, at the root), and keeps it as a child
+    when it adds nothing below bit (low = the bits below it), so each
+    closed set is reached exactly once.  A closure that fails that test is
+    remembered for its bit and handed down to the children of A: a
+    descendant D of A holds A, so closure(D | bit) holds the failed
+    closure, and when that has a vertex below bit that D lacks it fails
+    too, and the bit is skipped without a closure.  At most n closures are
     computed per closed set.
     """
-    a = closure(0)
-    while True:
+    full = (1 << n) - 1
+    stack = [(closure(0), 0, [0] * n)]  # a closed set, its first bit, failed closures
+    while stack:
+        a, start, failed = stack.pop()
         yield a
-        for i in range(n - 1, -1, -1):
-            bit = 1 << i
-            if a & bit:
-                continue
+        rest = full & ~a & -(1 << start)  # the absent bits from start up
+        kept, now_failed = [], failed  # copied on the first new failure
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            j = bit.bit_length() - 1
             low = bit - 1
-            b = closure((a & low) | bit)
-            if (b & ~a) & low == 0:
-                a = b
-                break
-        else:
-            return
+            if failed[j] & low & ~a:
+                continue
+            b = closure(a | bit)
+            if b & ~a & low:
+                if now_failed is failed:
+                    now_failed = failed.copy()
+                now_failed[j] = b
+            else:
+                kept.append((b, j + 1))
+        stack.extend((b, start, now_failed) for b, start in reversed(kept))
 
 
 class GroundSet:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from ._util import (
-    GroundSet, IndexMap, bit_indices, byte_tables, columns, find_isomorphism,
-    indices, mask_sort_key, maximal_masks, next_closure,
+    GroundSet, IndexMap, bit_indices, byte_tables, closed_sets, columns,
+    find_isomorphism, indices, mask_sort_key, maximal_masks,
 )
 from .errors import ConstructionMismatch, EmptyRestriction
 
@@ -299,9 +299,11 @@ class FlatClosure:
 
     @cached_property
     def flat_masks(self):
-        """Every closed set by NextClosure, sorted by size then vertex order."""
+        """Every closed set by Fast Close-by-One (_util.closed_sets), at
+        most one closure per vertex for each, sorted by size then vertex
+        order."""
         return tuple(
-            sorted(next_closure(self, self._full.bit_length()), key=mask_sort_key)
+            sorted(closed_sets(self, self._full.bit_length()), key=mask_sort_key)
         )
 
 

@@ -12,10 +12,11 @@ a transversal.
 
 Everything here goes through one closure operator, held on the complex as
 SimplicialComplex.flat_closure: cl(X) is the smallest flat containing X.
-all_flats lists its closed sets by NextClosure (Ganter 1984), with at most
-one closure per vertex for each flat found; closure, the BR test,
-transversal_witness and simplification query the same operator and share
-its memo.
+all_flats lists its closed sets by Fast Close-by-One (Outrata & Vychodil
+2012, _util.closed_sets), with at most one closure per vertex for each flat
+found and none for a vertex that a closure failed higher up its search
+already rules out; closure, the BR test, transversal_witness and
+simplification query the same operator and share its memo.
 """
 
 from __future__ import annotations

@@ -67,37 +67,64 @@ class FiniteLattice:
     def _set_relation(self, labels, up):
         """Validate that the up-set masks give a lattice and store it; the
         first failure, in the order of the checks and then of the elements,
-        raises.  The down-sets are read off as the columns of the up-sets.
+        raises.
 
-        The partial-order checks come first.  A finite partial order with a
-        greatest element in which every pair has a meet is a lattice: the
-        join of x and y is the meet of their upper bounds, a finite nonempty
-        set.  So the relation is then checked by its top and its meets, one
-        AND and dict lookup per pair, and only a relation that fails is
-        scanned pair by pair (_raise_first_failing_pair), for the first pair
-        without a meet or a join and its message.
+        After the reflexive check, one sweep over the comparable pairs
+        i <= j, by i and then j, checks antisymmetry and then transitivity
+        at each pair and builds the down-sets as it goes.
+
+        A finite partial order with a least element in which every pair
+        has a join is a lattice: the meet of x and y is the join of their
+        lower bounds, a finite nonempty set.  It is enough that every x has
+        a join with every join-irreducible y, one that covers exactly one
+        element, which holds when y's down-set less y is a down-set.  For
+        then x v y exists for every y, by induction on down(y): it does for
+        the bottom and for a join-irreducible y, and any other y covers two
+        elements a and b.  Their join lies strictly above a, as b is not
+        below a, and not above y, so it is y, which covers a; then up(x) &
+        up(y) = up(x v a) & up(b), the up-set of (x v a) v b.  So the
+        relation is checked by its bottom and by these joins: the ANDs of
+        the up-set of each join-irreducible with every up-set, as a set,
+        must lie in the set of the n up-sets.  In an atomistic lattice, as
+        a matroid's flats are, the join-irreducibles are the atoms, so this
+        is far fewer than the n^2/2 pairs.  The set is grown one
+        join-irreducible at a time and given up once it holds more than n
+        masks, so a relation that fails holds at most 2n of them.  Only a
+        relation that fails is scanned pair by pair
+        (_raise_first_failing_pair), for the first pair without a meet or a
+        join and its message.
         """
         n = len(labels)
         for i in range(n):
             if not (up[i] >> i) & 1:
                 raise NotAPartialOrder(f"relation is not reflexive at {labels[i]!r}")
-        for i in range(n):
-            for j in bit_indices(up[i]):
-                if j != i and (up[j] >> i) & 1:
-                    raise NotAPartialOrder(
-                        f"relation is not antisymmetric on {labels[i]!r}, {labels[j]!r}"
-                    )
-                if up[j] & ~up[i]:
+        down = [1 << i for i in range(n)]
+        for i, above in enumerate(up):
+            bit = 1 << i
+            bad = bit | ~above  # j <= i, or j <= k without i <= k
+            rest = above ^ bit
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                if up[j] & bad:
+                    if up[j] & bit:
+                        raise NotAPartialOrder(
+                            f"relation is not antisymmetric on {labels[i]!r}, {labels[j]!r}"
+                        )
                     raise NotAPartialOrder(
                         f"relation is not transitive at {labels[i]!r} <= {labels[j]!r}"
                     )
-        down = columns(up, n)
+                down[j] |= bit
         by_down = {d: i for i, d in enumerate(down)}
         by_up = {u: i for i, u in enumerate(up)}
-        has = by_down.__contains__
-        if (1 << n) - 1 not in by_down or not all(
-            all(map(has, map(down[i].__and__, down[i + 1 :]))) for i in range(n)
-        ):
+        joins = set()  # up-sets in a lattice, so n at most: past that it fails
+        for y, below in enumerate(down):
+            if below ^ (1 << y) in by_down:  # y is join-irreducible
+                joins.update(map(up[y].__and__, up))
+                if len(joins) > n:
+                    break
+        if (1 << n) - 1 not in by_up or not joins <= by_up.keys():
             _raise_first_failing_pair(labels, up, down, by_up, by_down)
 
         self.labels = labels

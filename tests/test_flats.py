@@ -22,6 +22,8 @@ from flatlat import (
     transversal_witness,
 )
 from flatlat import flats, parse
+from flatlat._util import closed_sets, mask_sort_key
+from flatlat.complexes import FlatClosure, _facet_implications, _nonface_implications
 from flatlat.flats import _flat_labels
 
 import helpers
@@ -410,28 +412,58 @@ def test_flat_labels_match_the_per_flat_escape():
         assert family.lattice.labels == want
 
 
-# -- NextClosure against the subset scan ---------------------------------------
+# -- Fast Close-by-One against the subset scan and NextClosure -----------------
 
 
-def _assert_flats_match_scan(c):
+def _fresh_closure(c):
+    """A FlatClosure of the complex with nothing memoized yet."""
+    n = len(c.vertices)
+    if c._nonface_masks is None:
+        return FlatClosure(_facet_implications(c._ext_levels, n), n)
+    return FlatClosure(_nonface_implications(c._nonface_masks), n)
+
+
+def _assert_closed_sets_match_scan_and_next_closure(c):
+    """The flats are the scanned ones, and closed_sets yields each closed
+    set of the NextClosure reference once, with no more distinct closures;
+    returns the two closure counts."""
     assert all_flats(c)._masks == helpers.flat_masks_by_scan(c)
+    n = len(c.vertices)
+    ours, reference = _fresh_closure(c), _fresh_closure(c)
+    got = list(closed_sets(ours, n))
+    assert len(set(got)) == len(got)
+    want = helpers.next_closure(reference, n)
+    assert sorted(got, key=mask_sort_key) == sorted(want, key=mask_sort_key)
+    assert len(ours._cache) <= len(reference._cache)
+    return len(ours._cache), len(reference._cache)
 
 
-def test_next_closure_matches_scan_on_all_complexes_up_to_five_vertices():
-    for n in range(1, 6):
-        for c in helpers.all_complexes(n):
-            _assert_flats_match_scan(c)
+def test_closed_sets_match_scan_and_next_closure_on_all_complexes_up_to_five_vertices():
+    counts = [
+        _assert_closed_sets_match_scan_and_next_closure(c)
+        for n in range(1, 6)
+        for c in helpers.all_complexes(n)
+    ]
+    # Close-by-One without the pruning computes as many closures as the
+    # reference, so the failed closures handed down must save some
+    ours, reference = map(sum, zip(*counts))
+    assert ours < reference
 
 
-def test_next_closure_matches_scan_on_small_realizing_complexes():
+def test_closed_sets_match_scan_and_next_closure_on_small_realizing_complexes():
     for lat in enumerate_lattices(6):
         complex_, _ = realizing_complex(lat)
-        _assert_flats_match_scan(complex_)
+        _assert_closed_sets_match_scan_and_next_closure(complex_)
 
 
-def test_next_closure_matches_scan_on_rank_three_uniform_matroids():
-    for n in range(3, 9):
-        _assert_flats_match_scan(helpers.uniform_complex(n, 3))
+def test_closed_sets_match_scan_and_next_closure_on_rank_three_uniform_matroids():
+    for n in range(3, 11):
+        _assert_closed_sets_match_scan_and_next_closure(helpers.uniform_complex(n, 3))
+
+
+def test_closed_sets_match_scan_and_next_closure_on_the_fixtures(fixture_complexes):
+    for c in fixture_complexes:
+        _assert_closed_sets_match_scan_and_next_closure(c)
 
 
 def test_closure_fixes_exactly_the_scanned_flats(fixture_complexes):

@@ -616,6 +616,23 @@ def test_every_reflexive_relation_up_to_four_elements_fails_like_the_scan():
     assert kinds == {"ok", "lattice", "antisymmetric", "transitive"}
 
 
+def test_every_lattice_up_to_six_elements_with_one_entry_flipped_fails_like_the_scan():
+    kinds = set()
+    for lat in enumerate_lattices(6):
+        for copy in (lat, helpers.relabelled(lat, 0)):
+            n = len(copy)
+            for i, j in itertools.permutations(range(n), 2):
+                order = [[copy.leq(a, b) for b in range(n)] for a in range(n)]
+                order[i][j] = not order[i][j]
+                want = _outcome(helpers.meet_join_by_scan, copy.labels, order)
+                assert _outcome(_tables, copy.labels, order) == want
+                if want[0] is NotAPartialOrder:
+                    kinds.add(want[1].split()[3])
+                else:
+                    kinds.add("lattice" if want[0] is NotALattice else "ok")
+    assert kinds == {"ok", "lattice", "antisymmetric", "transitive"}
+
+
 def test_down_set_walk_matches_the_mask_scan():
     for n in range(8):
         assert list(helpers.natural_meet_prefixes(n)) == list(
