@@ -10,7 +10,6 @@ of one relation against the leaves of the other.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import LimitExceeded, UnknownVertex
 
@@ -194,14 +193,37 @@ def check_limit(what, size, limit, override):
         )
 
 
-@dataclass(frozen=True)
 class IndexMap:
-    """A bijection between two indexed sets, as the tuple of images."""
+    """A bijection between two indexed sets, as the tuple of images.
 
-    mapping: tuple[int, ...]
+    It is immutable and hashable, and iterates over its images through
+    __getitem__; it is not itself a tuple, so it equals only an IndexMap.
+    """
+
+    __slots__ = ("mapping",)
+
+    def __init__(self, mapping):
+        object.__setattr__(self, "mapping", mapping)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return IndexMap, (self.mapping,)
 
     def __getitem__(self, index):
         return self.mapping[index]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mapping == other.mapping
+
+    def __hash__(self):
+        return hash(self.mapping)
+
+    def __repr__(self):
+        return f"IndexMap(mapping={self.mapping!r})"
 
 
 # A relation on nodes 0..n-1 is given by the successors and predecessors

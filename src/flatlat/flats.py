@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from ._util import bit_indices, check_limit, columns, mask_sort_key, maximal_masks
 from .complexes import SimplicialComplex
@@ -41,8 +41,7 @@ FLATS_SOFT_LIMIT = 24
 ORACLE_SIZE_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class TransversalWitness:
+class TransversalWitness(NamedTuple):
     """An enumeration of a face along a strict chain of flats.
 
     ordering[i] lies in chain[i+1] but not chain[i]; chain[0] is the closure

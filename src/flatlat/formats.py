@@ -20,9 +20,7 @@ and the format_* emitters write every kind through it.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from ._util import bit_indices
@@ -50,8 +48,7 @@ _GRAMMAR = {
 }
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     kind: str
     value: object
 
@@ -172,7 +169,12 @@ def emit_dot_hasse(lattice: FiniteLattice):
 
 
 def emit_json(value):
-    """Serialize a report; dict order is preserved, set witnesses sorted."""
+    """Serialize a report; dict order is preserved, set witnesses sorted.
+
+    json is imported here, and in _jsonable, so that text output never
+    loads it."""
+    import json
+
     return json.dumps(_jsonable(value), indent=2)
 
 
@@ -187,6 +189,8 @@ def _jsonable(value):
         try:
             return sorted(items)
         except TypeError:
+            import json
+
             return sorted(items, key=json.dumps)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]

@@ -349,20 +349,50 @@ def lattice_from_covers(labels, covers):
     """
     labels = tuple(labels)
     index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    up = [1 << i for i in range(n)]
+    pairs = []
     for low, high in covers:
         if low not in index:
             raise ValueError(f"unknown element {low!r}")
         if high not in index:
             raise ValueError(f"unknown element {high!r}")
-        up[index[low]] |= 1 << index[high]
-    # transitive closure (Warshall): after step k, paths may pass through k
+        pairs.append((index[low], index[high]))
+    return FiniteLattice._from_up_masks(labels, _closed_up_sets(len(labels), pairs))
+
+
+def _closed_up_sets(n, pairs):
+    """The up-set masks of the reflexive-transitive closure of index pairs
+    (i, j), each putting i below j, over the elements 0..n-1.
+
+    An element's up-set is itself and the up-sets of the elements it is
+    given below, so the up-sets are ORed in reverse topological order
+    (Kahn's), one step per pair.  Pairs with a cycle have no such order;
+    their closure, the same whatever way it is taken, is Warshall's loop.
+    """
+    up = [1 << i for i in range(n)]
+    above = [[] for _ in range(n)]  # the j of each pair (i, j), j != i
+    below = [0] * n  # how many pairs put an element below j
+    for i, j in pairs:
+        up[i] |= 1 << j
+        if i != j:
+            above[i].append(j)
+            below[j] += 1
+    order = [j for j in range(n) if not below[j]]
+    for i in order:  # j is placed once every pair below it has been
+        for j in above[i]:
+            below[j] -= 1
+            if not below[j]:
+                order.append(j)
+    if len(order) == n:
+        for i in reversed(order):
+            for j in above[i]:
+                up[i] |= up[j]
+        return up
+    # after step k, paths may pass through k
     for k in range(n):
         for i in range(n):
             if up[i] >> k & 1:
                 up[i] |= up[k]
-    return FiniteLattice._from_up_masks(labels, up)
+    return up
 
 
 def enumerate_lattices(max_size, override=False):

@@ -12,7 +12,7 @@ isomorphism" a property worth deciding in the first place.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from ._util import IndexMap, check_limit, maximal_masks
 from .complexes import SimplicialComplex
@@ -95,8 +95,7 @@ def is_chain_transversal_bruteforce(lattice, atom_labels, override=False):
     )
 
 
-@dataclass(frozen=True)
-class RealizabilityReport:
+class RealizabilityReport(NamedTuple):
     """Outcome of is_realizable, including which procedure decided it."""
 
     atomistic: bool
@@ -108,7 +107,7 @@ class RealizabilityReport:
     supercliques: tuple[tuple[str, ...], ...] | None = None
 
     def to_jsonable(self):
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
 def is_realizable(lattice, force_general=False, override=False):

@@ -43,7 +43,9 @@ level; and the closure oracle ORs the premise and conclusion columns of the
 missing vertices one vertex at a time, where the library looks up a byte of
 them at a time.  The closed set oracle is Ganter's lectic NextClosure, which
 the library ran before Fast Close-by-One: it walks the closed sets in a
-fixed order and reuses no closure that failed.
+fixed order and reuses no closure that failed.  The cover closure oracle is
+Warshall's loop, n^2 steps whatever the pairs, which the library ran on
+every cover document before it ORed up-sets in reverse topological order.
 """
 
 import contextlib
@@ -977,6 +979,20 @@ def next_closure(closure, n):
                 break
         else:
             return
+
+
+def up_sets_by_warshall(n, pairs):
+    """The up-set masks of the reflexive-transitive closure of index pairs
+    (i, j), i below j, by Warshall's loop: after step k, paths may pass
+    through k."""
+    up = [1 << i for i in range(n)]
+    for i, j in pairs:
+        up[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return up
 
 
 def run_cli(argv):

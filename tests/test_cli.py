@@ -6,7 +6,6 @@ exercised together.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -262,7 +261,7 @@ def test_realizable_oracle_flags_disagreement(capsys, monkeypatch):
     def general_path_flipped(lat, force_general=False, override=False):
         report = real(lat, force_general=force_general, override=override)
         if force_general:
-            return dataclasses.replace(report, realizable=not report.realizable)
+            return report._replace(realizable=not report.realizable)
         return report
 
     monkeypatch.setattr(cli, "is_realizable", general_path_flipped)
@@ -678,10 +677,15 @@ def test_every_command_rejects_the_kinds_it_does_not_read(
     assert err == f"error: line 1, column 1: expected a {expected} document, found {kind}\n"
 
 
-def test_python_dash_m_flatlat_runs_the_cli():
+def _package_env():
+    """The environment with the tested package's directory first on PYTHONPATH."""
     src = str(pathlib.Path(flatlat.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_python_dash_m_flatlat_runs_the_cli():
+    env = _package_env()
     runs = [
         subprocess.run(
             [sys.executable, "-m", module, "classify", CHAIN3],
@@ -693,3 +697,22 @@ def test_python_dash_m_flatlat_runs_the_cli():
     ]
     assert [(r.returncode, r.stdout) for r in runs] == [(0, runs[1].stdout)] * 2
     assert "height: 2" in runs[0].stdout
+
+
+def test_importing_the_cli_loads_neither_dataclasses_inspect_nor_json():
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import flatlat.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+        check=True,
+    )
+    loaded = set(run.stdout.split())
+    assert "flatlat.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "json"} == set()

@@ -24,6 +24,7 @@ from flatlat._util import columns, refine
 from flatlat.lattice import (
     _admissible_ideals,
     _canonical_key,
+    _closed_up_sets,
     _lattices_of_size,
     _orbit_representatives,
 )
@@ -300,6 +301,27 @@ def _pentagon_below_boolean(k):
     covers += [("t", a) for a in atoms]
     covers += [(s, "".join(sorted(s + a))) for s in subsets for a in atoms if a not in s]
     return lattice_from_covers(["0", "x", "y", "z", "t", *subsets], covers)
+
+
+def test_cover_closure_matches_warshall_on_lattices_and_random_pairs():
+    for lat in enumerate_lattices(7):
+        n, pairs = len(lat), lat.cover_pairs
+        want = helpers.up_sets_by_warshall(n, pairs)
+        assert _closed_up_sets(n, pairs) == want == list(lat._up)
+    rng = random.Random(24)
+    cyclic = 0
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        up = _closed_up_sets(n, pairs)
+        assert up == helpers.up_sets_by_warshall(n, pairs)
+        cyclic += any(up[j] >> i & 1 for i, j in pairs if i != j)
+    assert 50 < cyclic < 450
+
+
+def test_cyclic_covers_are_not_antisymmetric():
+    with pytest.raises(NotAPartialOrder, match="^relation is not antisymmetric on 'a', 'b'$"):
+        lattice_from_covers("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
 
 
 def test_semimodular_witness_of_a_pentagon_below_a_large_boolean_lattice():
