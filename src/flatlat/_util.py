@@ -81,7 +81,9 @@ def columns(masks, n):
     slice and a byte translation into binary digits, all in C.
     """
     width = (n + 7) >> 3
-    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    data = b"".join(
+        map(int.to_bytes, masks, itertools.repeat(width), itertools.repeat("little"))
+    )
     return [
         int(data[v >> 3 :: width].translate(_BIT_CHAR[v & 7])[::-1] or b"0", 2)
         for v in range(n)

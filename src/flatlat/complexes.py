@@ -82,49 +82,108 @@ class SimplicialComplex(GroundSet):
         (a) No facet holds a listed N, and (b) each N - p lies in a facet,
         so each N is a minimal non-face, and each implication N - p -> p
         holds on every flat: a flat holding the face N - p but not p would
-        make N a face.  So every flat is closed.  (c) Each meet-irreducible
-        closed set P is a flat: every maximal trace T = F & P of a facet F
-        extends by each vertex outside P, which holds when the facets with
-        trace T cover the outside.  Every closed set is the intersection of
-        the meet-irreducible ones above it and the ground set, and flats are
-        closed under intersection, so every closed set is a flat.
+        make N a face.  So every flat is closed.  Each set is tested once,
+        as the AND of the columns (_util.columns) of its vertices.
+
+        (c) Each meet-irreducible closed set P is a flat: every maximal
+        trace T = F & P of a facet F extends by each vertex outside P,
+        which holds when the facets with trace T cover the outside.  Every
+        closed set is the intersection of the meet-irreducible ones above
+        it and the ground set, and flats are closed under intersection, so
+        every closed set is a flat.
+
+        The facets are grouped by their trace on each P as {trace: union
+        of the facets with that trace}, P taken from the largest down.  A
+        trace on P is a trace on any Q above P cut down to P, so P's
+        grouping is made from the smallest one already made for a Q above
+        it, or from the facets themselves.  Iterating a grouping meets the
+        traces in the order of their first facets, and cutting it down
+        keeps that order, so the checks, run from the smallest P up, report
+        the same first failing trace as one pass over the facets per P
+        would.  When P has fewer subsets than that grouping has entries,
+        the facets are split instead by the columns of P's vertices: each
+        part is one trace, its union the vertices whose column meets it,
+        and the parts go in the order of their lowest facets.
         """
         n, facets = len(self.vertices), self.facet_masks
         full = self.full_mask
         shown = self._shown
         holders = columns(facets, n)
+        held_by = {}  # a set of vertices -> whether some facet holds it
 
-        def in_a_facet(mask):
-            held = -1
-            for v in bit_indices(mask):
-                held &= holders[v]
-            return held
+        def held(mask):
+            got = held_by.get(mask)
+            if got is None:
+                common, rest = -1, mask
+                while rest and common:
+                    low = rest & -rest
+                    common &= holders[low.bit_length() - 1]
+                    rest ^= low
+                held_by[mask] = got = common != 0
+            return got
 
         for nonface in self._nonface_masks:
-            for p in bit_indices(nonface):
-                if not in_a_facet(nonface ^ 1 << p):
+            rest = nonface
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not held(nonface ^ low):
                     raise ConstructionMismatch(
                         f"listed non-face {shown(nonface)} is not minimal: "
-                        f"{shown(nonface ^ 1 << p)} lies in no facet"
+                        f"{shown(nonface ^ low)} lies in no facet"
                     )
-            if in_a_facet(nonface):
+            if held(nonface):
                 raise ConstructionMismatch(
                     f"listed non-face {shown(nonface)} lies in a facet"
                 )
         closure = FlatClosure(_nonface_implications(self._nonface_masks), n)
         closed = closure.flat_masks
+        irreducible = []
         for i, p in enumerate(closed):
             meet = full  # of the closed sets above p, which come after it
             for q in closed[i + 1 :]:
                 if not p & ~q:
                     meet &= q
-            if meet == p:
-                continue
-            ext = {}  # trace on p -> the union of the facets with that trace
-            get = ext.get
-            for facet in facets:
-                trace = facet & p
-                ext[trace] = get(trace, 0) | facet
+            if meet != p:
+                irreducible.append(p)
+        everyone = (1 << len(facets)) - 1
+        grouped = {}  # P -> {trace on P: the union of the facets with it}
+        for p in reversed(irreducible):
+            size, source = min(
+                ((len(ext), ext.items()) for q, ext in grouped.items() if not p & ~q),
+                key=lambda made: made[0],
+                default=(len(facets), zip(facets, facets)),
+            )
+            if 1 << p.bit_count() < size:
+                parts = [(everyone, 0)]  # facet indices, their trace
+                rest = p
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    column = holders[low.bit_length() - 1]
+                    split = []
+                    for part, trace in parts:
+                        inside = part & column
+                        if inside:
+                            split.append((inside, trace | low))
+                        if inside != part:
+                            split.append((part ^ inside, trace))
+                    parts = split
+                parts.sort(key=lambda pair: pair[0] & -pair[0])  # by lowest facet
+                around = [(1 << v, holders[v]) for v in range(n) if not p >> v & 1]
+                ext = {
+                    trace: trace | sum(bit for bit, column in around if column & part)
+                    for part, trace in parts
+                }
+            else:
+                ext = {}
+                get = ext.get
+                for trace, covered in source:
+                    trace &= p
+                    ext[trace] = get(trace, 0) | covered
+            grouped[p] = ext
+        for p in irreducible:
+            ext = grouped[p]
             outside = full & ~p
             for trace, covered in ext.items():
                 missing = outside & ~covered
@@ -334,10 +393,13 @@ def _nonface_implications(nonface_masks):
     """The implications N - p -> p of the given non-faces, those sharing a
     premise merged into one, as _facet_implications groups them."""
     merged = {}
+    get = merged.get
     for nonface in nonface_masks:
-        for p in bit_indices(nonface):
-            low = 1 << p
-            merged[nonface ^ low] = merged.get(nonface ^ low, 0) | low
+        rest = nonface
+        while rest:
+            low = rest & -rest
+            merged[nonface ^ low] = get(nonface ^ low, 0) | low
+            rest ^= low
     return merged.items()
 
 

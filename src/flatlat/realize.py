@@ -21,9 +21,11 @@ from .flats import ORACLE_SIZE_LIMIT, _chain_bruteforce, all_flats
 from .graphs import find_supercliques, top_join_graph
 
 # realizing_complex costs the size of its output, at least the 3^(n-1) full
-# transversals for n elements.  Verifying it walks no face, only the facets
-# once per meet-irreducible flat: M8 builds in 7-10 ms and verifies in
-# 44-76 ms, chain10 in 3-4 ms and 21-32 ms.  So this is the one limit on
+# transversals for n elements.  Verifying it walks no face: the certificate
+# transposes the facets once and groups them once per meet-irreducible flat,
+# each grouping cut down from a larger one or split by columns.  M8 builds
+# in 8-14 ms and verifies in 16-31 ms, chain10 in 3-6 ms and 10-19 ms
+# (Python 3.11, shared 2-vCPU host, 25 runs each).  So this is the one limit on
 # construct --verify: its complex lists its minimal non-faces and walks no
 # face, so FLATS_SOFT_LIMIT, which bounds the face walk, does not hold it,
 # though a 10-element lattice gives 27 vertices
@@ -291,9 +293,12 @@ def realizing_complex(lattice, override=False):
     complex_ = SimplicialComplex._from_facet_masks(vertex_labels, facets, nonfaces)
     predicted = {
         labels[x]: frozenset(
-            f"{labels[e]}^{c}" for e in elems if lattice.leq(e, x) for c in copies
+            label
+            for k, e in enumerate(elems)
+            if lattice.leq(e, x)
+            for label in vertex_labels[3 * k : 3 * k + 3]
         )
-        for x in range(len(lattice))
+        for x in range(n)
     }
     return complex_, predicted
 

@@ -46,6 +46,9 @@ the library ran before Fast Close-by-One: it walks the closed sets in a
 fixed order and reuses no closure that failed.  The cover closure oracle is
 Warshall's loop, n^2 steps whatever the pairs, which the library ran on
 every cover document before it ORed up-sets in reverse topological order.
+The certificate oracle reads every facet once for each meet-irreducible
+closed set, as the library did before it grouped the facets once, from the
+largest closed set down.
 """
 
 import contextlib
@@ -64,13 +67,14 @@ from flatlat import (
     FiniteLattice,
     NotALattice,
     NotAPartialOrder,
+    ConstructionMismatch,
     NotAtomistic,
     SimpleGraph,
     SimplicialComplex,
     lattice_from_covers,
 )
 from flatlat._util import bit_indices, columns, indices, mask_sort_key, maximal_masks, refine
-from flatlat.complexes import _facet_implications
+from flatlat.complexes import FlatClosure, _facet_implications, _nonface_implications
 from flatlat.flats import _transversal_order
 from flatlat.lattice import _canonical_key
 
@@ -733,6 +737,75 @@ def facets_only(complex_):
     """The same complex without the minimal non-faces its construction
     listed, so that its flats come from the walk over every face."""
     return SimplicialComplex._from_facet_masks(complex_.vertices, complex_.facet_masks)
+
+
+def certified_closure_by_passes(complex_):
+    """SimplicialComplex._certified_closure with one pass over the facets
+    per meet-irreducible closed set: the same checks in the same order,
+    raising the same ConstructionMismatch, or the same closure."""
+    n, facets = len(complex_.vertices), complex_.facet_masks
+    full = complex_.full_mask
+    shown = complex_._shown
+    holders = columns(facets, n)
+
+    def in_a_facet(mask):
+        held = -1
+        for v in bit_indices(mask):
+            held &= holders[v]
+        return held
+
+    for nonface in complex_._nonface_masks:
+        for p in bit_indices(nonface):
+            if not in_a_facet(nonface ^ 1 << p):
+                raise ConstructionMismatch(
+                    f"listed non-face {shown(nonface)} is not minimal: "
+                    f"{shown(nonface ^ 1 << p)} lies in no facet"
+                )
+        if in_a_facet(nonface):
+            raise ConstructionMismatch(
+                f"listed non-face {shown(nonface)} lies in a facet"
+            )
+    closure = FlatClosure(_nonface_implications(complex_._nonface_masks), n)
+    closed = closure.flat_masks
+    for i, p in enumerate(closed):
+        meet = full  # of the closed sets above p, which come after it
+        for q in closed[i + 1 :]:
+            if not p & ~q:
+                meet &= q
+        if meet == p:
+            continue
+        ext = {}  # trace on p -> the union of the facets with that trace
+        get = ext.get
+        for facet in facets:
+            trace = facet & p
+            ext[trace] = get(trace, 0) | facet
+        outside = full & ~p
+        for trace, covered in ext.items():
+            missing = outside & ~covered
+            # a trace inside a larger one extends as far as that one
+            if missing and not any(t & ~trace and not trace & ~t for t in ext):
+                raise ConstructionMismatch(
+                    f"closed set {shown(p)} of the listed non-faces is not "
+                    f"a flat: the face {shown(trace)} does not extend by "
+                    f"{shown(missing & -missing)}"
+                )
+    return closure
+
+
+def partly_listed_complexes(seed, count):
+    """Complexes on 4-8 vertices with 4-30 random facets of one size, each
+    listing a random part of its minimal non-faces, as (vertices, facet
+    masks, non-face masks)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        labels = [str(v) for v in range(rng.randint(4, 8))]
+        size = rng.randint(2, len(labels) - 2)
+        complex_ = SimplicialComplex(
+            labels, [rng.sample(labels, size) for _ in range(rng.randint(4, 30))]
+        )
+        keep = rng.choice((0.5, 0.8, 0.95))
+        nonfaces = minimal_nonfaces_by_face_walk(complex_)
+        yield labels, complex_.facet_masks, [m for m in nonfaces if rng.random() < keep]
 
 
 def semimodular_witness_by_scan(lattice):

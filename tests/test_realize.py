@@ -551,6 +551,25 @@ def test_certificate_raises_on_a_tampered_nonface_list_or_facet_list():
         assert str(caught.value) == message
 
 
+def _tampered(lattices):
+    """The realizing complex of each lattice with one spurious non-face
+    added (a single vertex, or a non-face joined with a facet), one listed
+    non-face dropped, or one facet removed, as (kind, vertices, facets,
+    non-faces)."""
+    for lat in lattices:
+        complex_, _ = realizing_complex(lat)
+        vertices, facets = complex_.vertices, list(complex_.facet_masks)
+        nonfaces = list(complex_._nonface_masks)
+        for k, nonface in enumerate(nonfaces):
+            for spurious in (nonface & -nonface, nonface | facets[k % len(facets)]):
+                if spurious not in nonfaces:
+                    yield "spurious", vertices, facets, nonfaces + [spurious]
+        for k in range(len(nonfaces)):
+            yield "dropped", vertices, facets, nonfaces[:k] + nonfaces[k + 1 :]
+        for k in range(len(facets)):
+            yield "removed", vertices, facets[:k] + facets[k + 1 :], nonfaces
+
+
 def test_certificate_raises_or_answers_as_the_face_walk_does():
     """Drop one listed non-face, add one face or non-minimal non-face, or
     remove one facet, on every lattice with 2-5 elements: each spurious
@@ -559,38 +578,63 @@ def test_certificate_raises_or_answers_as_the_face_walk_does():
     list are not their flats; when it answers, it answers as the face walk
     does."""
     raised = {"dropped": 0, "removed": 0}
-    for lat in _realizing_cases(5, 0):
+    truth = {}  # facets -> their flats and minimal non-faces
+    for kind, vertices, facet_list, nonface_list in _tampered(_realizing_cases(5, 0)):
+        if kind == "spurious":
+            with pytest.raises(ConstructionMismatch):
+                _certified_flats(vertices, facet_list, nonface_list)
+            continue
+        if (vertices, tuple(facet_list)) not in truth:
+            walked = SimplicialComplex._from_facet_masks(vertices, facet_list)
+            truth[vertices, tuple(facet_list)] = (
+                walked.flat_closure.flat_masks,
+                set(helpers.minimal_nonfaces_by_face_walk(walked)),
+            )
+        flats, minimal = truth[vertices, tuple(facet_list)]
+        listed = FlatClosure(_nonface_implications(nonface_list), len(vertices))
+        wrong = listed.flat_masks != flats or not set(nonface_list) <= minimal
+        try:
+            got = _certified_flats(vertices, facet_list, nonface_list)
+        except ConstructionMismatch:
+            assert wrong
+            raised[kind] += 1
+            continue
+        assert not wrong and got == flats
+    assert raised == {"dropped": 58, "removed": 307}
+
+
+def _flats_or_message(certify, complex_):
+    try:
+        return certify(complex_).flat_masks
+    except ConstructionMismatch as mismatch:
+        return str(mismatch)
+
+
+def test_certificate_reports_as_one_pass_over_the_facets_per_flat_does():
+    """The certificate, which groups the facets once, gives the flats or
+    the ConstructionMismatch text of the one that reads every facet once
+    per meet-irreducible closed set: on every tampered input above; on
+    chain7, whose groupings are cut down from larger ones, and M4, whose
+    groupings are split by columns, each with every listed non-face dropped
+    in turn and with each of its first 20 facets removed; and on small
+    complexes listing part of their minimal non-faces, where a closed set
+    that is no flat can have several traces that do not extend, so the
+    order of the traces decides which one is reported."""
+    inputs = [case[1:] for case in _tampered(_realizing_cases(5, 0))]
+    inputs += helpers.partly_listed_complexes(25, 600)
+    for lat in (helpers.chain_lattice(7), helpers.m_lattice(4)):
         complex_, _ = realizing_complex(lat)
         vertices, facets = complex_.vertices, list(complex_.facet_masks)
         nonfaces = list(complex_._nonface_masks)
-        for k, nonface in enumerate(nonfaces):
-            for spurious in (nonface & -nonface, nonface | facets[k % len(facets)]):
-                if spurious not in nonfaces:
-                    with pytest.raises(ConstructionMismatch):
-                        _certified_flats(vertices, facets, nonfaces + [spurious])
-        tampered = [
-            ("dropped", facets, nonfaces[:k] + nonfaces[k + 1 :])
+        inputs += [
+            (vertices, facets, nonfaces[:k] + nonfaces[k + 1 :])
             for k in range(len(nonfaces))
-        ] + [
-            ("removed", facets[:k] + facets[k + 1 :], nonfaces)
-            for k in range(len(facets))
         ]
-        truth = {}  # facets -> their flats and minimal non-faces
-        for kind, facet_list, nonface_list in tampered:
-            if tuple(facet_list) not in truth:
-                walked = SimplicialComplex._from_facet_masks(vertices, facet_list)
-                truth[tuple(facet_list)] = (
-                    walked.flat_closure.flat_masks,
-                    set(helpers.minimal_nonfaces_by_face_walk(walked)),
-                )
-            flats, minimal = truth[tuple(facet_list)]
-            listed = FlatClosure(_nonface_implications(nonface_list), len(vertices))
-            wrong = listed.flat_masks != flats or not set(nonface_list) <= minimal
-            try:
-                got = _certified_flats(vertices, facet_list, nonface_list)
-            except ConstructionMismatch:
-                assert wrong
-                raised[kind] += 1
-                continue
-            assert not wrong and got == flats
-    assert raised == {"dropped": 58, "removed": 307}
+        inputs += [(vertices, facets[:k] + facets[k + 1 :], nonfaces) for k in range(20)]
+    messages = 0
+    for vertices, facets, nonfaces in inputs:
+        complex_ = SimplicialComplex._from_facet_masks(vertices, facets, nonfaces)
+        got = _flats_or_message(SimplicialComplex._certified_closure, complex_)
+        assert got == _flats_or_message(helpers.certified_closure_by_passes, complex_)
+        messages += isinstance(got, str)
+    assert messages
