@@ -35,9 +35,9 @@ def maximal_masks(masks):
     size at a time: the largest are all kept, and each later mask is checked
     against the masks kept from the larger sizes.  holders[v] has bit k set
     when the k-th kept mask contains vertex v; the AND of the holders of a
-    mask's vertices is the set of kept masks containing it.  The holders of
-    a size's kept masks are filled only when a smaller nonempty size
-    follows, so masks all of one size cost one sort.
+    mask's vertices (common) is the set of kept masks containing it.  The
+    holders of a size's kept masks are filled only when a smaller nonempty
+    size follows, so masks all of one size cost one sort.
     """
     ordered = sorted(set(masks), key=int.bit_count, reverse=True)
     out, holders, filled = [], [], 0
@@ -56,16 +56,20 @@ def maximal_masks(masks):
                 holders[low.bit_length() - 1] |= bit
                 rest ^= low
         filled = len(out)
-        for m in group:
-            common = -1
-            rest = m
-            while rest and common:
-                low = rest & -rest
-                common &= holders[low.bit_length() - 1]
-                rest ^= low
-            if not common:
-                out.append(m)
+        out.extend(m for m in group if not common(holders, m))
     return out
+
+
+def common(cols, mask):
+    """The AND of cols[v] over the bits v of mask, -1 for the empty mask;
+    it stops once the AND is 0.  Over columns(masks, n) it is the set of
+    the masks that contain mask."""
+    got = -1
+    while mask and got:
+        low = mask & -mask
+        got &= cols[low.bit_length() - 1]
+        mask ^= low
+    return got
 
 
 # _BIT_CHAR[k] maps each byte to the digit "0" or "1" of its bit k
@@ -75,7 +79,7 @@ _BIT_CHAR = [bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8)]
 def columns(masks, n):
     """The transpose of a list of masks over n bits: for each v < n, the int
     whose bit k is set when the k-th mask contains v.  The AND of the
-    columns of a set's bits is the set of masks that contain it.
+    columns of a set's bits (common) is the set of masks that contain it.
 
     The masks are written out as bytes once; each column is read off by a
     slice and a byte translation into binary digits, all in C.

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from ._util import (
-    GroundSet, IndexMap, bit_indices, byte_tables, closed_sets, columns,
+    GroundSet, IndexMap, bit_indices, byte_tables, closed_sets, columns, common,
     find_isomorphism, indices, mask_sort_key, maximal_masks,
 )
 from .errors import ConstructionMismatch, EmptyRestriction
@@ -82,8 +82,11 @@ class SimplicialComplex(GroundSet):
         (a) No facet holds a listed N, and (b) each N - p lies in a facet,
         so each N is a minimal non-face, and each implication N - p -> p
         holds on every flat: a flat holding the face N - p but not p would
-        make N a face.  So every flat is closed.  Each set is tested once,
-        as the AND of the columns (_util.columns) of its vertices.
+        make N a face.  So every flat is closed.  The same walk over the
+        pairs (N, p) merges the implications sharing a premise into one,
+        as _facet_implications groups them, and each premise is tested
+        only when first met, as the AND of the columns (_util.columns) of
+        its vertices (_util.common); N is tested after its premises.
 
         (c) Each meet-irreducible closed set P is a flat: every maximal
         trace T = F & P of a facet F extends by each vertex outside P,
@@ -109,34 +112,25 @@ class SimplicialComplex(GroundSet):
         full = self.full_mask
         shown = self._shown
         holders = columns(facets, n)
-        held_by = {}  # a set of vertices -> whether some facet holds it
-
-        def held(mask):
-            got = held_by.get(mask)
-            if got is None:
-                common, rest = -1, mask
-                while rest and common:
-                    low = rest & -rest
-                    common &= holders[low.bit_length() - 1]
-                    rest ^= low
-                held_by[mask] = got = common != 0
-            return got
-
+        merged = {}  # N - p -> the OR of its p, tested when first met
+        get = merged.get
         for nonface in self._nonface_masks:
             rest = nonface
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if not held(nonface ^ low):
+                premise = nonface ^ low
+                if premise not in merged and not common(holders, premise):
                     raise ConstructionMismatch(
                         f"listed non-face {shown(nonface)} is not minimal: "
-                        f"{shown(nonface ^ low)} lies in no facet"
+                        f"{shown(premise)} lies in no facet"
                     )
-            if held(nonface):
+                merged[premise] = get(premise, 0) | low
+            if common(holders, nonface):
                 raise ConstructionMismatch(
                     f"listed non-face {shown(nonface)} lies in a facet"
                 )
-        closure = FlatClosure(_nonface_implications(self._nonface_masks), n)
+        closure = FlatClosure(merged.items(), n)
         closed = closure.flat_masks
         irreducible = []
         for i, p in enumerate(closed):
@@ -311,7 +305,8 @@ class FlatClosure:
     whose premise it holds.  The flats of a complex are the closed sets of
     the implications N - p -> p, for N a minimal non-face and p in N: they
     come from the face walk by _facet_implications, or from a construction's
-    own list of minimal non-faces by _nonface_implications.
+    own list of minimal non-faces, merged by premise as they are certified
+    (SimplicialComplex._certified_closure).
 
     A round ORs, over the vertices missing from the set, the implications
     whose premise holds the vertex (blocked) and those whose conclusion
@@ -387,20 +382,6 @@ def _facet_implications(levels, n):
                 rest ^= low
             if bad:
                 yield face, bad
-
-
-def _nonface_implications(nonface_masks):
-    """The implications N - p -> p of the given non-faces, those sharing a
-    premise merged into one, as _facet_implications groups them."""
-    merged = {}
-    get = merged.get
-    for nonface in nonface_masks:
-        rest = nonface
-        while rest:
-            low = rest & -rest
-            merged[nonface ^ low] = get(nonface ^ low, 0) | low
-            rest ^= low
-    return merged.items()
 
 
 def _ext_levels(facet_masks):

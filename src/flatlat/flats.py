@@ -26,7 +26,7 @@ import re
 from functools import cached_property
 from typing import NamedTuple
 
-from ._util import bit_indices, check_limit, columns, mask_sort_key, maximal_masks
+from ._util import bit_indices, check_limit, columns, common, mask_sort_key, maximal_masks
 from .complexes import SimplicialComplex
 from .errors import LoopsPresent
 from .lattice import FiniteLattice
@@ -75,12 +75,7 @@ class FlatFamily:
         masks = self._masks
         held = columns(masks, len(self.complex.vertices))  # flats holding v
         everyone = (1 << len(masks)) - 1
-        up = []
-        for flat in masks:
-            above = everyone
-            for v in bit_indices(flat):
-                above &= held[v]
-            up.append(above)
+        up = [common(held, flat) & everyone for flat in masks]
         labels = _flat_labels(self.complex.vertices, masks)
         return FiniteLattice._from_up_masks(labels, up)
 

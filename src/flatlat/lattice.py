@@ -25,7 +25,7 @@ import itertools
 from functools import cached_property
 
 from ._util import (
-    IndexMap, bit_indices, check_limit, columns, find_isomorphism, indices, leaves,
+    IndexMap, bit_indices, check_limit, columns, common, find_isomorphism, indices, leaves,
 )
 from .errors import NotALattice, NotAPartialOrder
 
@@ -212,10 +212,7 @@ class FiniteLattice:
         atom_mask = sum(1 << a for a in self.atoms)
         everyone = (1 << len(self)) - 1
         for x, below in enumerate(self._down):
-            above = everyone
-            for a in bit_indices(below & atom_mask):
-                above &= up[a]
-            if above != up[x]:
+            if common(up, below & atom_mask) & everyone != up[x]:
                 return x
         return None
 

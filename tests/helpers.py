@@ -74,7 +74,7 @@ from flatlat import (
     lattice_from_covers,
 )
 from flatlat._util import bit_indices, columns, indices, mask_sort_key, maximal_masks, refine
-from flatlat.complexes import FlatClosure, _facet_implications, _nonface_implications
+from flatlat.complexes import FlatClosure, _facet_implications
 from flatlat.flats import _transversal_order
 from flatlat.lattice import _canonical_key
 
@@ -739,6 +739,18 @@ def facets_only(complex_):
     return SimplicialComplex._from_facet_masks(complex_.vertices, complex_.facet_masks)
 
 
+def nonface_implications(nonface_masks):
+    """The implications N - p -> p of the given non-faces, those sharing a
+    premise merged into one in the order of their first (N, p), as
+    SimplicialComplex._certified_closure merges them."""
+    merged = {}
+    for nonface in nonface_masks:
+        for p in bit_indices(nonface):
+            premise = nonface ^ 1 << p
+            merged[premise] = merged.get(premise, 0) | 1 << p
+    return merged.items()
+
+
 def certified_closure_by_passes(complex_):
     """SimplicialComplex._certified_closure with one pass over the facets
     per meet-irreducible closed set: the same checks in the same order,
@@ -765,7 +777,7 @@ def certified_closure_by_passes(complex_):
             raise ConstructionMismatch(
                 f"listed non-face {shown(nonface)} lies in a facet"
             )
-    closure = FlatClosure(_nonface_implications(complex_._nonface_masks), n)
+    closure = FlatClosure(nonface_implications(complex_._nonface_masks), n)
     closed = closure.flat_masks
     for i, p in enumerate(closed):
         meet = full  # of the closed sets above p, which come after it

@@ -15,8 +15,8 @@ from flatlat import (
     realizing_complex,
 )
 
-from flatlat._util import maximal_masks, refine
-from flatlat.complexes import _facet_implications, _nonface_implications
+from flatlat._util import columns, common, maximal_masks, refine
+from flatlat.complexes import _facet_implications
 
 import helpers
 from conftest import FIXTURES
@@ -288,6 +288,22 @@ def test_maximal_masks_matches_pairwise_comparison(masks):
     assert maximal_masks(masks) == helpers.maximal_masks_naive(masks)
 
 
+@given(
+    st.lists(st.integers(min_value=0, max_value=(1 << 9) - 1), max_size=40),
+    st.integers(min_value=0, max_value=(1 << 9) - 1),
+)
+@example([], 0)
+@example([0b101, 0b111], 0)
+@example([0b101, 0b111, 0b110], 0b101)
+@example([0b1, 0b10], 0b11)
+def test_common_is_the_set_of_masks_that_contain_the_mask(masks, m):
+    got = common(columns(masks, 9), m)
+    if not m:
+        assert got == -1
+    else:
+        assert got == sum(1 << k for k, mask in enumerate(masks) if not m & ~mask)
+
+
 # -- the one face walk and the byte-table closure against their oracles ------
 
 
@@ -352,7 +368,8 @@ def test_byte_table_closure_matches_the_vertex_loop(fixture_complexes):
         assert [c.flat_closure(mask) for mask in masks] == list(map(oracle, masks))
     for c in _realizing_complexes():
         n = len(c.vertices)
-        oracle = helpers.closure_by_vertex_loop(_nonface_implications(c._nonface_masks), n)
+        implications = helpers.nonface_implications(c._nonface_masks)
+        oracle = helpers.closure_by_vertex_loop(implications, n)
         masks = _random_masks(rng, n, 800)
         assert [c.flat_closure(mask) for mask in masks] == list(map(oracle, masks))
 

@@ -23,7 +23,7 @@ from flatlat import (
 )
 from flatlat import flats, parse
 from flatlat._util import closed_sets, mask_sort_key
-from flatlat.complexes import FlatClosure, _facet_implications, _nonface_implications
+from flatlat.complexes import FlatClosure, _facet_implications
 from flatlat.flats import _flat_labels
 
 import helpers
@@ -420,7 +420,7 @@ def _fresh_closure(c):
     n = len(c.vertices)
     if c._nonface_masks is None:
         return FlatClosure(_facet_implications(c._ext_levels, n), n)
-    return FlatClosure(_nonface_implications(c._nonface_masks), n)
+    return FlatClosure(helpers.nonface_implications(c._nonface_masks), n)
 
 
 def _assert_closed_sets_match_scan_and_next_closure(c):

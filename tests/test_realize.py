@@ -1,6 +1,7 @@
 """Canonical complexes, realizability decisions, and the general construction."""
 
 import itertools
+import random
 
 import pytest
 
@@ -21,7 +22,7 @@ from flatlat import (
     verify_realization,
     verify_realizing_complex,
 )
-from flatlat.complexes import FlatClosure, _nonface_implications
+from flatlat.complexes import FlatClosure
 
 import helpers
 
@@ -591,7 +592,7 @@ def test_certificate_raises_or_answers_as_the_face_walk_does():
                 set(helpers.minimal_nonfaces_by_face_walk(walked)),
             )
         flats, minimal = truth[vertices, tuple(facet_list)]
-        listed = FlatClosure(_nonface_implications(nonface_list), len(vertices))
+        listed = FlatClosure(helpers.nonface_implications(nonface_list), len(vertices))
         wrong = listed.flat_masks != flats or not set(nonface_list) <= minimal
         try:
             got = _certified_flats(vertices, facet_list, nonface_list)
@@ -610,6 +611,35 @@ def _flats_or_message(certify, complex_):
         return str(mismatch)
 
 
+def _with_inserted_entries(lattices, rng, count):
+    """The realizing complex of each lattice, count times, with 1-4 entries
+    inserted at random places in its list of non-faces: a random part of a
+    facet (a face), a listed N with a vertex added (not minimal), a random
+    set, a repeat of a listed N, or a listed N with one vertex swapped for
+    one outside it (sharing an N - p with N), as (vertices, facets,
+    non-faces)."""
+    for lat in lattices:
+        complex_, _ = realizing_complex(lat)
+        vertices, facets = complex_.vertices, list(complex_.facet_masks)
+        n = len(vertices)
+        for _ in range(count):
+            listed = list(complex_._nonface_masks)
+            for _ in range(rng.randint(1, 4)):
+                nonface = rng.choice(listed)
+                inside = [v for v in range(n) if nonface >> v & 1]
+                outside = [v for v in range(n) if not nonface >> v & 1]
+                entry = rng.choice([
+                    rng.choice(facets) & rng.getrandbits(n),
+                    nonface | 1 << rng.randrange(n),
+                    rng.getrandbits(n),
+                    nonface,
+                    nonface ^ 1 << rng.choice(inside) | 1 << rng.choice(outside)
+                    if inside and outside else nonface,
+                ])
+                listed.insert(rng.randint(0, len(listed)), entry)
+            yield vertices, facets, listed
+
+
 def test_certificate_reports_as_one_pass_over_the_facets_per_flat_does():
     """The certificate, which groups the facets once, gives the flats or
     the ConstructionMismatch text of the one that reads every facet once
@@ -619,7 +649,12 @@ def test_certificate_reports_as_one_pass_over_the_facets_per_flat_does():
     in turn and with each of its first 20 facets removed; and on small
     complexes listing part of their minimal non-faces, where a closed set
     that is no flat can have several traces that do not extend, so the
-    order of the traces decides which one is reported."""
+    order of the traces decides which one is reported.  Then on the lists
+    of chain5, M4 and three random 6-element lattices with several entries
+    inserted, where the first failing check depends on whether each N is
+    tested after its own N - p or after every N - p of the list."""
+    from flatlat import enumerate_lattices
+
     inputs = [case[1:] for case in _tampered(_realizing_cases(5, 0))]
     inputs += helpers.partly_listed_complexes(25, 600)
     for lat in (helpers.chain_lattice(7), helpers.m_lattice(4)):
@@ -631,10 +666,15 @@ def test_certificate_reports_as_one_pass_over_the_facets_per_flat_does():
             for k in range(len(nonfaces))
         ]
         inputs += [(vertices, facets[:k] + facets[k + 1 :], nonfaces) for k in range(20)]
-    messages = 0
+    rng = random.Random(2026)
+    sixes = [lat for lat in enumerate_lattices(6) if len(lat) == 6]
+    lattices = [helpers.chain_lattice(5), helpers.m_lattice(4), *rng.sample(sixes, 3)]
+    inputs += _with_inserted_entries(lattices, rng, 150)
+    kinds = ("lies in a facet", "is not minimal", "is not a flat")
+    reached = set()
     for vertices, facets, nonfaces in inputs:
         complex_ = SimplicialComplex._from_facet_masks(vertices, facets, nonfaces)
         got = _flats_or_message(SimplicialComplex._certified_closure, complex_)
         assert got == _flats_or_message(helpers.certified_closure_by_passes, complex_)
-        messages += isinstance(got, str)
-    assert messages
+        reached.update(k for k in kinds if isinstance(got, str) and k in got)
+    assert reached == set(kinds)
