@@ -251,6 +251,11 @@ def refine(succ, pred, colours):
     given colours keeps the refined ones.  The result is equitable
     (nodes of one colour have as many successors, and predecessors, of each
     colour), and it only splits the given classes.
+
+    A node alone in its class keeps it whatever its neighbours, so after
+    the first round it is signed (c,) alone.  Signatures compare on c
+    first and no other node has colour c, so it ranks where the full
+    signature would: the colours are the same, not only the classes.
     """
     sig = [(c, len(s), len(p)) for c, s, p in zip(colours, succ, pred)]
     classes = 0
@@ -260,8 +265,15 @@ def refine(succ, pred, colours):
         if len(rank) in (classes, len(sig)):
             return colour
         classes, get = len(rank), colour.__getitem__
+        size = [0] * classes
+        for c in colour:
+            size[c] += 1
         sig = [
-            (c, tuple(sorted(map(get, s))) if s else (), tuple(sorted(map(get, p))) if p else ())
+            (c,) if size[c] == 1 else (
+                c,
+                tuple(sorted(map(get, s))) if s else (),
+                tuple(sorted(map(get, p))) if p else (),
+            )
             for c, s, p in zip(colour, succ, pred)
         ]
 
@@ -288,43 +300,60 @@ def leaves(succ, pred, colours, autos=None):
     Every subtree skipped is thus the image of a visited one under an
     automorphism, and its leaves read like visited ones.  Each automorphism
     found is appended to autos, when given, as the tuple of node images.
+
+    Refined colourings are ranks 0..k-1, and individualizing keeps them so:
+    a colouring is discrete when its largest colour is n - 1, and its
+    order is then its inverse.  Each frame holds a colouring, the nodes of
+    its first class of several (its cell) and the children tried.  path is
+    the way from the root to the node at hand, the child tried last in each
+    frame on it, pushed and popped with the frames.
     """
     n = len(succ)
-    frames = [(refine(succ, pred, colours), [])]  # a colouring, its children tried
-    best = None
+    frames = []  # the colourings not discrete on the path, outermost first
+    path = []
+    best = None  # the least leaf so far: its reading, order and path
     if autos is None:
         autos = []
-    while frames:
-        colours, tried = frames[-1]
-        path = [f[1][-1] for f in frames[:-1]]
-        if len(set(colours)) == n:  # a leaf: its reading, order and path
-            order = sorted(range(n), key=colours.__getitem__)
+    colours = refine(succ, pred, colours)
+    while True:  # colours is the node that path reaches
+        if max(colours, default=-1) == n - 1:  # a leaf
+            order = [0] * n
+            for v, c in enumerate(colours):
+                order[c] = v
             bit = [1 << c for c in colours].__getitem__
-            leaf = tuple(sum(map(bit, succ[i])) for i in order), order, path
-            yield leaf[:2]
-            if best and leaf[0] == best[0]:
+            reading = tuple(sum(map(bit, succ[i])) for i in order)
+            yield reading, order
+            if best and reading == best[0]:
                 autos.append(tuple(map(best[1].__getitem__, colours)))
                 split = next(k for k, (v, x) in enumerate(zip(path, best[2])) if v != x)
-                del frames[split + 1 :]
-                continue
-            best = min(best or leaf, leaf)
+                del frames[split + 1 :], path[split:]
+            else:
+                if best is None or reading < best[0]:
+                    best = reading, order, path.copy()
+                del path[-1:]
+        else:  # a new frame, its cell the first class of several
+            side = sorted(colours)
+            t = next(c for c, d in zip(side, side[1:]) if c == d)
+            frames.append((colours, [v for v, c in enumerate(colours) if c == t], []))
+        while frames:  # the top frame's next child, popping frames without one
+            colours, cell, tried = frames[-1]
+            fixing = [g for g in autos if all(g[v] == v for v in path)]
+            done = set(tried)  # grown to the orbits of the children tried
+            if fixing:
+                while len(done) < len(grown := done | {g[v] for g in fixing for v in done}):
+                    done = grown
+            w = next((v for v in cell if v not in done), None)
+            if w is not None:
+                break
             frames.pop()
-            continue
-        side = sorted(colours)
-        t = next(c for c, d in zip(side, side[1:]) if c == d)  # the first class of several
-        fixing = [g for g in autos if all(g[v] == v for v in path)]
-        done = set(tried)  # grown to the orbits of the children tried
-        while len(done) < len(grown := done | {g[v] for g in fixing for v in done}):
-            done = grown
-        w = next((v for v, c in enumerate(colours) if c == t and v not in done), None)
-        if w is None:
-            frames.pop()
-            continue
+            del path[-1:]
+        else:
+            return
         tried.append(w)
-        child = individualize(colours, w)
-        if len(set(child)) < n:  # a discrete colouring is refined
-            child = refine(succ, pred, child)
-        frames.append((child, []))
+        path.append(w)
+        colours = individualize(colours, w)
+        if max(colours) < n - 1:  # a discrete colouring is refined
+            colours = refine(succ, pred, colours)
 
 
 def _degrees(relation):

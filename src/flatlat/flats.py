@@ -70,14 +70,18 @@ class FlatFamily:
 
         The flats containing a flat are the AND of the columns
         (_util.columns) of its vertices over the flat masks, so the order
-        costs one big-int AND per vertex of each flat, not a test per pair.
+        costs one big-int AND per vertex of each flat, not a test per pair;
+        the flats inside each flat are the columns of those up-sets.
+        Inclusion of distinct sets is a partial order, and the flats are
+        closed under intersection and hold the ground set, so it is a
+        lattice by construction and is stored without validation.
         """
         masks = self._masks
         held = columns(masks, len(self.complex.vertices))  # flats holding v
         everyone = (1 << len(masks)) - 1
         up = [common(held, flat) & everyone for flat in masks]
         labels = _flat_labels(self.complex.vertices, masks)
-        return FiniteLattice._from_up_masks(labels, up)
+        return FiniteLattice._from_lattice_masks(labels, up, columns(up, len(masks)))
 
 
 def _flat_labels(vertices, masks):

@@ -6,9 +6,12 @@ down-set and each up-set back to its element.  A set of elements has a
 greatest element g exactly when it is the down-set of g, so the meet of i
 and j is the element whose down-set is down[i] & down[j], one AND and one
 dict lookup (joins likewise with up-sets); no meet or join table is kept.
-Every constructor validates through _set_relation.  Instances are immutable
-and hashable, so results of expensive derived computations are cached on
-the instance.
+The constructor, lattice_from_covers and parsed documents validate through
+_set_relation; the lattices that are lattices by construction, the flats of
+a complex under inclusion and the children of coatom growth, are stored
+through _from_lattice_masks without it.  Instances are immutable and
+hashable, so results of expensive derived computations are cached on the
+instance.
 
 Enumeration grows the lattice classes of each size from those one element
 smaller by coatom augmentation (McKay-style isomorph-free generation, with
@@ -59,15 +62,26 @@ class FiniteLattice:
         """The lattice in which element i lies below the elements of up[i],
         a mask over the n elements.  It runs the constructor's validation
         (_set_relation) without a matrix, for callers that hold the up-sets:
-        FlatFamily.lattice, lattice_from_covers and the enumeration."""
+        lattice_from_covers and the enumeration's chains."""
         lattice = cls.__new__(cls)
         lattice._set_relation(_element_labels(labels), up)
         return lattice
 
+    @classmethod
+    def _from_lattice_masks(cls, labels, up, down):
+        """The lattice with these distinct labels, up-sets and down-sets,
+        stored without validation: for callers whose masks are a lattice's
+        by construction, FlatFamily.lattice and the enumeration."""
+        lattice = cls.__new__(cls)
+        by_up = {u: i for i, u in enumerate(up)}
+        by_down = {d: i for i, d in enumerate(down)}
+        lattice._store(tuple(labels), up, down, by_up, by_down)
+        return lattice
+
     def _set_relation(self, labels, up):
-        """Validate that the up-set masks give a lattice and store it; the
-        first failure, in the order of the checks and then of the elements,
-        raises.
+        """Validate that the up-set masks give a lattice and store it
+        (_store); the first failure, in the order of the checks and then of
+        the elements, raises.
 
         After the reflexive check, one sweep over the comparable pairs
         i <= j, by i and then j, checks antisymmetry and then transitivity
@@ -126,15 +140,20 @@ class FiniteLattice:
                     break
         if (1 << n) - 1 not in by_up or not joins <= by_up.keys():
             _raise_first_failing_pair(labels, up, down, by_up, by_down)
+        self._store(labels, up, down, by_up, by_down)
 
+    def _store(self, labels, up, down, by_up, by_down):
+        """Hold a lattice's labels, as a tuple, its up- and down-set masks
+        and the dicts from each up-set and down-set to its element."""
+        full = (1 << len(labels)) - 1
         self.labels = labels
         self._up = tuple(up)
         self._down = tuple(down)
         self._by_down = by_down
         self._by_up = by_up
         # the elements below or above which every element lies
-        self.bottom = by_up[(1 << n) - 1]
-        self.top = by_down[(1 << n) - 1]
+        self.bottom = by_up[full]
+        self.top = by_down[full]
 
     # -- basic queries ---------------------------------------------------
 
@@ -190,14 +209,20 @@ class FiniteLattice:
 
     @cached_property
     def height(self):
-        """Length (number of edges) of a longest chain."""
-        n = len(self)
-        depth = [0] * n
-        # a longest chain has only covers, so any y < x may precede x in it
-        for x in sorted(range(n), key=lambda i: self._down[i].bit_count()):
-            below = self._down[x] & ~(1 << x)
-            depth[x] = max((depth[y] + 1 for y in bit_indices(below)), default=0)
-        return depth[self.top]
+        """Length (number of edges) of a longest chain.
+
+        Each round removes the minimal elements of what is left, those
+        whose down-set meets it only in themselves; an element goes in
+        round k + 1 exactly when a longest chain up to it has k edges
+        (Mirsky), so the top goes last, in round height + 1.  That is one
+        mask test per element left in each round.
+        """
+        left, rounds = (1 << len(self)) - 1, 0
+        down = self._down
+        while left:
+            left ^= sum(1 << x for x in bit_indices(left) if down[x] & left == 1 << x)
+            rounds += 1
+        return rounds - 1
 
     # -- classification predicates ---------------------------------------
 
@@ -436,7 +461,8 @@ def _lattices_of_size(n, parents):
     I of parent elements must hold the bottom, and I & down[x] must be the
     down-set of a parent element for every x <= n-3: it is then that of the
     meet of x with the coatom.  Meets among parent elements are unchanged,
-    so the child is a finite meet-semilattice with a top, hence a lattice.
+    so the child is a finite meet-semilattice with a top, hence a lattice,
+    and it is stored without validation (_from_lattice_masks).
 
     An automorphism g of the parent fixes its top, so it maps admissible
     down-sets onto admissible ones, and g with the coatom and the top fixed
@@ -444,8 +470,9 @@ def _lattices_of_size(n, parents):
     given, a down-set in the orbit of one already tried gives a child whose
     key is already seen, so skipping it (_orbit_representatives) changes
     neither the classes nor their order.  A child's successor and
-    predecessor lists are the parent's, without its top, plus the coatom
-    and the top, so they are read off the parent's masks once per parent.
+    predecessor lists, and its up- and down-sets, are the parent's, without
+    its top, plus the coatom and the top, so they are read off the parent's
+    masks once per parent.
     """
     labels = tuple(str(i) for i in range(n))
     if n <= 2:  # the chain
@@ -454,7 +481,7 @@ def _lattices_of_size(n, parents):
         return
     seen = set()
     c, t = n - 2, n - 1
-    coatom, top = 1 << c, 1 << t
+    coatom, top, full = 1 << c, 1 << t, (1 << n) - 1
     every = list(range(n))
     for parent, parent_autos in parents:
         below = parent[:-1]  # the parent without its top: elements 0..n-3
@@ -472,7 +499,9 @@ def _lattices_of_size(n, parents):
                 seen.add(key)
                 rows = [u | coatom if ideal >> i & 1 else u for i, u in enumerate(up)]
                 child_up = (*rows, coatom | top, top)
-                yield FiniteLattice._from_up_masks(labels, child_up), tuple(autos)
+                child_down = (*below, ideal | coatom, full)
+                child = FiniteLattice._from_lattice_masks(labels, child_up, child_down)
+                yield child, tuple(autos)
 
 
 def _orbit_representatives(ideals, autos):

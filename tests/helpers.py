@@ -48,7 +48,11 @@ Warshall's loop, n^2 steps whatever the pairs, which the library ran on
 every cover document before it ORed up-sets in reverse topological order.
 The certificate oracle reads every facet once for each meet-irreducible
 closed set, as the library did before it grouped the facets once, from the
-largest closed set down.
+largest closed set down.  The refinement and search references re-sign
+every node in every round and rebuild the search path on every visit, as
+the library did before it signed lone nodes by their colour and kept its
+bookkeeping per frame; the height oracle takes one step per comparable
+pair, where the library peels the minimal elements a round at a time.
 """
 
 import contextlib
@@ -73,7 +77,9 @@ from flatlat import (
     SimplicialComplex,
     lattice_from_covers,
 )
-from flatlat._util import bit_indices, columns, indices, mask_sort_key, maximal_masks, refine
+from flatlat._util import (
+    bit_indices, columns, individualize, indices, mask_sort_key, maximal_masks, refine,
+)
 from flatlat.complexes import FlatClosure, _facet_implications
 from flatlat.flats import _transversal_order
 from flatlat.lattice import _canonical_key
@@ -669,6 +675,80 @@ def canonical_key_by_permutations(up, down):
         relation_in([i for perm in perms for i in perm])
         for perms in itertools.product(*map(itertools.permutations, blocks))
     )
+
+
+def refine_by_full_signatures(succ, pred, colours):
+    """Colour refinement as the library ran it before it signed a node
+    alone in its class by its colour only: every node is re-signed by the
+    sorted colours of its successors and predecessors in every round."""
+    sig = [(c, len(s), len(p)) for c, s, p in zip(colours, succ, pred)]
+    classes = 0
+    while True:
+        rank = {s: k for k, s in enumerate(sorted(set(sig)))}
+        colour = [rank[s] for s in sig]
+        if len(rank) in (classes, len(sig)):
+            return colour
+        classes, get = len(rank), colour.__getitem__
+        sig = [
+            (c, tuple(sorted(map(get, s))) if s else (), tuple(sorted(map(get, p))) if p else ())
+            for c, s, p in zip(colour, succ, pred)
+        ]
+
+
+def leaves_by_rebuilt_paths(succ, pred, colours, autos=None):
+    """The individualization-refinement search as the library ran it
+    before it kept its bookkeeping per frame: the path is rebuilt from the
+    frames, the first class of several found again and the orbits of the
+    children tried closed on every visit, a leaf's order read by sorting,
+    and refinement is refine_by_full_signatures."""
+    n = len(succ)
+    frames = [(refine_by_full_signatures(succ, pred, colours), [])]
+    best = None
+    if autos is None:
+        autos = []
+    while frames:
+        colours, tried = frames[-1]
+        path = [f[1][-1] for f in frames[:-1]]
+        if len(set(colours)) == n:
+            order = sorted(range(n), key=colours.__getitem__)
+            bit = [1 << c for c in colours].__getitem__
+            leaf = tuple(sum(map(bit, succ[i])) for i in order), order, path
+            yield leaf[:2]
+            if best and leaf[0] == best[0]:
+                autos.append(tuple(map(best[1].__getitem__, colours)))
+                split = next(k for k, (v, x) in enumerate(zip(path, best[2])) if v != x)
+                del frames[split + 1 :]
+                continue
+            best = min(best or leaf, leaf)
+            frames.pop()
+            continue
+        side = sorted(colours)
+        t = next(c for c, d in zip(side, side[1:]) if c == d)
+        fixing = [g for g in autos if all(g[v] == v for v in path)]
+        done = set(tried)
+        while len(done) < len(grown := done | {g[v] for g in fixing for v in done}):
+            done = grown
+        w = next((v for v, c in enumerate(colours) if c == t and v not in done), None)
+        if w is None:
+            frames.pop()
+            continue
+        tried.append(w)
+        child = individualize(colours, w)
+        if len(set(child)) < n:
+            child = refine_by_full_signatures(succ, pred, child)
+        frames.append((child, []))
+
+
+def height_by_chains(lattice):
+    """The length of a longest chain, as the library found it before it
+    peeled minimal elements: each element's longest chain from below, one
+    step per element strictly below it."""
+    n = len(lattice)
+    depth = [0] * n
+    for x in sorted(range(n), key=lambda i: lattice._down[i].bit_count()):
+        below = lattice._down[x] & ~(1 << x)
+        depth[x] = max((depth[y] + 1 for y in bit_indices(below)), default=0)
+    return depth[lattice.top]
 
 
 def realizing_facets_by_support_walk(lattice):

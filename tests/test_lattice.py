@@ -20,7 +20,7 @@ from flatlat import (
 )
 
 import helpers
-from flatlat._util import columns, refine
+from flatlat._util import columns, leaves, refine
 from flatlat.lattice import (
     _admissible_ideals,
     _canonical_key,
@@ -743,11 +743,92 @@ def test_enumeration_builds_a_lattice_only_for_a_new_class(monkeypatch):
 
     class Counting(FiniteLattice):
         @classmethod
-        def _from_up_masks(cls, labels, up):
+        def _from_lattice_masks(cls, labels, up, down):
             built.append(len(labels))
-            return super()._from_up_masks(labels, up)
+            return super()._from_lattice_masks(labels, up, down)
 
     parents = [(lat._down, ()) for lat in enumerate_lattices(6) if len(lat) == 6]
     monkeypatch.setattr(lattice_module, "FiniteLattice", Counting)
     assert sum(1 for _ in _lattices_of_size(7, parents)) == 53
     assert built == [7] * 53
+
+
+def _stored(lat):
+    """Every field a FiniteLattice stores, its dicts as lists of items."""
+    return (
+        lat.labels, lat._up, lat._down, list(lat._by_down.items()),
+        list(lat._by_up.items()), lat.bottom, lat.top,
+    )
+
+
+def test_every_child_of_coatom_growth_is_the_lattice_validation_builds(monkeypatch):
+    import flatlat.lattice as lattice_module
+
+    classes = [lat for lat in enumerate_lattices(7) if len(lat) >= 2]
+    # every admissible ideal, each child keyed as a new class
+    keys = itertools.count()
+    monkeypatch.setattr(lattice_module, "_orbit_representatives", lambda ideals, autos: ideals)
+    monkeypatch.setattr(lattice_module, "_canonical_key", lambda succ, pred, autos: next(keys))
+    children = 0
+    for n in range(3, 9):
+        parents = [(lat._down, ()) for lat in classes if len(lat) == n - 1]
+        for child, _ in _lattices_of_size(n, parents):
+            assert _stored(child) == _stored(FiniteLattice._from_up_masks(child.labels, child._up))
+            children += 1
+    want = sum(len(_admissible_ideals(lat._down[:-1])) for lat in classes)
+    assert children == next(keys) == want
+
+
+def test_flat_lattices_are_the_lattices_validation_builds(fixture_complexes):
+    for cx in [*helpers.all_complexes(4), *fixture_complexes]:
+        lat = all_flats(cx).lattice
+        assert _stored(lat) == _stored(FiniteLattice._from_up_masks(lat.labels, lat._up))
+
+
+def test_height_peels_to_the_longest_chain():
+    lats = [
+        *enumerate_lattices(7),
+        *(helpers.powerset_lattice("abcdef"[:k]) for k in range(1, 7)),  # B1-B6
+        *(helpers.chain_lattice(n) for n in range(1, 10)),
+        *(helpers.m_lattice(k) for k in range(2, 9)),
+    ]
+    for lat in lats:
+        assert lat.height == helpers.height_by_chains(lat)
+
+
+def _cubic_incidence_lattices():
+    return [helpers.incidence_lattice(helpers.cubic_graph_complex(8, seed)) for seed in range(6)]
+
+
+def _random_relations(count, max_nodes):
+    """Seeded random digraphs, each with a random starting colouring."""
+    rng = random.Random(27)
+    for _ in range(count):
+        n = rng.randint(1, max_nodes)
+        density = rng.choice((0.1, 0.3, 0.6))
+        succ = [[j for j in range(n) if rng.random() < density] for _ in range(n)]
+        pred = [[i for i in range(n) if j in succ[i]] for j in range(n)]
+        yield succ, pred, [rng.randrange(rng.randint(1, 3)) for _ in range(n)]
+
+
+def test_refine_gives_the_colours_of_full_signatures():
+    relations = [
+        *_random_relations(400, 12),
+        *(lat._relation for lat in enumerate_lattices(7)),
+        *(lat._relation for lat in _cubic_incidence_lattices()),
+    ]
+    for relation in relations:
+        assert refine(*relation) == helpers.refine_by_full_signatures(*relation)
+
+
+def test_leaves_visit_the_leaves_and_find_the_automorphisms_of_rebuilt_paths():
+    relations = [
+        *(helpers.m_lattice(k)._relation for k in range(2, 9)),
+        *(lat._relation for lat in _cubic_incidence_lattices()),
+        *_random_relations(100, 8),
+    ]
+    for relation in relations:
+        got, want = [], []  # the automorphisms found
+        visited = list(leaves(*relation, got))
+        assert visited == list(helpers.leaves_by_rebuilt_paths(*relation, want))
+        assert got == want
