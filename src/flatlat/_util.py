@@ -22,9 +22,20 @@ def bit_indices(mask):
         mask ^= low
 
 
+# swaps the binary digits 0 and 1
+_FLIP = str.maketrans("01", "10")
+
+
 def mask_sort_key(mask):
-    """Sort key ordering masks by size, then by their bit indices."""
-    return (mask.bit_count(), tuple(bit_indices(mask)))
+    """Sort key ordering masks by size, then by their bit indices.
+
+    Of two masks of one size, the one holding the lowest bit where they
+    differ comes first; that bit is the first place where their binary
+    digits, read from the lowest bit up and flipped, differ, and it reads
+    "0" there.  A shorter digit string is a prefix of a longer one only
+    when it holds fewer bits, so the strings compare as the index tuples.
+    """
+    return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
 
 
 def maximal_masks(masks):
@@ -118,23 +129,32 @@ def byte_tables(cols):
     return [ByteTable(cols[v : v + 8]) for v in range(0, len(cols), 8)]
 
 
-def closed_sets(closure, n):
+def closed_sets(closure, n, premises):
     """Yield every closed set of a closure operator on n bits, each once.
 
     Fast Close-by-One (Outrata & Vychodil 2012, Information Sciences 185),
-    depth first from an explicit stack.  The root is closure(0); a closed
-    set A reached by adding bit j tries closure(A | bit) for each absent
-    bit above j (every absent bit, at the root), and keeps it as a child
+    depth first from an explicit stack.  closure is indexed by a mask for
+    its closed set, and premises maps masks to sets that their closures
+    hold (for an operator given by implications, the OR of the conclusions
+    filed under each premise).  The root is closure[0]; a closed set A
+    reached by adding bit j tries A | bit for each absent bit above j
+    (every absent bit, at the root), and keeps closure[A | bit] as a child
     when it adds nothing below bit (low = the bits below it), so each
-    closed set is reached exactly once.  A closure that fails that test is
-    remembered for its bit and handed down to the children of A: a
-    descendant D of A holds A, so closure(D | bit) holds the failed
-    closure, and when that has a vertex below bit that D lacks it fails
-    too, and the bit is skipped without a closure.  At most n closures are
-    computed per closed set.
+    closed set is reached exactly once.
+
+    Before it closes A | bit, it ORs in premises' set for A | bit.  That
+    lies inside closure[A | bit], so when it already holds a vertex below
+    bit outside A the candidate fails as its closure would, and no closure
+    is computed.  A failed set, closed or partial, is remembered for its
+    bit and handed down to the children of A: a descendant D of A holds A,
+    so closure[D | bit] holds closure[A | bit] and so the failed set, and
+    when that has a vertex below bit that D lacks it fails too, and the bit
+    is skipped without a closure.  At most n closures are computed per
+    closed set.
     """
     full = (1 << n) - 1
-    stack = [(closure(0), 0, [0] * n)]  # a closed set, its first bit, failed closures
+    implied = premises.get
+    stack = [(closure[0], 0, [0] * n)]  # a closed set, its first bit, failed sets
     while stack:
         a, start, failed = stack.pop()
         yield a
@@ -147,13 +167,16 @@ def closed_sets(closure, n):
             low = bit - 1
             if failed[j] & low & ~a:
                 continue
-            b = closure(a | bit)
-            if b & ~a & low:
-                if now_failed is failed:
-                    now_failed = failed.copy()
-                now_failed[j] = b
-            else:
-                kept.append((b, j + 1))
+            c = a | bit
+            b = implied(c, 0) | c
+            if not b & ~a & low:
+                b = closure[c]
+                if not b & ~a & low:
+                    kept.append((b, j + 1))
+                    continue
+            if now_failed is failed:
+                now_failed = failed.copy()
+            now_failed[j] = b
         stack.extend((b, start, now_failed) for b, start in reversed(kept))
 
 

@@ -71,7 +71,7 @@ class SimplicialComplex(GroundSet):
         """
         n = len(self.vertices)
         if self._nonface_masks is None:
-            return FlatClosure(_facet_implications(self._ext_levels, n), n)
+            return FlatClosure(dict(_facet_implications(self._ext_levels, n)), n)
         return self._certified_closure()
 
     def _certified_closure(self):
@@ -130,7 +130,7 @@ class SimplicialComplex(GroundSet):
                 raise ConstructionMismatch(
                     f"listed non-face {shown(nonface)} lies in a facet"
                 )
-        closure = FlatClosure(merged.items(), n)
+        closure = FlatClosure(merged, n)
         closed = closure.flat_masks
         irreducible = []
         for i, p in enumerate(closed):
@@ -297,15 +297,20 @@ class SimplicialComplex(GroundSet):
         return succ, [[] for _ in range(n)] + members, [0] * n + [1] * len(facets)
 
 
-class FlatClosure:
-    """Closure operator on vertex masks given by implications.
+class FlatClosure(dict):
+    """Closure operator on vertex masks given by implications, and its own
+    memo: indexing it by a mask gives the mask's closed set, computed by
+    __missing__ the first time it is asked for, so a later ask is one
+    dict lookup.
 
-    Each implication is a premise mask and a conclusion mask, and cl(X) is
-    the least superset of X that holds the conclusion of every implication
-    whose premise it holds.  The flats of a complex are the closed sets of
-    the implications N - p -> p, for N a minimal non-face and p in N: they
-    come from the face walk by _facet_implications, or from a construction's
-    own list of minimal non-faces, merged by premise as they are certified
+    The implications come as premises, a dict from each premise mask to
+    its conclusion mask (the conclusions of implications sharing a premise
+    ORed into one), and cl(X) is the least superset of X that holds the
+    conclusion of every implication whose premise it holds.  The flats of
+    a complex are the closed sets of the implications N - p -> p, for N a
+    minimal non-face and p in N: they come from the face walk by
+    _facet_implications, or from a construction's own list of minimal
+    non-faces, merged by premise as they are certified
     (SimplicialComplex._certified_closure).
 
     A round ORs, over the vertices missing from the set, the implications
@@ -313,51 +318,63 @@ class FlatClosure:
     does (useful); the ready ones, useful but not blocked, are applied.
     The vertices are cut into blocks of 8, and each block keeps a table
     from a byte of missing vertices to that OR (_util.byte_tables), so a
-    round costs one lookup per block.  Table entries and closures are
-    memoized as they are first asked for.
+    round costs one lookup per block.  Table entries are made as they are
+    first asked for.
+
+    cl(P) holds the premise P and its conclusion, so their union is a
+    partial closure of P, a set inside cl(P).  Fast Close-by-One reads it
+    to fail a candidate without closing it (flat_masks).
     """
 
-    def __init__(self, implications, n):
+    def __init__(self, premises, n):
+        super().__init__()
         self._full = (1 << n) - 1
         self._width = (n + 7) >> 3
-        implications = list(implications)
-        self._conclusions = [conclusion for _, conclusion in implications]
+        self._premises = premises
+        self._conclusions = list(premises.values())
         # bit k (bit m + k) of column v is set when the premise (conclusion)
         # of the k-th of the m implications contains v
-        self._shift = len(implications)
-        cols = columns([premise for premise, _ in implications] + self._conclusions, n)
+        self._shift = len(premises)
+        cols = columns(list(premises) + self._conclusions, n)
         self._tables = byte_tables(cols)
-        self._cache = {}
 
-    def __call__(self, mask):
-        got = self._cache.get(mask)
-        if got is None:
-            full, width, tables = self._full, self._width, self._tables
-            shift, conclusions = self._shift, self._conclusions
-            got = mask
-            while True:
-                either = 0
-                for table, byte in zip(tables, (full & ~got).to_bytes(width, "little")):
-                    either |= table[byte]
-                # an implication still adds to the set when a vertex of its
-                # conclusion is missing from it and none of its premise is
-                ready = either >> shift & ~either
-                if not ready:
-                    break
-                while ready:
-                    low = ready & -ready
-                    got |= conclusions[low.bit_length() - 1]
-                    ready ^= low
-            self._cache[mask] = got
+    def __missing__(self, mask):
+        full, width, tables = self._full, self._width, self._tables
+        shift, conclusions = self._shift, self._conclusions
+        got = mask
+        while True:
+            either = 0
+            for table, byte in zip(tables, (full & ~got).to_bytes(width, "little")):
+                either |= table[byte]
+            # an implication still adds to the set when a vertex of its
+            # conclusion is missing from it and none of its premise is
+            ready = either >> shift & ~either
+            if not ready:
+                break
+            while ready:
+                low = ready & -ready
+                got |= conclusions[low.bit_length() - 1]
+                ready ^= low
+        self[mask] = got
         return got
 
     @cached_property
     def flat_masks(self):
-        """Every closed set by Fast Close-by-One (_util.closed_sets), at
-        most one closure per vertex for each, sorted by size then vertex
-        order."""
+        """Every closed set by Fast Close-by-One (_util.closed_sets), sorted
+        by size then vertex order.
+
+        A candidate whose partial closure by _premises already holds a
+        vertex below its new bit outside its parent fails the canonicity
+        test as its full closure would, since the full closure holds the
+        partial one; it is failed without a closure, and the partial set is
+        handed down as its failed closure.  At most one closure per vertex
+        is computed for each closed set.
+        """
         return tuple(
-            sorted(closed_sets(self, self._full.bit_length()), key=mask_sort_key)
+            sorted(
+                closed_sets(self, self._full.bit_length(), self._premises),
+                key=mask_sort_key,
+            )
         )
 
 

@@ -14,9 +14,14 @@ Everything here goes through one closure operator, held on the complex as
 SimplicialComplex.flat_closure: cl(X) is the smallest flat containing X.
 all_flats lists its closed sets by Fast Close-by-One (Outrata & Vychodil
 2012, _util.closed_sets), with at most one closure per vertex for each flat
-found and none for a vertex that a closure failed higher up its search
-already rules out; closure, the BR test, transversal_witness and
-simplification query the same operator and share its memo.
+found.  It computes none for a vertex that a set failed higher up its
+search already rules out, and none for a candidate whose premise's
+conclusion already holds a vertex that the canonicity test forbids: that
+partial closure lies inside the full one, so the candidate fails either
+way, and the partial closure serves as its failed closure.  The operator
+is its own memo, a dict from a mask to its closed set, so closure, the BR
+test, transversal_witness and simplification index the same operator and
+share the closures it holds.
 """
 
 from __future__ import annotations
@@ -122,7 +127,7 @@ def all_flats(complex_, override=False):
 def closure(complex_, subset, override=False):
     """Smallest flat containing the subset."""
     _check_flats_limit(complex_, override)
-    return complex_.set_of(complex_.flat_closure(complex_.mask_of(subset)))
+    return complex_.set_of(complex_.flat_closure[complex_.mask_of(subset)])
 
 
 def _transversal_order(cl, x_mask):
@@ -145,7 +150,7 @@ def _transversal_order(cl, x_mask):
             return True
         if s in dead:
             return False
-        closed = cl(s)
+        closed = cl[s]
         for v in bit_indices(x_mask & ~s):
             if not (closed >> v) & 1:
                 order.append(v)
@@ -167,11 +172,11 @@ def transversal_witness(complex_, subset, override=False):
     order = _transversal_order(cl, complex_.mask_of(subset))
     if order is None:
         return None
-    chain = [complex_.set_of(cl(0))]
+    chain = [complex_.set_of(cl[0])]
     acc = 0
     for v in order:
         acc |= 1 << v
-        chain.append(complex_.set_of(cl(acc)))
+        chain.append(complex_.set_of(cl[acc]))
     ordering = tuple(complex_.vertices[v] for v in order)
     return TransversalWitness(ordering, tuple(chain))
 
@@ -232,7 +237,7 @@ def br_violation(complex_, override=False):
             rest = face
             while rest:
                 low = rest & -rest
-                if not cl(face ^ low) & low:
+                if not cl[face ^ low] & low:
                     break  # low escapes the closure of the rest: put it last
                 rest ^= low
             else:
@@ -260,7 +265,7 @@ def simplification(complex_, override=False):
     vertices = complex_.vertices
     by_closure = {}  # in the order of each class's first vertex
     for v in range(len(vertices)):
-        by_closure.setdefault(cl(1 << v), []).append(v)
+        by_closure.setdefault(cl[1 << v], []).append(v)
     classes = list(by_closure.values())
     facets = complex_.facet_masks
     # with every class one vertex the facets are already the quotient's,

@@ -43,7 +43,11 @@ level; and the closure oracle ORs the premise and conclusion columns of the
 missing vertices one vertex at a time, where the library looks up a byte of
 them at a time.  The closed set oracle is Ganter's lectic NextClosure, which
 the library ran before Fast Close-by-One: it walks the closed sets in a
-fixed order and reuses no closure that failed.  The cover closure oracle is
+fixed order and reuses no closure that failed.  The Close-by-One reference
+closes every candidate that no failed closure rules out, as the library
+did before it failed a candidate by its premise's conclusion; the mask
+order reference keys a mask by the tuple of its bit indices, where the
+library reads its flipped binary digits.  The cover closure oracle is
 Warshall's loop, n^2 steps whatever the pairs, which the library ran on
 every cover document before it ORed up-sets in reverse topological order.
 The certificate oracle reads every facet once for each meet-irreducible
@@ -820,15 +824,16 @@ def facets_only(complex_):
 
 
 def nonface_implications(nonface_masks):
-    """The implications N - p -> p of the given non-faces, those sharing a
-    premise merged into one in the order of their first (N, p), as
-    SimplicialComplex._certified_closure merges them."""
+    """The implications N - p -> p of the given non-faces as a dict from
+    premise to conclusion, those sharing a premise merged into one in the
+    order of their first (N, p), as SimplicialComplex._certified_closure
+    merges them."""
     merged = {}
     for nonface in nonface_masks:
         for p in bit_indices(nonface):
             premise = nonface ^ 1 << p
             merged[premise] = merged.get(premise, 0) | 1 << p
-    return merged.items()
+    return merged
 
 
 def certified_closure_by_passes(complex_):
@@ -1057,7 +1062,7 @@ def simplification_by_relabelled_faces(complex_):
     cl = complex_.flat_closure
     by_closure = {}
     for v in range(len(complex_.vertices)):
-        by_closure.setdefault(cl(1 << v), []).append(v)
+        by_closure.setdefault(cl[1 << v], []).append(v)
     classes = sorted(by_closure.values(), key=lambda c: c[0])
     rep = {v: complex_.vertices[cls[0]] for cls in classes for v in cls}
     new_vertices = tuple(complex_.vertices[cls[0]] for cls in classes)
@@ -1097,10 +1102,11 @@ def face_exts_by_submasks(complex_):
 
 
 def closure_by_vertex_loop(implications, n):
-    """The closure operator of the implications, unmemoized: each round
-    ORs the premise and conclusion columns of every missing vertex, one
-    vertex at a time, and applies the ready implications."""
-    implications = list(implications)
+    """The closure operator of the implications, a dict from premise to
+    conclusion, unmemoized: each round ORs the premise and conclusion
+    columns of every missing vertex, one vertex at a time, and applies the
+    ready implications."""
+    implications = list(implications.items())
     conclusions = [conclusion for _, conclusion in implications]
     premises = columns([premise for premise, _ in implications], n)
     concluders = columns(conclusions, n)
@@ -1120,6 +1126,40 @@ def closure_by_vertex_loop(implications, n):
                 got |= conclusions[k]
 
     return close
+
+
+def closed_sets_closing_every_candidate(closure, n):
+    """Fast Close-by-One as _util.closed_sets ran it before the premise
+    check: every candidate that no failed closure rules out is closed, by
+    calling closure, and only full closures are handed down."""
+    full = (1 << n) - 1
+    stack = [(closure(0), 0, [0] * n)]  # a closed set, its first bit, failed closures
+    while stack:
+        a, start, failed = stack.pop()
+        yield a
+        rest = full & ~a & -(1 << start)  # the absent bits from start up
+        kept, now_failed = [], failed  # copied on the first new failure
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            j = bit.bit_length() - 1
+            low = bit - 1
+            if failed[j] & low & ~a:
+                continue
+            b = closure(a | bit)
+            if b & ~a & low:
+                if now_failed is failed:
+                    now_failed = failed.copy()
+                now_failed[j] = b
+            else:
+                kept.append((b, j + 1))
+        stack.extend((b, start, now_failed) for b, start in reversed(kept))
+
+
+def mask_sort_key_by_indices(mask):
+    """Sort key ordering masks by size, then by the tuple of their bit
+    indices."""
+    return (mask.bit_count(), tuple(bit_indices(mask)))
 
 
 def next_closure(closure, n):

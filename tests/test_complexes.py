@@ -15,7 +15,7 @@ from flatlat import (
     realizing_complex,
 )
 
-from flatlat._util import columns, common, maximal_masks, refine
+from flatlat._util import columns, common, mask_sort_key, maximal_masks, refine
 from flatlat.complexes import _facet_implications
 
 import helpers
@@ -304,6 +304,29 @@ def test_common_is_the_set_of_masks_that_contain_the_mask(masks, m):
         assert got == sum(1 << k for k, mask in enumerate(masks) if not m & ~mask)
 
 
+_FEW_BITS = st.sets(st.integers(min_value=0, max_value=39), max_size=3).map(
+    lambda bits: sum(1 << b for b in bits)
+)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 40) - 1) | _FEW_BITS, max_size=30))
+@example([0, 1, 1 << 39, 0])
+@example([1 << 39, 1 << 3, 1, 1 << 20, 0])
+@example([0b11, 0b101, 0b110, 1 << 39 | 1, 1 << 39 | 1 << 38, 0b1001])
+@example([(1 << 40) - 1, (1 << 40) - 2, (1 << 39) - 1, (1 << 40) - 1 ^ 1 << 20])
+def test_mask_sort_key_orders_masks_as_their_bit_index_tuples(masks):
+    """The flipped-digit key orders any masks of up to 40 bits, 0 and masks
+    of one size but different bit lengths among them, as the tuple of
+    their bit indices does, pair by pair."""
+    assert sorted(masks, key=mask_sort_key) == sorted(
+        masks, key=helpers.mask_sort_key_by_indices
+    )
+    ref = helpers.mask_sort_key_by_indices
+    for a, b in itertools.combinations(masks, 2):
+        assert (mask_sort_key(a) < mask_sort_key(b)) == (ref(a) < ref(b))
+        assert (mask_sort_key(a) == mask_sort_key(b)) == (a == b)
+
+
 # -- the one face walk and the byte-table closure against their oracles ------
 
 
@@ -364,14 +387,14 @@ def test_byte_table_closure_matches_the_vertex_loop(fixture_complexes):
     cases += [(c, _random_masks(rng, len(c.vertices), 400)) for c in _large_complexes()]
     for c, masks in cases:
         n = len(c.vertices)
-        oracle = helpers.closure_by_vertex_loop(_facet_implications(c._ext_levels, n), n)
-        assert [c.flat_closure(mask) for mask in masks] == list(map(oracle, masks))
+        oracle = helpers.closure_by_vertex_loop(dict(_facet_implications(c._ext_levels, n)), n)
+        assert [c.flat_closure[mask] for mask in masks] == list(map(oracle, masks))
     for c in _realizing_complexes():
         n = len(c.vertices)
         implications = helpers.nonface_implications(c._nonface_masks)
         oracle = helpers.closure_by_vertex_loop(implications, n)
         masks = _random_masks(rng, n, 800)
-        assert [c.flat_closure(mask) for mask in masks] == list(map(oracle, masks))
+        assert [c.flat_closure[mask] for mask in masks] == list(map(oracle, masks))
 
 
 def test_unions_of_cubic_graphs_are_decided_within_500_refinements(monkeypatch):

@@ -419,23 +419,42 @@ def _fresh_closure(c):
     """A FlatClosure of the complex with nothing memoized yet."""
     n = len(c.vertices)
     if c._nonface_masks is None:
-        return FlatClosure(_facet_implications(c._ext_levels, n), n)
+        return FlatClosure(dict(_facet_implications(c._ext_levels, n)), n)
     return FlatClosure(helpers.nonface_implications(c._nonface_masks), n)
 
 
+class _RecordedPremises(dict):
+    """A premise table that keeps each candidate it is asked about, with
+    the partial closure closed_sets makes of it."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.partials = []
+
+    def get(self, mask, default):
+        got = super().get(mask, default)
+        self.partials.append((mask, mask | got))
+        return got
+
+
 def _assert_closed_sets_match_scan_and_next_closure(c):
-    """The flats are the scanned ones, and closed_sets yields each closed
-    set of the NextClosure reference once, with no more distinct closures;
-    returns the two closure counts."""
+    """The flats are the scanned ones, and closed_sets yields the sequence
+    of Close-by-One closing every candidate, each closed set of the
+    NextClosure reference once, with no more distinct closures; every
+    partial closure its premise check makes lies inside the full closure.
+    Returns the two closure counts."""
     assert all_flats(c)._masks == helpers.flat_masks_by_scan(c)
     n = len(c.vertices)
-    ours, reference = _fresh_closure(c), _fresh_closure(c)
-    got = list(closed_sets(ours, n))
+    ours, every, lectic = _fresh_closure(c), _fresh_closure(c), _fresh_closure(c)
+    premises = _RecordedPremises(ours._premises)
+    got = list(closed_sets(ours, n, premises))
+    assert got == list(helpers.closed_sets_closing_every_candidate(every.__getitem__, n))
     assert len(set(got)) == len(got)
-    want = helpers.next_closure(reference, n)
+    want = helpers.next_closure(lectic.__getitem__, n)
     assert sorted(got, key=mask_sort_key) == sorted(want, key=mask_sort_key)
-    assert len(ours._cache) <= len(reference._cache)
-    return len(ours._cache), len(reference._cache)
+    assert len(ours) <= len(lectic)
+    assert all(not partial & ~every[mask] for mask, partial in premises.partials)
+    return len(ours), len(lectic)
 
 
 def test_closed_sets_match_scan_and_next_closure_on_all_complexes_up_to_five_vertices():
@@ -457,13 +476,25 @@ def test_closed_sets_match_scan_and_next_closure_on_small_realizing_complexes():
 
 
 def test_closed_sets_match_scan_and_next_closure_on_rank_three_uniform_matroids():
-    for n in range(3, 11):
+    for n in range(3, 13):
         _assert_closed_sets_match_scan_and_next_closure(helpers.uniform_complex(n, 3))
 
 
 def test_closed_sets_match_scan_and_next_closure_on_the_fixtures(fixture_complexes):
     for c in fixture_complexes:
         _assert_closed_sets_match_scan_and_next_closure(c)
+
+
+def test_close_by_one_closes_once_per_flat_of_a_uniform_matroid():
+    """On U(3, n) and U(4, n) every candidate that is not a flat's first
+    visit fails by its premise's conclusion, so the memo ends up with one
+    closure per flat (the check without premises closed C(n, 3) - 1 more
+    sets on U(3, n))."""
+    for k, top in ((3, 12), (4, 9)):
+        for n in range(k, top + 1):
+            c = helpers.uniform_complex(n, k)
+            family = all_flats(c)
+            assert len(c.flat_closure) == len(family)
 
 
 def test_closure_fixes_exactly_the_scanned_flats(fixture_complexes):
