@@ -93,7 +93,11 @@ class SimplicialComplex(GroundSet):
         which holds when the facets with trace T cover the outside.  Every
         closed set is the intersection of the meet-irreducible ones above
         it and the ground set, and flats are closed under intersection, so
-        every closed set is a flat.
+        every closed set is a flat.  A closed set above P holds some v
+        outside P, and so the least closed set holding P + v, which the
+        closed-set columns give as they give a closure lookup (FlatClosure):
+        P is meet-irreducible iff the AND of those sets, over the v outside
+        P, is not P.
 
         The facets are grouped by their trace on each P as {trace: union
         of the facets with that trace}, P taken from the largest down.  A
@@ -132,12 +136,16 @@ class SimplicialComplex(GroundSet):
                 )
         closure = FlatClosure(merged, n)
         closed = closure.flat_masks
+        held = closure.flat_columns
         irreducible = []
-        for i, p in enumerate(closed):
-            meet = full  # of the closed sets above p, which come after it
-            for q in closed[i + 1 :]:
-                if not p & ~q:
-                    meet &= q
+        for p in closed:
+            above = common(held, p)
+            meet = full  # of the least closed sets holding p + v, v outside p
+            for v in bit_indices(full & ~p):
+                holding = above & held[v]
+                meet &= closed[(holding & -holding).bit_length() - 1]
+                if meet == p:
+                    break
             if meet != p:
                 irreducible.append(p)
         everyone = (1 << len(facets)) - 1
@@ -243,22 +251,35 @@ class SimplicialComplex(GroundSet):
         the facets containing J, so I violates exchange with J iff I misses
         ext[J] - J.  The levels of the face walk (_ext_levels) are read in
         pairs from the smallest up, and the first with a violation decides.
-        On each, the faces I one larger than J that miss ext[J] - J are the
-        level's faces outside the OR of the columns (_util.columns) of the
-        vertices of ext[J] - J, one lookup per block of 8 vertices
-        (_util.byte_tables).  The violation returned is its least J by
-        mask_sort_key, then the least I missing ext[J] - J.
+
+        A violating I lies inside J + (V - ext[J]) and is one larger than
+        J, so a J whose ext misses at most one vertex is skipped: with
+        V - ext[J] empty no such I exists, and with V - ext[J] = {u} it can
+        only be J + u, which is not a face.  A level whose J are all skipped
+        builds nothing.  On the others, the faces I one larger than J that
+        miss ext[J] - J are the level's faces outside the OR of the columns
+        (_util.columns) of the vertices of ext[J] - J, one lookup per block
+        of 8 vertices (_util.byte_tables).  The violation returned is its
+        least J by mask_sort_key, then the least I missing ext[J] - J.
         """
         n = len(self.vertices)
+        full = self.full_mask
         width = (n + 7) >> 3
         levels = self._ext_levels
         for below, level in zip(levels, levels[1:]):
+            # an ext that misses at most one vertex leaves no violating I
+            asked = [
+                (j, ext) for j, ext in below.items()
+                if (outside := full & ~ext) & (outside - 1)
+            ]
+            if not asked:
+                continue
             bigger = list(level)
             # bit k of column v: bigger[k] holds v
             tables = byte_tables(columns(bigger, n))
             everyone = (1 << len(bigger)) - 1
             hits = {}
-            for j, ext in below.items():
+            for j, ext in asked:
                 spare = 0
                 for table, byte in zip(tables, (ext & ~j).to_bytes(width, "little")):
                     spare |= table[byte]
@@ -324,6 +345,14 @@ class FlatClosure(dict):
     cl(P) holds the premise P and its conclusion, so their union is a
     partial closure of P, a set inside cl(P).  Fast Close-by-One reads it
     to fail a candidate without closing it (flat_masks).
+
+    Once flat_masks is listed, a closure is a lookup and runs no round:
+    the AND of the flat_columns of the set's vertices (_util.common) is the
+    set of the flats holding it, and its lowest bit is the index of the
+    closure.  cl(X) is the flat holding X that lies inside every other flat
+    holding X, so every other one is larger, and the flats are sorted by
+    size.  The closures Close-by-One asks for while it lists, and any asked
+    for before, run the rounds.
     """
 
     def __init__(self, premises, n):
@@ -339,6 +368,11 @@ class FlatClosure(dict):
         self._tables = byte_tables(cols)
 
     def __missing__(self, mask):
+        if "flat_masks" in self.__dict__:  # listed: the first flat holding mask
+            holding = common(self.flat_columns, mask)
+            got = self.flat_masks[(holding & -holding).bit_length() - 1]
+            self[mask] = got
+            return got
         full, width, tables = self._full, self._width, self._tables
         shift, conclusions = self._shift, self._conclusions
         got = mask
@@ -369,6 +403,10 @@ class FlatClosure(dict):
         partial one; it is failed without a closure, and the partial set is
         handed down as its failed closure.  At most one closure per vertex
         is computed for each closed set.
+
+        The sort puts each closure first among the flats that hold its set:
+        it lies inside each of the others, so it is smaller than each.  A
+        closure asked for after the listing is read off this order.
         """
         return tuple(
             sorted(
@@ -376,6 +414,15 @@ class FlatClosure(dict):
                 key=mask_sort_key,
             )
         )
+
+    @cached_property
+    def flat_columns(self):
+        """The columns (_util.columns) of flat_masks: bit k of column v is
+        set when the k-th flat holds v, so the AND of the columns of a
+        set's vertices (_util.common) is the set of the flats holding it.
+        Built on the first closure asked for after the listing, or by
+        FlatFamily.lattice."""
+        return columns(self.flat_masks, self._full.bit_length())
 
 
 def _facet_implications(levels, n):

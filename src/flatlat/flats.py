@@ -22,6 +22,12 @@ way, and the partial closure serves as its failed closure.  The operator
 is its own memo, a dict from a mask to its closed set, so closure, the BR
 test, transversal_witness and simplification index the same operator and
 share the closures it holds.
+
+Once the flats are listed (all_flats, or the certificate of a realizing
+complex), a closure not yet held is a lookup: the first flat, in the
+listing's size order, that holds the set.  Before that, as in the CLI's
+brsc, which decides BR before it lists the flats, a closure runs the
+operator's implication rounds.
 """
 
 from __future__ import annotations
@@ -58,7 +64,8 @@ class TransversalWitness(NamedTuple):
 
 
 class FlatFamily:
-    """All flats of a complex, with their lattice under inclusion."""
+    """All flats of a complex, with their lattice under inclusion: the
+    flat_masks of its flat_closure, as all_flats lists them."""
 
     def __init__(self, complex_, flat_masks):
         self.complex = complex_
@@ -76,13 +83,15 @@ class FlatFamily:
         The flats containing a flat are the AND of the columns
         (_util.columns) of its vertices over the flat masks, so the order
         costs one big-int AND per vertex of each flat, not a test per pair;
-        the flats inside each flat are the columns of those up-sets.
+        the flats inside each flat are the columns of those up-sets.  The
+        flat columns are the closure operator's (FlatClosure.flat_columns),
+        which its closure lookups read too.
         Inclusion of distinct sets is a partial order, and the flats are
         closed under intersection and hold the ground set, so it is a
         lattice by construction and is stored without validation.
         """
         masks = self._masks
-        held = columns(masks, len(self.complex.vertices))  # flats holding v
+        held = self.complex.flat_closure.flat_columns  # flats holding v
         everyone = (1 << len(masks)) - 1
         up = [common(held, flat) & everyone for flat in masks]
         labels = _flat_labels(self.complex.vertices, masks)

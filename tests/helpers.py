@@ -52,11 +52,14 @@ Warshall's loop, n^2 steps whatever the pairs, which the library ran on
 every cover document before it ORed up-sets in reverse topological order.
 The certificate oracle reads every facet once for each meet-irreducible
 closed set, as the library did before it grouped the facets once, from the
-largest closed set down.  The refinement and search references re-sign
-every node in every round and rebuild the search path on every visit, as
-the library did before it signed lone nodes by their colour and kept its
-bookkeeping per frame; the height oracle takes one step per comparable
-pair, where the library peels the minimal elements a round at a time.
+largest closed set down, and finds those closed sets by ANDing every larger
+closed set above each, where the library reads the least closed set above
+it through each outside vertex off the closed-set columns.  The refinement
+and search references re-sign every node in every round and rebuild the
+search path on every visit, as the library did before it signed lone nodes
+by their colour and kept its bookkeeping per frame; the height oracle
+takes one step per comparable pair, where the library peels the minimal
+elements a round at a time.
 """
 
 import contextlib
@@ -1044,6 +1047,46 @@ def random_triple_complex(rng, n):
     chosen = rng.sample(triples, round(rng.uniform(0.5, 1.0) * len(triples)))
     pairs = itertools.combinations(verts, 2)
     return SimplicialComplex(verts, [set(f) for f in itertools.chain(pairs, chosen)])
+
+
+def graphic_matroid(edges):
+    """The graphic matroid of a graph given by its edges, pairs of ints, as
+    a complex on the edges named "ab": its faces are the forests, and its
+    facets the spanning forests."""
+    def rank(chosen):  # the edges that join two trees, added in turn
+        parent = {v: v for edge in edges for v in edge}
+        joined = 0
+        for a, b in chosen:
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+                joined += 1
+        return joined
+
+    names = [f"{a}{b}" for a, b in edges]
+    facets = [
+        {names[k] for k in chosen}
+        for chosen in itertools.combinations(range(len(edges)), rank(edges))
+        if rank([edges[k] for k in chosen]) == len(chosen)
+    ]
+    return SimplicialComplex(names, facets)
+
+
+def random_graphic_matroid(rng, n, m):
+    """The graphic matroid of a seeded random graph with m of the edges on
+    n vertices."""
+    return graphic_matroid(sorted(rng.sample(list(itertools.combinations(range(n), 2)), m)))
+
+
+def fresh(complex_):
+    """The same complex with nothing computed yet: its closure operator
+    holds no closure and has listed no flat."""
+    return SimplicialComplex._from_facet_masks(
+        complex_.vertices, complex_.facet_masks, complex_._nonface_masks
+    )
 
 
 def flat_lattice_by_matrix(family):

@@ -132,15 +132,18 @@ def test_exchange_violation_is_a_real_violation(triangles):
 def test_exchange_violation_matches_the_pairwise_scan(fixture_complexes):
     """The same pair as the scan of every face against every face one
     larger, on the complex fixtures, U(3,n) up to n = 10, every complex with
-    up to 5 vertices and seeded random triple complexes on 9-13 vertices,
-    where most are not matroids: the least J, then the least I, on the
-    smallest violating level."""
+    up to 5 vertices, seeded random triple complexes on 9-13 vertices,
+    where most are not matroids, and seeded graphic matroids on 6 vertices
+    with 10-13 edges, where hundreds of faces J have an ext that misses two
+    or more vertices, so only the column test decides them: the least J,
+    then the least I, on the smallest violating level."""
     rng = random.Random(1998)
     randoms = [
         helpers.random_triple_complex(rng, n) for n in range(9, 14) for _ in range(4)
     ]
     complexes = list(fixture_complexes) + randoms
     complexes += [helpers.uniform_complex(n, 3) for n in range(3, 11)]
+    complexes += [helpers.random_graphic_matroid(rng, 6, m) for m in range(10, 14)]
     for n in range(1, 6):
         complexes += helpers.all_complexes(n)
     for c in complexes:

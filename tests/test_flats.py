@@ -504,6 +504,36 @@ def test_closure_fixes_exactly_the_scanned_flats(fixture_complexes):
             assert (closure(c, c.set_of(x)) == c.set_of(x)) == (x in flats)
 
 
+def test_a_closure_is_the_least_scanned_flat_holding_the_set_on_both_paths(
+    fixture_complexes,
+):
+    """Every vertex subset closes to the least flat of the scan that holds
+    it, by the implication rounds of an operator that has listed no flat,
+    and by the lookup among the listed flats of the complex's own operator
+    once all_flats has run: on every complex with 4 vertices, the fixtures,
+    U(3, n) for n <= 8, the graphic matroid of K_5 and the realizing
+    complexes of the lattices with up to 5 elements, whose operator closes
+    by their certified minimal non-faces."""
+    complexes = helpers.all_complexes(4) + list(fixture_complexes)
+    complexes += [helpers.uniform_complex(n, 3) for n in range(3, 9)]
+    complexes.append(helpers.graphic_matroid(list(itertools.combinations(range(5), 2))))
+    complexes += [realizing_complex(lat)[0] for lat in enumerate_lattices(5)]
+    looked_up = 0
+    for c in complexes:
+        flats = helpers.flat_masks_by_scan(c)
+        subsets = range(c.full_mask + 1)
+        want = [next(f for f in flats if not x & ~f) for x in subsets]
+        rounds = _fresh_closure(c)
+        assert [rounds[x] for x in subsets] == want
+        assert "flat_masks" not in vars(rounds)
+        listed = helpers.fresh(c)
+        all_flats(listed)
+        lookups = listed.flat_closure
+        assert [lookups[x] for x in subsets] == want
+        looked_up += "flat_columns" in vars(lookups)
+    assert looked_up > len(complexes) // 2
+
+
 def test_flat_cache_is_freed_with_the_complex():
     c = helpers.uniform_complex(6, 3)
     all_flats(c)
@@ -534,7 +564,9 @@ def test_br_violation_matches_the_transversal_search(fixture_complexes):
     """The same witness as the memoized search on every face, on every
     complex with up to 4 vertices, a seeded sample of those with 5, U(2,n)
     and U(3,n) up to n = 10, seeded random triple complexes on 9-14
-    vertices and the complex fixtures."""
+    vertices and the complex fixtures: on a fresh copy of each, whose
+    closures run the implication rounds, and on one whose flats are listed
+    first, whose closures are lookups among them."""
     rng = random.Random(2015)
     complexes = [c for n in range(1, 5) for c in helpers.all_complexes(n)]
     complexes += rng.sample(helpers.all_complexes(5), 1000)
@@ -545,7 +577,11 @@ def test_br_violation_matches_the_transversal_search(fixture_complexes):
     complexes += fixture_complexes
     complexes += [parse(path.read_text()).value for path in FIXTURES.glob("*.cx")]
     for c in complexes:
-        assert br_violation(c) == helpers.br_violation_by_search(c)
+        want = helpers.br_violation_by_search(helpers.fresh(c))
+        assert br_violation(helpers.fresh(c)) == want
+        listed = helpers.fresh(c)
+        all_flats(listed)
+        assert br_violation(listed) == want
 
 
 def test_br_violation_never_runs_the_transversal_search(monkeypatch, fixture_complexes):

@@ -652,7 +652,10 @@ def test_certificate_reports_as_one_pass_over_the_facets_per_flat_does():
     order of the traces decides which one is reported.  Then on the lists
     of chain5, M4 and three random 6-element lattices with several entries
     inserted, where the first failing check depends on whether each N is
-    tested after its own N - p or after every N - p of the list."""
+    tested after its own N - p or after every N - p of the list.  Last on
+    chain6 listing only its 5 non-faces through 1^1, whose 3 104 closed sets
+    are far more than the certificate can afford to compare pairwise when
+    it picks the meet-irreducible ones."""
     from flatlat import enumerate_lattices
 
     inputs = [case[1:] for case in _tampered(_realizing_cases(5, 0))]
@@ -670,6 +673,9 @@ def test_certificate_reports_as_one_pass_over_the_facets_per_flat_does():
     sixes = [lat for lat in enumerate_lattices(6) if len(lat) == 6]
     lattices = [helpers.chain_lattice(5), helpers.m_lattice(4), *rng.sample(sixes, 3)]
     inputs += _with_inserted_entries(lattices, rng, 150)
+    chain6, _ = realizing_complex(helpers.chain_lattice(6))
+    through = [m for m in chain6._nonface_masks if m & 1 << chain6._vertex("1^1")]
+    inputs.append((chain6.vertices, list(chain6.facet_masks), through))
     kinds = ("lies in a facet", "is not minimal", "is not a flat")
     reached = set()
     for vertices, facets, nonfaces in inputs:
