@@ -93,11 +93,10 @@ class SimplicialComplex(GroundSet):
         which holds when the facets with trace T cover the outside.  Every
         closed set is the intersection of the meet-irreducible ones above
         it and the ground set, and flats are closed under intersection, so
-        every closed set is a flat.  A closed set above P holds some v
-        outside P, and so the least closed set holding P + v, which the
-        closed-set columns give as they give a closure lookup (FlatClosure):
-        P is meet-irreducible iff the AND of those sets, over the v outside
-        P, is not P.
+        every closed set is a flat.  P is meet-irreducible when the closed
+        sets strictly above it have a least one: when its up-set
+        (FlatClosure.flat_up_sets) less its lowest bit, P itself, is some
+        closed set's up-set, as _set_relation finds join-irreducibles.
 
         The facets are grouped by their trace on each P as {trace: union
         of the facets with that trace}, P taken from the largest down.  A
@@ -135,19 +134,9 @@ class SimplicialComplex(GroundSet):
                     f"listed non-face {shown(nonface)} lies in a facet"
                 )
         closure = FlatClosure(merged, n)
-        closed = closure.flat_masks
-        held = closure.flat_columns
-        irreducible = []
-        for p in closed:
-            above = common(held, p)
-            meet = full  # of the least closed sets holding p + v, v outside p
-            for v in bit_indices(full & ~p):
-                holding = above & held[v]
-                meet &= closed[(holding & -holding).bit_length() - 1]
-                if meet == p:
-                    break
-            if meet != p:
-                irreducible.append(p)
+        up = closure.flat_up_sets
+        ups = set(up)
+        irreducible = [p for p, u in zip(closure.flat_masks, up) if u & (u - 1) in ups]
         everyone = (1 << len(facets)) - 1
         grouped = {}  # P -> {trace on P: the union of the facets with it}
         for p in reversed(irreducible):
@@ -420,9 +409,17 @@ class FlatClosure(dict):
         """The columns (_util.columns) of flat_masks: bit k of column v is
         set when the k-th flat holds v, so the AND of the columns of a
         set's vertices (_util.common) is the set of the flats holding it.
-        Built on the first closure asked for after the listing, or by
-        FlatFamily.lattice."""
+        Built on the first closure asked for after the listing, or for
+        flat_up_sets."""
         return columns(self.flat_masks, self._full.bit_length())
+
+    @cached_property
+    def flat_up_sets(self):
+        """The flats' up-sets, the AND of the flat_columns of each flat's
+        vertices: one big-int AND per vertex, not a test per pair.  The
+        flats are sorted by size, so the lowest bit of up-set i is i."""
+        held, everyone = self.flat_columns, (1 << len(self.flat_masks)) - 1
+        return [common(held, flat) & everyone for flat in self.flat_masks]
 
 
 def _facet_implications(levels, n):

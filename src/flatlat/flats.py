@@ -37,7 +37,7 @@ import re
 from functools import cached_property
 from typing import NamedTuple
 
-from ._util import bit_indices, check_limit, columns, common, mask_sort_key, maximal_masks
+from ._util import bit_indices, check_limit, columns, mask_sort_key, maximal_masks
 from .complexes import SimplicialComplex
 from .errors import LoopsPresent
 from .lattice import FiniteLattice
@@ -65,11 +65,11 @@ class TransversalWitness(NamedTuple):
 
 class FlatFamily:
     """All flats of a complex, with their lattice under inclusion: the
-    flat_masks of its flat_closure, as all_flats lists them."""
+    flat_masks of its flat_closure, read when the family is made."""
 
-    def __init__(self, complex_, flat_masks):
+    def __init__(self, complex_):
         self.complex = complex_
-        self._masks = tuple(flat_masks)
+        self._masks = complex_.flat_closure.flat_masks
         self.flats = tuple(complex_.set_of(m) for m in self._masks)
 
     def __len__(self):
@@ -80,22 +80,15 @@ class FlatFamily:
         """The flats under inclusion, as a FiniteLattice whose element i is
         the i-th flat, labelled by _flat_labels.
 
-        The flats containing a flat are the AND of the columns
-        (_util.columns) of its vertices over the flat masks, so the order
-        costs one big-int AND per vertex of each flat, not a test per pair;
-        the flats inside each flat are the columns of those up-sets.  The
-        flat columns are the closure operator's (FlatClosure.flat_columns),
-        which its closure lookups read too.
-        Inclusion of distinct sets is a partial order, and the flats are
-        closed under intersection and hold the ground set, so it is a
-        lattice by construction and is stored without validation.
+        The up-sets are the closure operator's (FlatClosure.flat_up_sets)
+        and the down-sets their columns (_util.columns).  Inclusion of
+        distinct sets is a partial order, and the flats are closed under
+        intersection and hold the ground set, so it is a lattice by
+        construction and is stored without validation.
         """
-        masks = self._masks
-        held = self.complex.flat_closure.flat_columns  # flats holding v
-        everyone = (1 << len(masks)) - 1
-        up = [common(held, flat) & everyone for flat in masks]
-        labels = _flat_labels(self.complex.vertices, masks)
-        return FiniteLattice._from_lattice_masks(labels, up, columns(up, len(masks)))
+        up = self.complex.flat_closure.flat_up_sets
+        labels = _flat_labels(self.complex.vertices, self._masks)
+        return FiniteLattice._from_lattice_masks(labels, up, columns(up, len(up)))
 
 
 def _flat_labels(vertices, masks):
@@ -130,7 +123,7 @@ def _check_flats_limit(complex_, override, walks_faces=False):
 def all_flats(complex_, override=False):
     """The flats of the complex."""
     _check_flats_limit(complex_, override)
-    return FlatFamily(complex_, complex_.flat_closure.flat_masks)
+    return FlatFamily(complex_)
 
 
 def closure(complex_, subset, override=False):

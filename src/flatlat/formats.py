@@ -130,7 +130,14 @@ def _directive_lines(text):
 
 
 def _format(kind, labels, rows):
+    """The document; ValueError on a label that is not read back as one token."""
     grammar = _GRAMMAR[kind]
+    for label in labels:
+        if not re.fullmatch(r"[^\s#]+", label):
+            raise ValueError(
+                f"cannot write {grammar.noun} {label!r}: a label is one token, "
+                "nonempty and without whitespace or #"
+            )
     lines = [kind, " ".join([grammar.header, *labels])]
     lines += [" ".join([grammar.directive, *row]) for row in rows]
     return "\n".join(lines) + "\n"

@@ -186,20 +186,21 @@ class FiniteLattice:
         return self._by_up[self._up[i] & self._up[j]]
 
     def covers(self, x, y):
-        """True iff y covers x: x < y with nothing strictly between."""
-        if x == y or not self.leq(x, y):
-            return False
+        """True iff y covers x: x < y with nothing strictly between, so x
+        and y, two elements, are all that lie between them."""
         return (self._up[x] & self._down[y]).bit_count() == 2
 
     @cached_property
     def cover_pairs(self):
-        """All pairs (x, y) with y covering x, ordered by index."""
-        out = []
-        for x in range(len(self)):
-            for y in range(len(self)):
-                if self.covers(x, y):
-                    out.append((x, y))
-        return tuple(out)
+        """All pairs (x, y) with y covering x, ordered by index: the covers
+        test read along each up-set once."""
+        down = self._down
+        return tuple(
+            (x, y)
+            for x, above in enumerate(self._up)
+            for y in bit_indices(above)
+            if (above & down[y]).bit_count() == 2
+        )
 
     @cached_property
     def atoms(self):

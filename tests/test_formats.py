@@ -133,6 +133,25 @@ def test_graph_round_trip(nonreal6):
     assert parse(format_graph(g)).value == g
 
 
+def test_format_complex_refuses_a_vertex_with_whitespace():
+    # written as it is, "a b" would read back as two vertices
+    c = SimplicialComplex(["a b", "c"], [{"a b", "c"}])
+    with pytest.raises(ValueError, match="cannot write vertex 'a b'"):
+        format_complex(c)
+
+
+def test_format_lattice_refuses_an_element_with_a_comment_sign():
+    lat = helpers.chain_lattice(2, ["B", "x#y"])
+    with pytest.raises(ValueError, match="cannot write element 'x#y'"):
+        format_lattice(lat)
+
+
+def test_format_graph_refuses_an_empty_vertex():
+    g = SimpleGraph(["a", ""], [("a", "")])
+    with pytest.raises(ValueError, match="cannot write vertex ''"):
+        format_graph(g)
+
+
 def test_format_complex_lists_facets_by_vertex_index_tuple():
     # by mask value the order would be b c, d, a e; by size then vertex
     # order it would be d, b c, a e

@@ -173,6 +173,18 @@ def test_atoms():
     assert {cube.labels[a] for a in cube.atoms} == {"a", "b", "c"}
 
 
+def _covers_by_brute_force(lat):
+    """The pairs x < y with no z strictly between, in index order."""
+    n = len(lat)
+    less = [[x != y and lat.leq(x, y) for y in range(n)] for x in range(n)]
+    return tuple(
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if less[x][y] and not any(less[x][z] and less[z][y] for z in range(n))
+    )
+
+
 def test_covers():
     chain = helpers.chain_lattice(3, ["B", "m", "T"])
     assert chain.covers(0, 1)
@@ -180,6 +192,12 @@ def test_covers():
     nr6 = helpers.nonrealizable6_lattice()
     assert nr6.covers(nr6.index("3"), nr6.index("T"))
     assert not nr6.covers(nr6.index("1"), nr6.index("T"))
+    for lat in [*enumerate_lattices(7), _pentagon_below_boolean(8)]:
+        want = _covers_by_brute_force(lat)
+        assert lat.cover_pairs == want
+        n = len(lat)
+        pairs = [(x, y) for x in range(n) for y in range(n) if lat.covers(x, y)]
+        assert pairs == list(want)  # so covers(x, x) is false, as when x is not below y
 
 
 def test_height(triangles_flats):

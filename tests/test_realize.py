@@ -552,6 +552,25 @@ def test_certificate_raises_on_a_tampered_nonface_list_or_facet_list():
         assert str(caught.value) == message
 
 
+def test_all_flats_certifies_the_listed_nonfaces_when_called():
+    """all_flats itself raises on a tampered list, so a family that put off
+    its listing would fail here; on the list as built it holds every flat."""
+    chain3 = helpers.chain_lattice(3, ["B", "m", "T"])
+    complex_, _ = realizing_complex(chain3)
+    family = all_flats(complex_)
+    assert len(family) == len(complex_.flat_closure.flat_masks) == len(chain3)
+    kept = [n for n in complex_._nonface_masks if n != complex_.mask_of(["m^1", "m^3"])]
+    tampered = SimplicialComplex._from_facet_masks(
+        complex_.vertices, complex_.facet_masks, kept
+    )
+    with pytest.raises(ConstructionMismatch) as caught:
+        all_flats(tampered)
+    assert str(caught.value) == (
+        "closed set {m^1} of the listed non-faces is not a flat: the face "
+        "{m^1} does not extend by {m^3}"
+    )
+
+
 def _tampered(lattices):
     """The realizing complex of each lattice with one spurious non-face
     added (a single vertex, or a non-face joined with a facet), one listed
