@@ -4,7 +4,7 @@ The table _COMMANDS declares each command once: its handler, the document
 kinds it reads, its help text and its switches.  Each handler maps the
 parsed document to its report, (exit code, payload, text): payload is what
 --format json writes, or None when the text is written in either format,
-and text is the text or, where it costs work, a function that makes it.
+and text is the text; either, where it costs work, is a function making it.
 main reads and parses the document, calls the handler, writes the report
 and maps errors to exit codes; no other code writes.
 
@@ -52,7 +52,7 @@ def main(argv=None):
         value = _parse(_read(args.path), command.kinds).value
         code, payload, text = command.handler(args, value, override)
         if payload is not None and args.format == "json":
-            text = emit_json(payload) + "\n"
+            text = emit_json(payload() if callable(payload) else payload) + "\n"
         elif callable(text):
             text = text()
         sys.stdout.write(text)
@@ -91,17 +91,10 @@ def _lines(payload, keys=None):
     return text
 
 
-class _ComplexPayload(NamedTuple):
-    """A complex's JSON payload: vertices, facets, then the extra keys.  It
-    is built only when emit_json writes it, as text runs need no facet sets."""
-
-    complex_: object
-    extra: dict
-
-    def to_jsonable(self):
-        vertices = list(self.complex_.vertices)
-        facets = [sorted(f) for f in self.complex_.facets]
-        return {"vertices": vertices, "facets": facets, **self.extra}
+def _complex_payload(complex_, extra):
+    """A complex's JSON payload: vertices, facets, then the extra keys."""
+    facets = [sorted(f) for f in complex_.facets]
+    return {"vertices": list(complex_.vertices), "facets": facets, **extra}
 
 
 class _Disagreement(Exception):
@@ -224,24 +217,28 @@ def _cmd_construct(args, lat, override):
         verify_realization(lat, complex_, predicted, override=override)
         extra["verified"] = True
         comment = "# verified: flat lattice of this complex matches the input\n"
-    return 0, _ComplexPayload(complex_, extra), lambda: comment + format_complex(complex_)
+    return (
+        0,
+        lambda: _complex_payload(complex_, extra),
+        lambda: comment + format_complex(complex_),
+    )
 
 
 def _cmd_tl(args, lat, override):
-    canonical = transversal_complex(lat)
+    canonical = transversal_complex(lat).complex
     if args.oracle:
-        atom_labels = [lat.labels[a] for a in sorted(lat.atoms)]
+        atom_labels = canonical.vertices
         cases = (
             (
                 " on atom set " + " ".join(combo),
-                canonical.complex.is_face(combo),
+                canonical.is_face(combo),
                 is_chain_transversal_bruteforce(lat, combo, override=override),
             )
             for r in range(len(atom_labels) + 1)
             for combo in itertools.combinations(atom_labels, r)
         )
         _oracle(cases)
-    return 0, _ComplexPayload(canonical.complex, {}), lambda: format_complex(canonical.complex)
+    return 0, lambda: _complex_payload(canonical, {}), lambda: format_complex(canonical)
 
 
 def _cmd_matrix(args, lat, override):

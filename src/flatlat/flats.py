@@ -116,8 +116,12 @@ def _check_flats_limit(complex_, override, walks_faces=False):
     itself (walks_faces), or to derive the closure, which a complex that
     lists its minimal non-faces does not."""
     if walks_faces or complex_._nonface_masks is None:
-        n = len(complex_.vertices)
-        check_limit(f"flat enumeration on {n} vertices", n, FLATS_SOFT_LIMIT, override)
+        _check_vertex_count(len(complex_.vertices), override)
+
+
+def _check_vertex_count(n, override):
+    """Hold a face walk on n vertices to FLATS_SOFT_LIMIT before it starts."""
+    check_limit(f"flat enumeration on {n} vertices", n, FLATS_SOFT_LIMIT, override)
 
 
 def all_flats(complex_, override=False):

@@ -182,7 +182,8 @@ def emit_json(value):
     loads it."""
     import json
 
-    return json.dumps(_jsonable(value), indent=2)
+    value = _jsonable(value)  # frees a payload made for this call before dumping
+    return json.dumps(value, indent=2)
 
 
 def _jsonable(value):

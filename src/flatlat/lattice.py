@@ -185,15 +185,10 @@ class FiniteLattice:
     def join(self, i, j):
         return self._by_up[self._up[i] & self._up[j]]
 
-    def covers(self, x, y):
-        """True iff y covers x: x < y with nothing strictly between, so x
-        and y, two elements, are all that lie between them."""
-        return (self._up[x] & self._down[y]).bit_count() == 2
-
     @cached_property
     def cover_pairs(self):
-        """All pairs (x, y) with y covering x, ordered by index: the covers
-        test read along each up-set once."""
+        """All pairs (x, y) with y covering x, ordered by index: x and y
+        alone lie between them, read along each up-set once."""
         down = self._down
         return tuple(
             (x, y)

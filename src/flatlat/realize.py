@@ -17,7 +17,7 @@ from typing import NamedTuple
 from ._util import IndexMap, check_limit, maximal_masks
 from .complexes import SimplicialComplex
 from .errors import ConstructionMismatch, NotAtomistic
-from .flats import ORACLE_SIZE_LIMIT, _chain_bruteforce, all_flats
+from .flats import ORACLE_SIZE_LIMIT, _chain_bruteforce, _check_vertex_count, all_flats
 from .graphs import find_supercliques, top_join_graph
 
 # realizing_complex costs the size of its output, at least the 3^(n-1) full
@@ -119,7 +119,8 @@ def is_realizable(lattice, force_general=False, override=False):
     height at most 2 is always realizable; height exactly 3 reduces to the
     superclique test on the atom graph; height equal to the atom count holds
     only for powerset lattices.  The general path counts the flats of the
-    canonical complex and compares with the lattice size.
+    canonical complex and compares with the lattice size; the complex has a
+    vertex per atom, so FLATS_SOFT_LIMIT holds the atoms before it is built.
     """
     n = len(lattice)
     violation = lattice.atomistic_violation
@@ -166,14 +167,14 @@ def is_realizable(lattice, force_general=False, override=False):
             lattice_size=1,
             canonical_flat_count=1,
         )
-    canonical = transversal_complex(lattice)
-    flats = all_flats(canonical.complex, override=override)
+    _check_vertex_count(len(lattice.atoms), override)
+    count = len(transversal_complex(lattice).complex.flat_closure.flat_masks)
     return RealizabilityReport(
         atomistic=True,
-        realizable=len(flats) == n,
+        realizable=count == n,
         method="general",
         lattice_size=n,
-        canonical_flat_count=len(flats),
+        canonical_flat_count=count,
     )
 
 
@@ -215,8 +216,9 @@ def realizing_complex(lattice, override=False):
     element incomparable to a with an element above a, so the graph is a
     disjoint union of stars, one centred on each element above a, and a
     maximal independent set takes of each star its centre or all its
-    leaves.  So E - {a} is maximal admissible only when a lies below all of
-    E.
+    leaves.  So E - {a} is admissible, and then maximal, exactly when a is
+    the least element of E; E has one exactly when L has one atom, as every
+    member of E lies above an atom.
 
     The complex carries its minimal non-faces, from which flat_closure
     closes sets once it has checked them against the facets.  With d(a) for
@@ -286,8 +288,8 @@ def realizing_complex(lattice, override=False):
                 nonfaces += _picks(((a1 | a2,), copy_bits[p], copy_bits[q]))
                 if p > a:
                     nonfaces.append(a1 | a2 | copy_bits[p][0] | copy_bits[p][1])
-    # E - {a} is maximal admissible for a iff a is the least element of E
-    least = [a for a in elems if all(lattice.leq(a, q) for q in elems)]
+    # E - {a} is maximal admissible for a iff a is E's least element, a lone atom
+    least = lattice.atoms if len(lattice.atoms) == 1 else ()
     facets += _picks(copy_bits[e][2:] if e in least else copy_bits[e] for e in elems)
 
     complex_ = SimplicialComplex._from_facet_masks(vertex_labels, facets, nonfaces)

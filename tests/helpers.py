@@ -928,7 +928,7 @@ def semimodular_witness_by_scan(lattice):
                             continue
                         if not (lt(lattice, e, d) and lt(lattice, d, a)):
                             continue
-                        if not lattice.covers(e, d):
+                        if not covers(lattice, e, d):
                             continue
                         if lattice.meet(b, d) != e or lattice.meet(c, d) != e:
                             continue
@@ -946,8 +946,8 @@ def is_semimodular_by_covers(lattice):
     n = len(lattice)
     for x in range(n):
         for y in range(n):
-            if lattice.covers(lattice.meet(x, y), x) and not lattice.covers(
-                y, lattice.join(x, y)
+            if covers(lattice, lattice.meet(x, y), x) and not covers(
+                lattice, y, lattice.join(x, y)
             ):
                 return False
     return True
@@ -956,6 +956,14 @@ def is_semimodular_by_covers(lattice):
 def lt(lattice, i, j):
     """i lies strictly below j."""
     return i != j and lattice.leq(i, j)
+
+
+def covers(lattice, x, y):
+    """y covers x: x lies strictly below y with no element strictly between,
+    by a scan over every element."""
+    return lt(lattice, x, y) and not any(
+        lt(lattice, x, z) and lt(lattice, z, y) for z in range(len(lattice))
+    )
 
 
 def atoms_below(lattice, x):

@@ -41,7 +41,7 @@ REMOVED_NAMES = {
 REMOVED_MEMBERS = {
     FiniteLattice: (
         "label", "is_semimodular_by_covers", "atoms_below", "meet_all", "join_all",
-        "lt", "is_isomorphic",
+        "lt", "is_isomorphic", "covers",
     ),
     SimplicialComplex: ("proper_part", "is_isomorphic", "dimension"),
     SimpleGraph: ("neighbors", "has_edge"),

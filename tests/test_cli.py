@@ -326,17 +326,23 @@ def test_construct_verify_of_a_ten_element_chain_passes_without_override(
 
 @pytest.mark.parametrize("argv", [["construct", CHAIN3, "--verify"], ["tl", NONREAL6]])
 def test_complex_text_is_formatted_only_when_written(capsys, monkeypatch, argv):
-    calls, format_complex = [], cli.format_complex
+    """The text and the JSON payload are each made only in their format."""
+    calls, format_complex, complex_payload = [], cli.format_complex, cli._complex_payload
 
     def counting(complex_):
-        calls.append(1)
+        calls.append("text")
         return format_complex(complex_)
 
+    def counting_payload(complex_, extra):
+        calls.append("json")
+        return complex_payload(complex_, extra)
+
     monkeypatch.setattr(cli, "format_complex", counting)
+    monkeypatch.setattr(cli, "_complex_payload", counting_payload)
     code, out, _ = run(capsys, *argv, "--format", "json")
-    assert (code, calls) == (0, []) and json.loads(out)["vertices"]
+    assert (code, calls) == (0, ["json"]) and json.loads(out)["vertices"]
     code, out, _ = run(capsys, *argv)
-    assert (code, calls) == (0, [1]) and parse(out).value.vertices
+    assert (code, calls) == (0, ["json", "text"]) and parse(out).value.vertices
 
 
 # -- tl / matrix ----------------------------------------------------------------

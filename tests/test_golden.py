@@ -7,9 +7,11 @@ compared only on the version that generated the corpus; their exit codes are
 compared on every version.
 """
 
+import importlib.util
 import json
 import sys
 
+import flatlat.cli as cli
 import helpers
 from conftest import FIXTURES
 
@@ -28,3 +30,14 @@ def test_every_cli_output_matches_the_golden_corpus(monkeypatch):
         if got != expected:
             changed.append(" ".join(expected["argv"]))
     assert changed == []
+
+
+def test_the_golden_corpus_holds_every_run_that_regenerate_lists():
+    """A switch, command or fixture added without regenerating the corpus
+    would otherwise go unpinned while the replay above still passes."""
+    path = ROOT / "tests" / "golden" / "regenerate.py"
+    spec = importlib.util.spec_from_file_location("regenerate", path)
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    argvs = [run["argv"] for run in CORPUS["runs"]]
+    assert argvs == list(regenerate.argvs(cli._COMMANDS))

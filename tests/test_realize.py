@@ -22,6 +22,7 @@ from flatlat import (
     verify_realization,
     verify_realizing_complex,
 )
+from flatlat import realize
 from flatlat.complexes import FlatClosure
 
 import helpers
@@ -239,10 +240,37 @@ def test_trivial_lattice_is_realizable():
 
 
 def test_shortcuts_agree_with_general_path():
-    for lat in (lat for lat in helpers.atomistic_lattices(7)):
+    # and the general path's count is that of the flats all_flats lists
+    for lat in helpers.atomistic_lattices(8, override=True):
         fast = is_realizable(lat)
         slow = is_realizable(lat, force_general=True)
         assert fast.realizable == slow.realizable
+        if len(lat) > 1:
+            flats = all_flats(transversal_complex(lat).complex)
+            assert slow.canonical_flat_count == len(flats)
+
+
+def test_general_path_holds_the_atoms_to_the_flats_limit_before_building_t_of_l(
+    monkeypatch,
+):
+    """M_25 gives T(L) 25 vertices: the general path refuses it with the
+    flats limit's message and never builds it; with override it answers."""
+    m25 = helpers.m_lattice(25)
+    built = transversal_complex
+
+    def unbuilt(lattice):
+        raise AssertionError("T(L) was built past the flats limit")
+
+    monkeypatch.setattr(realize, "transversal_complex", unbuilt)
+    with pytest.raises(LimitExceeded) as info:
+        is_realizable(m25, force_general=True)
+    assert str(info.value) == (
+        "flat enumeration on 25 vertices exceeds soft limit 24; "
+        "pass override=True to lift"
+    )
+    monkeypatch.setattr(realize, "transversal_complex", built)
+    rep = is_realizable(m25, force_general=True, override=True)
+    assert rep.realizable and rep.canonical_flat_count == 27
 
 
 def _census(max_size):
