@@ -319,10 +319,11 @@ def leaves(succ, pred, colours, autos=None):
     each other, leaf readings kept.  A leaf that reads like the least one
     so far maps onto it by an automorphism fixing both paths up to their
     split, so the search jumps back there; a node skips the children in the
-    orbit of one tried under the automorphisms found that fix its path.
+    orbit of one tried under the automorphisms known that fix its path.
     Every subtree skipped is thus the image of a visited one under an
-    automorphism, and its leaves read like visited ones.  Each automorphism
-    found is appended to autos, when given, as the tuple of node images.
+    automorphism, and its leaves read like visited ones.  autos, when given,
+    may hold automorphisms known on entry, as tuples of node images; each
+    automorphism found is appended to it.
 
     Refined colourings are ranks 0..k-1, and individualizing keeps them so:
     a colouring is discrete when its largest colour is n - 1, and its

@@ -225,7 +225,7 @@ def _cmd_construct(args, lat, override):
 
 
 def _cmd_tl(args, lat, override):
-    canonical = transversal_complex(lat).complex
+    canonical = transversal_complex(lat, override).complex
     if args.oracle:
         atom_labels = canonical.vertices
         cases = (

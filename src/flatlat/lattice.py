@@ -329,8 +329,9 @@ class FiniteLattice:
 def _canonical_key(succ, pred, autos=None):
     """The canonical_key of the lattice in which succ[i] and pred[i] list
     the elements above and below i, i itself included: the least reading of
-    a leaf of the search _util.leaves, from one colour.  The automorphisms
-    the search finds are appended to autos, when given.
+    a leaf of the search _util.leaves, from one colour.  autos, when given,
+    may hold automorphisms known on entry, which prune the search from its
+    first frame without changing the key; those it finds are appended.
     """
     return min(reading for reading, _ in leaves(succ, pred, [0] * len(succ), autos))
 
@@ -426,10 +427,12 @@ def enumerate_lattices(max_size, override=False):
     and I is then the strict down-set of c.  One I per orbit of the
     parent's automorphisms is tried, each child is keyed by _canonical_key
     from its parent's adjacency lists, and a FiniteLattice is built only for
-    the first child of each class.  Every representative on n >= 2 elements
-    is naturally labeled (i below j only if i <= j), with its top last.
-    Each class of a size below max_size is kept, as its down-sets and the
-    automorphisms its key search found, to grow the next size.
+    the first child of each class, whose key search starts from the
+    parent's automorphisms that fix I.  Every representative on n >= 2
+    elements is naturally labeled (i below j only if i <= j), with its top
+    last.  Each class of a size below max_size is kept, as its down-sets and
+    the automorphisms its key search started from and found, to grow the
+    next size.
     """
     what = f"lattice enumeration up to {max_size} elements"
     check_limit(what, max_size, ENUMERATION_SOFT_LIMIT, override)
@@ -446,11 +449,11 @@ def enumerate_lattices(max_size, override=False):
 def _lattices_of_size(n, parents):
     """Yield (lattice, automorphisms) for each lattice class on n elements,
     each built once, in the order of the first child of its class, with the
-    automorphisms, as tuples of images, that its key search found.  parents
-    holds the down-set masks of one naturally labeled representative, top
-    last, of every class on n - 1 elements, each with some of its
-    automorphisms; it is not read for n <= 2, where the chain is the only
-    class.
+    automorphisms, as tuples of images, that its key search started from and
+    found.  parents holds the down-set masks of one naturally labeled
+    representative, top last, of every class on n - 1 elements, each with
+    some of its automorphisms; it is not read for n <= 2, where the chain is
+    the only class.
 
     A child keeps the parent's elements 0..n-3 with their down-sets, adds
     the coatom n-2 with down-set I | bit n-2 and the top n-1.  The down-set
@@ -465,7 +468,9 @@ def _lattices_of_size(n, parents):
     maps the child of I onto the child of g(I).  Whatever automorphisms are
     given, a down-set in the orbit of one already tried gives a child whose
     key is already seen, so skipping it (_orbit_representatives) changes
-    neither the classes nor their order.  A child's successor and
+    neither the classes nor their order.  A given g with g(I) = I, so
+    extended, is an automorphism of the child of I, and the child's key
+    search starts from these (_canonical_key).  A child's successor and
     predecessor lists, and its up- and down-sets, are the parent's, without
     its top, plus the coatom and the top, so they are read off the parent's
     masks once per parent.
@@ -485,11 +490,11 @@ def _lattices_of_size(n, parents):
         pred = indices(below)
         succ = indices(up)  # each list ends at the top
         to_coatom = [s[:-1] + [c, t] for s in succ]
-        for ideal in _orbit_representatives(_admissible_ideals(below), parent_autos):
+        for ideal, fixing in _orbit_representatives(_admissible_ideals(below), parent_autos):
             child_succ = [to_coatom[i] if ideal >> i & 1 else s for i, s in enumerate(succ)]
             child_succ += [[c, t], [t]]
             child_pred = [*pred, [*bit_indices(ideal), c], every]
-            autos = []
+            autos = [g + (t,) for g in fixing]  # g fixes the parent's top, now c
             key = _canonical_key(child_succ, child_pred, autos)
             if key not in seen:
                 seen.add(key)
@@ -501,22 +506,25 @@ def _lattices_of_size(n, parents):
 
 
 def _orbit_representatives(ideals, autos):
-    """The first down-set of each orbit, in the order of ideals, of the
-    group that the element permutations autos generate."""
-    images = [[1 << i for i in g] for g in autos]  # the image bit of each element
+    """Yield (ideal, fixing) for the first down-set of each orbit, in the
+    order of ideals, of the group that the element permutations autos
+    generate; fixing lists the generators that map that ideal onto itself."""
+    images = [(g, [1 << i for i in g]) for g in autos]  # the image bit of each element
     covered = set()
     for ideal in ideals:
         if ideal in covered:
             continue
-        yield ideal
         covered.add(ideal)
-        orbit = [ideal]
+        orbit, fixing = [ideal], []
         for mask in orbit:
-            for bits in images:
+            for g, bits in images:
                 image = sum(map(bits.__getitem__, bit_indices(mask)))
                 if image not in covered:
                     covered.add(image)
                     orbit.append(image)
+                elif image == mask == ideal:
+                    fixing.append(g)
+        yield ideal, fixing
 
 
 def _admissible_ideals(down):

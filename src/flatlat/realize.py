@@ -42,14 +42,14 @@ class TransversalComplex:
         return f"TransversalComplex({self.complex!r})"
 
 
-def transversal_complex(lattice):
+def transversal_complex(lattice, override=False):
     """Faces are the atom sets with an enumeration escaping prefix joins.
 
     Whether an atom can extend a partial enumeration depends only on the set
     of atoms already placed (their join is order independent), so the faces
     are discovered by a LIFO walk over atom masks from the empty face, each
     kept with its join: an atom a extends a face when a is not below the
-    face's join.
+    face's join.  The atom count is held to FLATS_SOFT_LIMIT before the walk.
     """
     violation = lattice.atomistic_violation
     if violation is not None:
@@ -60,6 +60,7 @@ def transversal_complex(lattice):
             "the one-element lattice has no canonical complex: "
             "its atom set is empty"
         )
+    _check_vertex_count(len(atoms), override)
     labels = tuple(lattice.labels[a] for a in atoms)
     joins = {0: lattice.bottom}  # face mask -> the join of its atoms
     queue = [0]
@@ -168,7 +169,7 @@ def is_realizable(lattice, force_general=False, override=False):
             canonical_flat_count=1,
         )
     _check_vertex_count(len(lattice.atoms), override)
-    count = len(transversal_complex(lattice).complex.flat_closure.flat_masks)
+    count = len(transversal_complex(lattice, override).complex.flat_closure.flat_masks)
     return RealizabilityReport(
         atomistic=True,
         realizable=count == n,

@@ -305,6 +305,27 @@ def test_construct_over_the_soft_limit_exits_3(capsys, tmp_path, monkeypatch):
     assert "soft limit" in err
 
 
+def test_tl_holds_the_atoms_to_the_flats_limit_before_walking_t_of_l(
+    capsys, tmp_path, monkeypatch
+):
+    """M_25 gives T(L) 25 vertices: tl exits 3 with the flats limit's
+    message before the walk, and answers with override."""
+    path = tmp_path / "m25.lat"
+    path.write_text(format_lattice(helpers.m_lattice(25)))
+    monkeypatch.delenv("FLATLAT_LIMIT_OVERRIDE", raising=False)
+    assert run(capsys, "tl", str(path)) == (
+        3,
+        "",
+        "error: flat enumeration on 25 vertices exceeds soft limit 24; "
+        "pass override=True to lift\n",
+    )
+    monkeypatch.setenv("FLATLAT_LIMIT_OVERRIDE", "1")
+    code, out, err = run(capsys, "tl", str(path), "--format", "json")
+    data = json.loads(out)
+    assert (code, err) == (0, "")
+    assert len(data["vertices"]) == 25 and len(data["facets"]) == 25 * 24 // 2
+
+
 def test_construct_verify_of_a_ten_element_chain_passes_without_override(
     capsys, tmp_path, monkeypatch
 ):
