@@ -82,6 +82,7 @@ from flatlat import (
     NotAtomistic,
     SimpleGraph,
     SimplicialComplex,
+    all_flats,
     lattice_from_covers,
 )
 from flatlat._util import (
@@ -1081,6 +1082,30 @@ def graphic_matroid(edges):
         if rank([edges[k] for k in chosen]) == len(chosen)
     ]
     return SimplicialComplex(names, facets)
+
+
+def partition_lattice(n):
+    """The partition lattice Pi_n: the flats of the graphic matroid of K_n."""
+    return all_flats(graphic_matroid(list(itertools.combinations(range(n), 2)))).lattice
+
+
+def subspace_lattice(k):
+    """The subspaces of F_2^k by inclusion, each the bitmask of its 2^k
+    vectors, labelled by it in hex: s | (s xor v), over the vectors m of s,
+    spans s and v."""
+    size = 1 << k
+    spaces, frontier = {1}, {1}
+    while frontier:
+        grown = {
+            s | sum(1 << (m ^ v) for m in range(size) if s >> m & 1)
+            for s in frontier
+            for v in range(size)
+        }
+        frontier = grown - spaces
+        spaces |= grown
+    spaces = sorted(spaces)
+    up = [sum(1 << j for j, t in enumerate(spaces) if not s & ~t) for s in spaces]
+    return FiniteLattice._from_up_masks([f"s{s:x}" for s in spaces], up)
 
 
 def random_graphic_matroid(rng, n, m):

@@ -307,6 +307,24 @@ def test_common_is_the_set_of_masks_that_contain_the_mask(masks, m):
         assert got == sum(1 << k for k, mask in enumerate(masks) if not m & ~mask)
 
 
+@pytest.mark.parametrize("n", [1, 8, 9, 63, 64, 65, 130])
+def test_columns_is_the_bit_by_bit_transpose(n):
+    """Masks of at most 64 bits go through one array, wider ones through
+    bytes per mask; both read as the transpose taken bit by bit, on no
+    masks, on all-zero masks, on full masks and on seeded random ones."""
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    lists = [[], [0], [0] * 5, [full], [full, 0, full], [1 << (n - 1), 1]]
+    lists += [[rng.getrandbits(n) for _ in range(count)] for count in (1, 7, 70)]
+    if n >= 64:
+        lists.append([(1 << 64) - 1, 1 << 63, 0])
+    for masks in lists:
+        want = [
+            sum(1 << k for k, mask in enumerate(masks) if mask >> v & 1) for v in range(n)
+        ]
+        assert columns(masks, n) == want
+
+
 _FEW_BITS = st.sets(st.integers(min_value=0, max_value=39), max_size=3).map(
     lambda bits: sum(1 << b for b in bits)
 )

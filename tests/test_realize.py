@@ -140,6 +140,36 @@ def test_transversal_complex_matches_the_label_walk():
         assert transversal_complex(lat).complex == want
 
 
+# the faces and facets of T(L): the forests and spanning trees of K_n, the
+# independent sets and bases of the vectors of F_2^k
+_GEOMETRIC_FAMILIES = {
+    "partition4": (helpers.partition_lattice, 4, 38, 16),
+    "partition5": (helpers.partition_lattice, 5, 291, 125),
+    "partition6": (helpers.partition_lattice, 6, 2932, 1296),
+    "subspace3": (helpers.subspace_lattice, 3, 57, 28),
+    "subspace4": (helpers.subspace_lattice, 4, 1381, 840),
+}
+
+
+@pytest.mark.parametrize("name", list(_GEOMETRIC_FAMILIES))
+def test_canonical_complex_of_partition_and_subspace_lattices_is_pinned(name):
+    """T(L) of Pi_4-Pi_6, F_2^3 and F_2^4 has the pinned faces and facets,
+    equals the label walk's, is a matroid, and has as many flats as L has
+    elements, its flat lattice isomorphic to L; L is semimodular, and both
+    paths of is_realizable call it realizable."""
+    build, size, faces, facets = _GEOMETRIC_FAMILIES[name]
+    lat = build(size)
+    t = transversal_complex(lat).complex
+    assert (len(t.face_masks), len(t.facet_masks)) == (faces, facets)
+    assert t == helpers.transversal_complex_by_label_walk(lat)
+    assert t.is_matroid and lat.is_semimodular
+    assert all_flats(t).lattice.isomorphism(lat) is not None
+    report = is_realizable(lat, force_general=True)
+    assert (report.realizable, report.method) == (True, "general")
+    assert report.canonical_flat_count == len(lat)
+    assert is_realizable(lat).realizable
+
+
 def test_canonical_complex_is_simple_and_representable():
     for lat in helpers.atomistic_lattices(7):
         if len(lat) == 1:
