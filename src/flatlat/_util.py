@@ -98,10 +98,7 @@ def columns(masks, n):
     big-endian: masks of at most 64 bits by one array("Q", masks) call,
     wider ones one int.to_bytes call each.  Each column is then a slice
     that reads its binary digits from the highest mask down, translated
-    from bytes into digits, all in C.  On the 37 204 facets of M8's
-    realizing complex (27 vertices), the bytes take 0.27 ms where one call
-    per mask took 3.0 ms, and the transpose 3.8-4.1 ms where it took
-    7.5-8.1 ms (Python 3.11, shared 2-vCPU host, three runs each).
+    from bytes into digits, all in C.
     """
     if n <= 64:
         words = array("Q", masks)
@@ -118,30 +115,6 @@ def columns(masks, n):
         int(data[width - 1 - (v >> 3) :: width].translate(_BIT_CHAR[v & 7]) or b"0", 2)
         for v in range(n)
     ]
-
-
-class ByteTable(dict):
-    """The OR of the columns a byte picks, for up to 8 columns, each entry
-    made on first use from the entry without the byte's lowest bit."""
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, cols):
-        super().__init__({0: 0})
-        self._columns = cols
-
-    def __missing__(self, byte):
-        low = byte & -byte
-        self[byte] = got = self[byte ^ low] | self._columns[low.bit_length() - 1]
-        return got
-
-
-def byte_tables(cols):
-    """One ByteTable per block of 8 columns: the OR of the columns a mask
-    picks is the OR of the blocks' entries for the bytes of
-    mask.to_bytes(width, "little"), one lookup per block in place of one
-    step per set bit.  Each table holds at most 256 entries."""
-    return [ByteTable(cols[v : v + 8]) for v in range(0, len(cols), 8)]
 
 
 def closed_sets(closure, n, premises):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from ._util import (
-    GroundSet, IndexMap, bit_indices, byte_tables, closed_sets, columns, common,
+    GroundSet, IndexMap, bit_indices, closed_sets, columns, common,
     find_isomorphism, indices, mask_sort_key, maximal_masks,
 )
 from .errors import ConstructionMismatch, EmptyRestriction
@@ -246,14 +246,13 @@ class SimplicialComplex(GroundSet):
         V - ext[J] empty no such I exists, and with V - ext[J] = {u} it can
         only be J + u, which is not a face.  A level whose J are all skipped
         builds nothing.  On the others, the faces I one larger than J that
-        miss ext[J] - J are the level's faces outside the OR of the columns
-        (_util.columns) of the vertices of ext[J] - J, one lookup per block
-        of 8 vertices (_util.byte_tables).  The violation returned is its
-        least J by mask_sort_key, then the least I missing ext[J] - J.
+        miss ext[J] - J are the AND (_util.common) of the complements of the
+        columns (_util.columns) of its vertices; a facet J has ext[J] - J
+        empty, and every I misses it.  The violation returned is its least
+        J by mask_sort_key, then the least I missing ext[J] - J.
         """
         n = len(self.vertices)
         full = self.full_mask
-        width = (n + 7) >> 3
         levels = self._ext_levels
         for below, level in zip(levels, levels[1:]):
             # an ext that misses at most one vertex leaves no violating I
@@ -264,15 +263,13 @@ class SimplicialComplex(GroundSet):
             if not asked:
                 continue
             bigger = list(level)
-            # bit k of column v: bigger[k] holds v
-            tables = byte_tables(columns(bigger, n))
             everyone = (1 << len(bigger)) - 1
+            # bit k of avoid[v]: bigger[k] misses v
+            avoid = [everyone ^ column for column in columns(bigger, n)]
             hits = {}
             for j, ext in asked:
-                spare = 0
-                for table, byte in zip(tables, (ext & ~j).to_bytes(width, "little")):
-                    spare |= table[byte]
-                missing = everyone & ~spare
+                # common gives -1 for a facet J, whose ext - J is empty
+                missing = common(avoid, ext & ~j) & everyone
                 if missing:
                     hits[j] = missing
             if hits:
@@ -307,6 +304,22 @@ class SimplicialComplex(GroundSet):
         return succ, [[] for _ in range(n)] + members, [0] * n + [1] * len(facets)
 
 
+class ByteTable(dict):
+    """The OR of the columns a byte picks, for up to 8 columns, each entry
+    made on first use from the entry without the byte's lowest bit."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, cols):
+        super().__init__({0: 0})
+        self._columns = cols
+
+    def __missing__(self, byte):
+        low = byte & -byte
+        self[byte] = got = self[byte ^ low] | self._columns[low.bit_length() - 1]
+        return got
+
+
 class FlatClosure(dict):
     """Closure operator on vertex masks given by implications, and its own
     memo: indexing it by a mask gives the mask's closed set, computed by
@@ -326,10 +339,11 @@ class FlatClosure(dict):
     A round ORs, over the vertices missing from the set, the implications
     whose premise holds the vertex (blocked) and those whose conclusion
     does (useful); the ready ones, useful but not blocked, are applied.
-    The vertices are cut into blocks of 8, and each block keeps a table
-    from a byte of missing vertices to that OR (_util.byte_tables), so a
-    round costs one lookup per block.  Table entries are made as they are
-    first asked for.
+    The vertices are cut into blocks of 8, and each block keeps a
+    ByteTable from a byte of missing vertices to that OR, so a round costs
+    one lookup per block of (full - set).to_bytes(width, "little") in place
+    of one step per missing vertex.  Each table holds at most 256 entries,
+    made as they are first asked for.
 
     cl(P) holds the premise P and its conclusion, so their union is a
     partial closure of P, a set inside cl(P).  Fast Close-by-One reads it
@@ -354,7 +368,7 @@ class FlatClosure(dict):
         # of the k-th of the m implications contains v
         self._shift = len(premises)
         cols = columns(list(premises) + self._conclusions, n)
-        self._tables = byte_tables(cols)
+        self._tables = [ByteTable(cols[v : v + 8]) for v in range(0, n, 8)]
 
     def __missing__(self, mask):
         if "flat_masks" in self.__dict__:  # listed: the first flat holding mask

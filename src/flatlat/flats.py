@@ -111,11 +111,10 @@ def split_vertex_set(text):
     return [re.sub(r"\\([\\,])", r"\1", name) for name in names]
 
 
-def _check_flats_limit(complex_, override, walks_faces=False):
-    """Hold the complex to FLATS_SOFT_LIMIT when the call walks its faces:
-    itself (walks_faces), or to derive the closure, which a complex that
-    lists its minimal non-faces does not."""
-    if walks_faces or complex_._nonface_masks is None:
+def _check_flats_limit(complex_, override):
+    """Hold the complex to FLATS_SOFT_LIMIT when its closure walks its
+    faces, which a complex that lists its minimal non-faces does not."""
+    if complex_._nonface_masks is None:
         _check_vertex_count(len(complex_.vertices), override)
 
 
@@ -233,9 +232,10 @@ def br_violation(complex_, override=False):
     most |F| closures per face.  Every face of a size is tested, and the
     least failing one by mask_sort_key, of the first size with one, is
     returned: only failing faces are ever sorted.  The sizes are the levels
-    of the complex's one face walk (SimplicialComplex._ext_levels).
+    of the complex's one face walk (SimplicialComplex._ext_levels), which
+    FLATS_SOFT_LIMIT holds on every complex.
     """
-    _check_flats_limit(complex_, override, walks_faces=True)
+    _check_vertex_count(len(complex_.vertices), override)
     cl = complex_.flat_closure
     for faces in complex_._ext_levels[1:]:
         failing = []

@@ -57,10 +57,7 @@ def transversal_complex(lattice, override=False):
     the element whose up-set is the AND of the two up-sets.  The lattice
     is atomistic, so only the top lies above every atom: a face whose join
     is not the top extends, and the facets are the maximal faces among
-    those joining to the top.  On F_2^5 (374 elements, 31 atoms, 114 205
-    faces) this takes 0.23-0.25 s, where asking leq and join at each step
-    and taking the maximal faces among all of them took 1.19-1.27 s
-    (Python 3.11, shared 2-vCPU host, three runs each).
+    those joining to the top.
     """
     violation = lattice.atomistic_violation
     if violation is not None:
@@ -140,10 +137,12 @@ def is_realizable(lattice, force_general=False, override=False):
 
     Shortcuts, tried in order unless force_general is set: atomistic of
     height at most 2 is always realizable; height exactly 3 reduces to the
-    superclique test on the atom graph; height equal to the atom count holds
-    only for powerset lattices.  The general path counts the flats of the
-    canonical complex and compares with the lattice size; the complex has a
-    vertex per atom, so FLATS_SOFT_LIMIT holds the atoms before it is built.
+    superclique test on the atom graph; an atomistic lattice whose height
+    equals its atom count is realizable only when it is boolean.  The
+    general path counts the flats of the canonical complex and compares
+    with the lattice size; the complex has a vertex per atom, so
+    transversal_complex holds the atoms to FLATS_SOFT_LIMIT before it is
+    built.
     """
     n = len(lattice)
     violation = lattice.atomistic_violation
@@ -190,7 +189,6 @@ def is_realizable(lattice, force_general=False, override=False):
             lattice_size=1,
             canonical_flat_count=1,
         )
-    _check_vertex_count(len(lattice.atoms), override)
     count = len(transversal_complex(lattice, override).complex.flat_closure.flat_masks)
     return RealizabilityReport(
         atomistic=True,

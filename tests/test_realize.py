@@ -264,6 +264,20 @@ def test_realizable_examples(triangles_flats):
     assert rep.method == "boolean" and rep.realizable
 
 
+def test_boolean_shortcut_refuses_an_atomistic_lattice_of_height_equal_to_its_atoms():
+    """The staircase on 8 elements: atoms 1 2 4 6, 3 = 1 v 2, 5 = 3 v 4 and
+    7 = 5 v 6.  Its height is its atom count, 4, and it is not boolean."""
+    labels = [str(i) for i in range(8)]
+    covers = [("0", a) for a in "1246"] + [
+        ("1", "3"), ("2", "3"), ("3", "5"), ("4", "5"), ("5", "7"), ("6", "7"),
+    ]
+    staircase = lattice_from_covers(labels, covers)
+    rep = is_realizable(staircase)
+    assert rep.method == "boolean" and rep.realizable is False
+    rep = is_realizable(staircase, force_general=True)
+    assert rep.realizable is False and rep.canonical_flat_count == 16
+
+
 def test_trivial_lattice_is_realizable():
     rep = is_realizable(FiniteLattice(["B"], [[True]]), force_general=True)
     assert rep.realizable
@@ -284,21 +298,21 @@ def test_general_path_holds_the_atoms_to_the_flats_limit_before_building_t_of_l(
     monkeypatch,
 ):
     """M_25 gives T(L) 25 vertices: the general path refuses it with the
-    flats limit's message and never builds it; with override it answers."""
+    flats limit's message before the walk's first step, the columns of the
+    atoms' up-sets; with override it answers."""
     m25 = helpers.m_lattice(25)
-    built = transversal_complex
 
-    def unbuilt(lattice):
-        raise AssertionError("T(L) was built past the flats limit")
+    def unbuilt(masks, n):
+        raise AssertionError("T(L) was walked past the flats limit")
 
-    monkeypatch.setattr(realize, "transversal_complex", unbuilt)
+    monkeypatch.setattr(realize, "columns", unbuilt)
     with pytest.raises(LimitExceeded) as info:
         is_realizable(m25, force_general=True)
     assert str(info.value) == (
         "flat enumeration on 25 vertices exceeds soft limit 24; "
         "pass override=True to lift"
     )
-    monkeypatch.setattr(realize, "transversal_complex", built)
+    monkeypatch.undo()
     rep = is_realizable(m25, force_general=True, override=True)
     assert rep.realizable and rep.canonical_flat_count == 27
 
