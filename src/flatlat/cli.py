@@ -189,7 +189,9 @@ def _cmd_brsc(args, complex_, override):
 def _cmd_realizable(args, lat, override):
     report = is_realizable(lat, force_general=args.force_general, override=override)
     if args.oracle:
-        general = is_realizable(lat, force_general=True, override=override)
+        general = report if args.force_general else is_realizable(
+            lat, force_general=True, override=override
+        )
         where = (
             f": {report.method} says {report.realizable}, "
             f"general path says {general.realizable}"

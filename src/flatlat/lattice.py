@@ -14,12 +14,14 @@ hashable, so results of expensive derived computations are cached on the
 instance.
 
 Enumeration grows the lattice classes of each size from those one element
-smaller by coatom augmentation (McKay-style isomorph-free generation, with
-a set of canonical keys per size): each class loses its top and gains a
-new coatom, above an admissible down-set, and a new top.  Down-sets that a
-parent automorphism maps onto each other give isomorphic children, so one
-per orbit is keyed (McKay 1998), under the automorphisms that the parent's
-own key search found.
+smaller by coatom augmentation (McKay 1998, isomorph-free generation by
+canonical deletion): each class loses its top and gains a new coatom, above
+an admissible down-set, and a new top.  Down-sets that a parent
+automorphism maps onto each other give isomorphic children, so one per
+orbit is tried, under the automorphisms that the parent's own key search
+found.  A child is told new or repeated by the classes that deleting its
+other coatoms leaves, mostly read off degree counts, so only the classes
+that grow and a few children are keyed, and no set of keys is kept.
 """
 
 from __future__ import annotations
@@ -316,7 +318,7 @@ class FiniteLattice:
 
     @cached_property
     def canonical_key(self):
-        """Relabeling-invariant fingerprint used to deduplicate lattices.
+        """Relabeling-invariant fingerprint of the isomorphism class.
 
         The relation, as a tuple of up-set rows, in the element order of the
         best leaf of an individualization-refinement search (_canonical_key):
@@ -425,35 +427,37 @@ def enumerate_lattices(max_size, override=False):
     arises so, because removing a coatom c from a lattice leaves a lattice
     (a meet of two elements other than c is never c, and the top stays),
     and I is then the strict down-set of c.  One I per orbit of the
-    parent's automorphisms is tried, each child is keyed by _canonical_key
-    from its parent's adjacency lists, and a FiniteLattice is built only for
-    the first child of each class, whose key search starts from the
-    parent's automorphisms that fix I.  Every representative on n >= 2
+    parent's automorphisms is tried, and a child is told new or repeated by
+    the classes its other coatom deletions fall in; a FiniteLattice is built
+    only for the first child of each class.  Every representative on n >= 2
     elements is naturally labeled (i below j only if i <= j), with its top
-    last.  Each class of a size below max_size is kept, as its down-sets and
-    the automorphisms its key search started from and found, to grow the
-    next size.
+    last.  Each class of a size below max_size is keyed by _canonical_key,
+    and kept, as its down-sets, the automorphisms its key search started
+    from and found, and its key, to grow the next size.
     """
     what = f"lattice enumeration up to {max_size} elements"
     check_limit(what, max_size, ENUMERATION_SOFT_LIMIT, override)
     parents = []
     for n in range(1, max_size + 1):
+        grow = n < max_size
         classes = []
-        for lat, autos in _lattices_of_size(n, parents):
-            if n < max_size:
-                classes.append((lat._down, autos))
+        for lat, autos, key in _lattices_of_size(n, parents, grow):
+            if grow:
+                classes.append((lat._down, autos, key))
             yield lat
         parents = classes
 
 
-def _lattices_of_size(n, parents):
-    """Yield (lattice, automorphisms) for each lattice class on n elements,
-    each built once, in the order of the first child of its class, with the
-    automorphisms, as tuples of images, that its key search started from and
-    found.  parents holds the down-set masks of one naturally labeled
-    representative, top last, of every class on n - 1 elements, each with
-    some of its automorphisms; it is not read for n <= 2, where the chain is
-    the only class.
+def _lattices_of_size(n, parents, grow):
+    """Yield (lattice, automorphisms, key) for each lattice class on n
+    elements, each built once, in the order of the first child of its class.
+    parents holds, for every class on n - 1 elements in the order they were
+    yielded, the down-set masks of one naturally labeled representative, top
+    last, the automorphisms that its key search started from and found, as
+    tuples of images, and its key; it is not read for n <= 2, where the
+    chain is the only class.  When grow is true every class is keyed, and
+    yielded with the automorphisms and the key of its search; otherwise only
+    the classes that needed a key carry one, and the rest () and None.
 
     A child keeps the parent's elements 0..n-3 with their down-sets, adds
     the coatom n-2 with down-set I | bit n-2 and the top n-1.  The down-set
@@ -465,44 +469,135 @@ def _lattices_of_size(n, parents):
 
     An automorphism g of the parent fixes its top, so it maps admissible
     down-sets onto admissible ones, and g with the coatom and the top fixed
-    maps the child of I onto the child of g(I).  Whatever automorphisms are
-    given, a down-set in the orbit of one already tried gives a child whose
-    key is already seen, so skipping it (_orbit_representatives) changes
-    neither the classes nor their order.  A given g with g(I) = I, so
+    maps the child of I onto the child of g(I): only the first I of each
+    orbit is tried (_orbit_representatives).  A given g with g(I) = I, so
     extended, is an automorphism of the child of I, and the child's key
-    search starts from these (_canonical_key).  A child's successor and
-    predecessor lists, and its up- and down-sets, are the parent's, without
-    its top, plus the coatom and the top, so they are read off the parent's
-    masks once per parent.
+    search starts from these (_canonical_key).
+
+    A child D of the i-th parent P_i is told new or repeated by canonical
+    deletion (McKay 1998, "Isomorph-free exhaustive generation"), from the
+    classes of D - x for its coatoms x other than the new one, the parent's
+    coatoms outside I:
+    - some D - x is isomorphic to a parent P_j with j < i: D is a child of
+      P_j, over the down-set x's strict down-set maps to, whose orbit P_j
+      tried, so its class was yielded from P_j or before, and D is skipped;
+    - else some D - x is isomorphic to P_i: D is keyed, and skipped when an
+      earlier such sibling had the same key;
+    - else D is new.  No child of an earlier parent is isomorphic to D, as
+      it would be a D - x.  An isomorphism onto an earlier sibling maps that
+      sibling's new coatom onto a coatom y of D, and D - y is isomorphic to
+      P_i, so y is the new coatom and the isomorphism restricts to an
+      automorphism of P_i that maps the sibling's I onto D's, an orbit
+      already tried.  That needs the automorphisms kept with P_i to generate
+      its whole group, as those an individualization-refinement search
+      finds, with any it started from, do (McKay 1981, "Practical graph
+      isomorphism").  A sibling isomorphic to a D of the second case is of
+      that case too, so its key is among those compared.
+    So each class is yielded at its first child, in the order of parents
+    and of the down-sets tried (_first_parent reads the case).  The class
+    of D - x is read off its degree pairs, the sorted (|up|, |down|) of its
+    elements, when they are those of one parent, or when all the parents
+    with them lie on one side of P_i; otherwise off its key among theirs.
+
+    A child's successor and predecessor lists, and its up- and down-sets,
+    are the parent's, without its top, plus the coatom and the top, so they
+    are read off the parent's masks once per parent.
     """
     labels = tuple(str(i) for i in range(n))
     if n <= 2:  # the chain
         chain = FiniteLattice._from_up_masks(labels, [(1 << n) - (1 << i) for i in range(n)])
-        yield chain, ()
+        yield chain, (), chain.canonical_key if grow else None
         return
-    seen = set()
     c, t = n - 2, n - 1
-    coatom, top, full = 1 << c, 1 << t, (1 << n) - 1
     every = list(range(n))
-    for parent, parent_autos in parents:
+    by_pairs, by_key = {}, {}  # the indices of the parents with these pairs; with this key
+    for i, (parent, _, key) in enumerate(parents):
+        pairs = sorted(_degree_pairs(columns(parent, n - 1), parent, n))
+        by_pairs.setdefault(tuple(pairs), []).append(i)
+        by_key[key] = i
+    for i, (parent, parent_autos, _) in enumerate(parents):
         below = parent[:-1]  # the parent without its top: elements 0..n-3
-        up = [u | top for u in columns(below, c)]
+        up = [u | 1 << t for u in columns(below, c)]
         pred = indices(below)
         succ = indices(up)  # each list ends at the top
         to_coatom = [s[:-1] + [c, t] for s in succ]
+        coatoms = [x for x, u in enumerate(up) if u == 1 << x | 1 << t]
+        keys = set()  # of the children kept that delete to P_i twice
         for ideal, fixing in _orbit_representatives(_admissible_ideals(below), parent_autos):
-            child_succ = [to_coatom[i] if ideal >> i & 1 else s for i, s in enumerate(succ)]
-            child_succ += [[c, t], [t]]
-            child_pred = [*pred, [*bit_indices(ideal), c], every]
-            autos = [g + (t,) for g in fixing]  # g fixes the parent's top, now c
-            key = _canonical_key(child_succ, child_pred, autos)
-            if key not in seen:
-                seen.add(key)
-                rows = [u | coatom if ideal >> i & 1 else u for i, u in enumerate(up)]
-                child_up = (*rows, coatom | top, top)
-                child_down = (*below, ideal | coatom, full)
-                child = FiniteLattice._from_lattice_masks(labels, child_up, child_down)
-                yield child, tuple(autos)
+            child_up, child_down = _child_masks(below, up, ideal)
+            others = [x for x in coatoms if not ideal >> x & 1]
+            first = _first_parent(i, others, child_up, child_down, by_pairs, by_key)
+            if first < i:
+                continue
+            key, autos = None, ()
+            if first == i or grow:
+                child_succ = [to_coatom[e] if ideal >> e & 1 else s for e, s in enumerate(succ)]
+                child_succ += [[c, t], [t]]
+                child_pred = [*pred, [*bit_indices(ideal), c], every]
+                autos = [g + (t,) for g in fixing]  # g fixes the parent's top, now c
+                key = _canonical_key(child_succ, child_pred, autos)
+                if first == i:
+                    if key in keys:
+                        continue
+                    keys.add(key)
+            child = FiniteLattice._from_lattice_masks(labels, child_up, child_down)
+            yield child, tuple(autos), key
+
+
+def _child_masks(below, up, ideal):
+    """The up- and down-set masks of the child of coatom growth over an
+    admissible down-set ideal: below holds the parent's down-sets without
+    its top, and up their up-sets with the child's top in place of the
+    parent's."""
+    coatom = 1 << len(below)
+    top = coatom << 1
+    rows = [u | coatom if ideal >> e & 1 else u for e, u in enumerate(up)]
+    return (*rows, coatom | top, top), (*below, ideal | coatom, (top << 1) - 1)
+
+
+def _degree_pairs(up, down, n):
+    """The degree pair (|up|, |down|) of each element, coded u * n + d,
+    which tells the pairs apart while every d < n."""
+    return [u.bit_count() * n + d.bit_count() for u, d in zip(up, down)]
+
+
+def _first_parent(i, others, up, down, by_pairs, by_key):
+    """The least index of a parent isomorphic to D - x, over the coatoms x
+    of the child D in others, when it lies below i; else i when one D - x is
+    isomorphic to P_i, and i + 1 when none is.  up and down are D's masks,
+    by_pairs maps the sorted degree pairs of the n - 1 element classes to
+    the indices of the parents that have them, ascending, and by_key a
+    parent's key to its index.
+
+    D - x has D's degree pairs without x's, with one up less for each
+    element below x and one down less for the top.  They decide each D - x
+    whose parents with those pairs lie on one side of i, and one below i
+    ends the scan; the rest are keyed after it.
+    """
+    n, least, unsure = len(up), i + 1, []
+    pairs = _degree_pairs(up, down, n)
+    pairs[-1] -= 1  # the top of D - x has one element less below it
+    for x in others:
+        lower = down[x] ^ 1 << x  # one element less above each
+        deleted = [p - n if lower >> e & 1 else p for e, p in enumerate(pairs) if e != x]
+        deleted.sort()
+        found = by_pairs[tuple(deleted)]
+        if found[-1] < i:
+            return found[-1]
+        if found == [i]:
+            least = i
+        elif found[0] <= i:
+            unsure.append(x)
+    for x in unsure:
+        keep = (1 << x) - 1
+        succ, pred = (
+            indices([m & keep | m >> 1 & ~keep for e, m in enumerate(masks) if e != x])
+            for masks in (up, down)
+        )
+        least = min(least, by_key[_canonical_key(succ, pred)])
+        if least < i:
+            break
+    return least
 
 
 def _orbit_representatives(ideals, autos):

@@ -297,6 +297,51 @@ def is_order_isomorphism(a, b, mapping):
     )
 
 
+def automorphism_count(lattice):
+    """The number of order automorphisms of a lattice, by backtracking:
+    each element in turn goes to an unused element with its degree pair
+    (|up|, |down|) that keeps the order with every element placed before."""
+    up, down = lattice._up, lattice._down
+    n = len(up)
+    pairs = [(u.bit_count(), d.bit_count()) for u, d in zip(up, down)]
+    images = []
+
+    def count(used):
+        x = len(images)
+        if x == n:
+            return 1
+        total = 0
+        for y in range(n):
+            if used >> y & 1 or pairs[y] != pairs[x]:
+                continue
+            if all(
+                (up[a] >> x & 1, up[x] >> a & 1) == (up[b] >> y & 1, up[y] >> b & 1)
+                for a, b in enumerate(images)
+            ):
+                images.append(y)
+                total += count(used | 1 << y)
+                images.pop()
+        return total
+
+    return count(0)
+
+
+def group_order(perms, n):
+    """The order of the group of permutations of range(n), as tuples of
+    images, that perms generate: its elements are grown from the identity
+    by composing with each generator until none is new."""
+    identity = tuple(range(n))
+    group, grown = {identity}, [identity]
+    while grown:
+        g = grown.pop()
+        for p in perms:
+            h = tuple(p[i] for i in g)
+            if h not in group:
+                group.add(h)
+                grown.append(h)
+    return len(group)
+
+
 def relabelled(obj, seed):
     """The same lattice or complex with its elements or vertices listed in a
     seeded random order under fresh names."""

@@ -272,6 +272,21 @@ def test_realizable_oracle_flags_disagreement(capsys, monkeypatch):
     )
 
 
+def test_realizable_oracle_reuses_the_general_path_it_was_asked_for(capsys, monkeypatch):
+    import flatlat.realize as realize
+
+    calls, build = [], realize.transversal_complex
+
+    def counting(lat, override=False):
+        calls.append(lat)
+        return build(lat, override)
+
+    monkeypatch.setattr(realize, "transversal_complex", counting)
+    code, out, err = run(capsys, "realizable", NONREAL6, "--force-general", "--oracle")
+    assert (code, err, len(calls)) == (1, "", 1)
+    assert "method: general" in out.splitlines()
+
+
 def test_construct_text_reparses(capsys, chain3):
     code, out, _ = run(capsys, "construct", CHAIN3)
     assert code == 0

@@ -24,6 +24,7 @@ from flatlat._util import columns, leaves, refine
 from flatlat.lattice import (
     _admissible_ideals,
     _canonical_key,
+    _child_masks,
     _closed_up_sets,
     _lattices_of_size,
     _orbit_representatives,
@@ -406,12 +407,12 @@ def _same_partition(xs, ys):
 
 def _keyed_by_enumeration(monkeypatch, max_size):
     """The classes enumerate_lattices yields and the (up, down) masks of
-    every child it keys, in its order."""
+    every relation it keys, in its order."""
     import flatlat.lattice as lattice_module
 
     keyed = []
 
-    def recording(succ, pred, autos):
+    def recording(succ, pred, autos=None):
         up, down = (tuple(sum(1 << j for j in s) for s in lists) for lists in (succ, pred))
         keyed.append((up, down))
         return _canonical_key(succ, pred, autos)
@@ -438,11 +439,25 @@ def test_canonical_key_classes_match_the_permutation_key_up_to_eight_elements(mo
     walk = [lat for n in range(1, 9) for lat in helpers.lattices_by_meet_prefixes(n)]
     assert [(lat.labels, lat._up) for lat in walk] == want and len(want) == 300
 
-    # every child coatom growth keys
+    # every relation coatom growth keys
     classes, keyed = _keyed_by_enumeration(monkeypatch, 8)
     keys = [helpers.canonical_key(up, down) for up, down in keyed]
     oracle = [helpers.canonical_key_by_permutations(up, down) for up, down in keyed]
-    assert _same_partition(keys, oracle) and len(keyed) == 519
+    assert _same_partition(keys, oracle) and len(keyed) == 120
+
+    # every child tried is kept exactly when its oracle key is new
+    seen, kept = set(), []
+    for lat, autos, _ in _grown(7):
+        below = lat._down[:-1]
+        if not below:  # the one-element lattice: sizes 1 and 2 are chains
+            continue
+        for ideal, _ in _orbit_representatives(_admissible_ideals(below), autos):
+            up, down = _test_child_masks(below, ideal)
+            key = helpers.canonical_key_by_permutations(up, down)
+            if key not in seen:
+                seen.add(key)
+                kept.append(up)
+    assert kept == [lat._up for lat in classes if len(lat) >= 3] and len(seen) == 298
 
     copies = [helpers.relabelled(lat, seed) for lat in classes for seed in range(3)]
     keys = [lat.canonical_key for lat in copies]
@@ -516,6 +531,32 @@ def test_representatives_and_keys_are_frozen_up_to_ten_elements():
     assert _enumeration_digest(10) == (
         "3361aa072315d88e8d5c4aa0e60b61311d73b0024c49b93fb0a9a2924bdda2be"
     )
+
+
+# A rigid 12-element lattice whose coatoms 6 and 10 delete to one class, the
+# 34 720th of 11 elements, and coatom 8 to a later one: coatom growth meets
+# its class twice among the children of that parent, which orbit pruning
+# cannot tell apart, so only their keys do.
+TWICE_DELETING = (4095, 2118, 2116, 3160, 3088, 2144, 2112, 3456, 2304, 3584, 3072, 2048)
+
+
+def test_a_rigid_lattice_deletes_to_one_class_at_two_coatoms():
+    up = TWICE_DELETING
+    lat = FiniteLattice._from_up_masks(tuple(map(str, range(12))), list(up))
+    assert helpers.automorphism_count(lat) == 1
+    coatoms = [x for x in range(11) if up[x] == 1 << x | 1 << 11]
+    keys = [helpers.canonical_key(*_deleted(up, lat._down, x)) for x in coatoms]
+    assert coatoms == [6, 8, 10] and keys[0] == keys[2] != keys[1]
+
+
+@pytest.mark.census
+def test_lattice_classes_of_twelve_elements_match_oeis_a006966():
+    """The first size where a child's key tells it repeated: reading the
+    siblings that delete to their parent twice as new counts 262 777."""
+    counts = [0] * 12
+    for lat in enumerate_lattices(12, override=True):
+        counts[len(lat) - 1] += 1
+    assert counts == [1, 1, 1, 2, 5, 15, 53, 222, 1078, 5994, 37622, 262776]
 
 
 def test_enumeration_up_to_three_gives_chains():
@@ -694,7 +735,13 @@ def test_coatom_growth_labels_naturally_and_deletes_to_a_smaller_class(monkeypat
     counts = {}
     for up, _ in keyed:
         counts[len(up)] = counts.get(len(up), 0) + 1
-    assert counts == {3: 1, 4: 2, 5: 6, 6: 21, 7: 86, 8: 403}
+    # each class that grows, and at 8 the children that delete to their parent twice
+    assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 42}
+    for up, down in keyed:
+        if len(up) == 8:  # the new coatom 6 first, then the parent's outside the ideal
+            coatoms = [6, *(x for x in range(6) if up[x] == 1 << x | 1 << 7)]
+            keys = [helpers.canonical_key_by_permutations(*_deleted(up, down, x)) for x in coatoms]
+            assert keys[0] in keys[1:]
 
     keys = {n: set() for n in range(1, 9)}
     for lat in classes:
@@ -711,12 +758,31 @@ def test_coatom_growth_labels_naturally_and_deletes_to_a_smaller_class(monkeypat
         assert smaller.canonical_key in keys[n - 1]
 
 
-def _child_masks(below, ideal):
+def _test_child_masks(below, ideal):
     """The up- and down-set masks of the child that coatom growth makes
     from a parent's down-sets without its top and an admissible ideal."""
     n = len(below) + 2
     down = (*below, ideal | 1 << (n - 2), (1 << n) - 1)
     return tuple(columns(down, n)), down
+
+
+def _deleted(up, down, x):
+    """The up- and down-set masks of a lattice less its element x."""
+    keep = (1 << x) - 1
+    return (
+        tuple(m & keep | m >> 1 & ~keep for e, m in enumerate(masks) if e != x)
+        for masks in (up, down)
+    )
+
+
+def _grown(max_size):
+    """(lattice, automorphisms, key) for every class up to max_size
+    elements, each size grown from the one below with every class keyed."""
+    parents = []
+    for n in range(1, max_size + 1):
+        classes = list(_lattices_of_size(n, parents, True))
+        yield from classes
+        parents = [(lat._down, autos, key) for lat, autos, key in classes]
 
 
 def _image(g, mask):
@@ -725,10 +791,11 @@ def _image(g, mask):
 
 
 def test_orbit_pruning_skips_only_children_isomorphic_to_a_sibling_tried_before():
-    classes, skipped = [], 0  # (lattice, automorphisms) of one size
+    classes, skipped = [], 0  # (lattice, automorphisms, key) of one size
     for n in range(1, 9):
-        classes = list(_lattices_of_size(n, [(lat._down, autos) for lat, autos in classes]))
-        for lat, autos in classes:
+        parents = [(lat._down, autos, key) for lat, autos, key in classes]
+        classes = list(_lattices_of_size(n, parents, True))
+        for lat, autos, _ in classes:
             assert all(helpers.is_order_isomorphism(lat, lat, g) for g in autos)
             below = lat._down[:-1]
             ideals = _admissible_ideals(below)
@@ -738,7 +805,7 @@ def test_orbit_pruning_skips_only_children_isomorphic_to_a_sibling_tried_before(
                 assert fixing == [g for g in autos if _image(g, ideal) == ideal]
             earlier = set()  # the oracle keys of the siblings tried so far
             for ideal in ideals:
-                key = helpers.canonical_key_by_permutations(*_child_masks(below, ideal))
+                key = helpers.canonical_key_by_permutations(*_test_child_masks(below, ideal))
                 if ideal in tried:
                     earlier.add(key)
                 else:
@@ -754,8 +821,8 @@ def test_key_searches_start_from_the_parent_automorphisms_that_fix_the_ideal(mon
 
     searches, visited = [], []
 
-    def recording(succ, pred, autos):
-        seeds = list(autos)  # the search appends what it finds
+    def recording(succ, pred, autos=None):
+        seeds = list(autos or ())  # the search appends what it finds
         key = _canonical_key(succ, pred, autos)
         searches.append((succ, pred, seeds, key))
         return key
@@ -769,13 +836,30 @@ def test_key_searches_start_from_the_parent_automorphisms_that_fix_the_ideal(mon
     monkeypatch.setattr(lattice_module, "leaves", counting)
     assert len(list(enumerate_lattices(8, override=True))) == 300
     monkeypatch.undo()
-    assert len(searches) == 519 and len(visited) == 625  # 961 unseeded
-    assert sum(1 for *_, seeds, _ in searches if seeds) == 255
+    assert len(searches) == 120 and len(visited) == 184  # 277 unseeded
+    assert sum(1 for *_, seeds, _ in searches if seeds) == 63
     for succ, pred, seeds, key in searches:
         up = [sum(1 << j for j in s) for s in succ]
         child = FiniteLattice._from_up_masks(tuple(map(str, range(len(up)))), up)
         assert all(helpers.is_order_isomorphism(child, child, g) for g in seeds)
         assert key == _canonical_key(succ, pred)
+
+
+def _assert_kept_automorphisms_generate_the_group(max_size):
+    for lat, autos, _ in _grown(max_size):
+        assert all(helpers.is_order_isomorphism(lat, lat, g) for g in autos)
+        assert helpers.group_order(autos, len(lat)) == helpers.automorphism_count(lat)
+
+
+def test_kept_automorphisms_generate_the_whole_group_up_to_nine_elements():
+    """Orbit pruning tells a child new only because the automorphisms kept
+    with its parent generate the parent's whole automorphism group."""
+    _assert_kept_automorphisms_generate_the_group(9)
+
+
+@pytest.mark.census
+def test_kept_automorphisms_generate_the_whole_group_up_to_ten_elements():
+    _assert_kept_automorphisms_generate_the_group(10)
 
 
 def test_enumeration_builds_a_lattice_only_for_a_new_class(monkeypatch):
@@ -789,9 +873,9 @@ def test_enumeration_builds_a_lattice_only_for_a_new_class(monkeypatch):
             built.append(len(labels))
             return super()._from_lattice_masks(labels, up, down)
 
-    parents = [(lat._down, ()) for lat in enumerate_lattices(6) if len(lat) == 6]
+    parents = [(lat._down, autos, key) for lat, autos, key in _grown(6) if len(lat) == 6]
     monkeypatch.setattr(lattice_module, "FiniteLattice", Counting)
-    assert sum(1 for _ in _lattices_of_size(7, parents)) == 53
+    assert sum(1 for _ in _lattices_of_size(7, parents, False)) == 53
     assert built == [7] * 53
 
 
@@ -803,26 +887,21 @@ def _stored(lat):
     )
 
 
-def test_every_child_of_coatom_growth_is_the_lattice_validation_builds(monkeypatch):
-    import flatlat.lattice as lattice_module
-
-    classes = [lat for lat in enumerate_lattices(7) if len(lat) >= 2]
-    # every admissible ideal, each child keyed as a new class
-    keys = itertools.count()
-    monkeypatch.setattr(
-        lattice_module,
-        "_orbit_representatives",
-        lambda ideals, autos: ((ideal, []) for ideal in ideals),
-    )
-    monkeypatch.setattr(lattice_module, "_canonical_key", lambda succ, pred, autos: next(keys))
+def test_every_child_of_coatom_growth_is_the_lattice_validation_builds():
     children = 0
-    for n in range(3, 9):
-        parents = [(lat._down, ()) for lat in classes if len(lat) == n - 1]
-        for child, _ in _lattices_of_size(n, parents):
-            assert _stored(child) == _stored(FiniteLattice._from_up_masks(child.labels, child._up))
+    for lat in enumerate_lattices(7):
+        n = len(lat) + 1
+        if n < 3:
+            continue
+        below = lat._down[:-1]
+        up = [u | 1 << (n - 1) for u in columns(below, n - 2)]
+        labels = tuple(map(str, range(n)))
+        for ideal in _admissible_ideals(below):
+            child = FiniteLattice._from_lattice_masks(labels, *_child_masks(below, up, ideal))
+            assert _stored(child) == _stored(FiniteLattice._from_up_masks(labels, child._up))
+            assert child._down == _test_child_masks(below, ideal)[1]
             children += 1
-    want = sum(len(_admissible_ideals(lat._down[:-1])) for lat in classes)
-    assert children == next(keys) == want
+    assert children == 694
 
 
 def test_flat_lattices_are_the_lattices_validation_builds(fixture_complexes):
