@@ -20,8 +20,11 @@ an admissible down-set, and a new top.  Down-sets that a parent
 automorphism maps onto each other give isomorphic children, so one per
 orbit is tried, under the automorphisms that the parent's own key search
 found.  A child is told new or repeated by the classes that deleting its
-other coatoms leaves, mostly read off degree counts, so only the classes
-that grow and a few children are keyed, and no set of keys is kept.
+other coatoms leaves, mostly read off degree counts.  A child that deletes
+to its own parent is compared with its siblings of that kind only when
+their sorted degree counts are equal, and only then by keys, so only the
+classes that grow and a few children are keyed, and no set of keys is
+kept.
 """
 
 from __future__ import annotations
@@ -262,21 +265,37 @@ class FiniteLattice:
         Such c and d are exactly a failure of the cover law (x^y covered
         by x implies y covered by x v y; is_semimodular_by_covers in
         tests/helpers.py is its oracle) at x = d, y = c, so None means
-        exactly that the law holds.  The pass reads the masks once per pair.
+        exactly that the law holds.
+
+        The pass walks the covers, e below d, read off the masks, and for
+        each every c above e other than e and not above d: as d covers e,
+        c^d lies between e and d and is not d, so it is e, and these are
+        exactly the c with c^d = e.  Each takes one AND and one lookup for
+        a = c v d and one more AND for the b between c and a.  The bits are
+        walked inline, without bit_indices, as the census classifies every
+        small lattice through here.
         """
-        up, down, by_up, by_down = self._up, self._down, self._by_up, self._by_down
-        n = len(self)
+        up, down, by_up = self._up, self._down, self._by_up
 
         def configurations():  # with the largest b for each c and d
-            for c in range(n):
-                for d in range(n):
-                    e = by_down[down[c] & down[d]]
-                    if (up[e] & down[d]).bit_count() != 2:
+            for e, above in enumerate(up):
+                rest = above ^ 1 << e
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    d = low.bit_length() - 1
+                    if (above & down[d]).bit_count() != 2:
                         continue  # d does not cover e
-                    a = by_up[up[c] & up[d]]
-                    between = up[c] & down[a] & ~(1 << c | 1 << a)
-                    if between:
-                        yield a, between.bit_length() - 1, c, e, d
+                    up_d = up[d]
+                    apart = above & ~up_d ^ 1 << e  # the c with c^d = e
+                    while apart:
+                        bit = apart & -apart
+                        apart ^= bit
+                        c = bit.bit_length() - 1
+                        a = by_up[up[c] & up_d]
+                        between = up[c] & down[a] & ~(bit | 1 << a)
+                        if between:
+                            yield a, between.bit_length() - 1, c, e, d
 
         best = max(configurations(), default=None)
         if best is None:
@@ -457,7 +476,8 @@ def _lattices_of_size(n, parents, grow):
     tuples of images, and its key; it is not read for n <= 2, where the
     chain is the only class.  When grow is true every class is keyed, and
     yielded with the automorphisms and the key of its search; otherwise only
-    the classes that needed a key carry one, and the rest () and None.
+    the classes that needed a key carry one, and the rest () and None.  The
+    classes and their order do not depend on grow.
 
     A child keeps the parent's elements 0..n-3 with their down-sets, adds
     the coatom n-2 with down-set I | bit n-2 and the top n-1.  The down-set
@@ -481,8 +501,8 @@ def _lattices_of_size(n, parents, grow):
     - some D - x is isomorphic to a parent P_j with j < i: D is a child of
       P_j, over the down-set x's strict down-set maps to, whose orbit P_j
       tried, so its class was yielded from P_j or before, and D is skipped;
-    - else some D - x is isomorphic to P_i: D is keyed, and skipped when an
-      earlier such sibling had the same key;
+    - else some D - x is isomorphic to P_i: D is skipped when it is
+      isomorphic to an earlier sibling of this case that was kept;
     - else D is new.  No child of an earlier parent is isomorphic to D, as
       it would be a D - x.  An isomorphism onto an earlier sibling maps that
       sibling's new coatom onto a coatom y of D, and D - y is isomorphic to
@@ -492,12 +512,21 @@ def _lattices_of_size(n, parents, grow):
       its whole group, as those an individualization-refinement search
       finds, with any it started from, do (McKay 1981, "Practical graph
       isomorphism").  A sibling isomorphic to a D of the second case is of
-      that case too, so its key is among those compared.
+      that case too, so it is among the siblings D is compared with.
     So each class is yielded at its first child, in the order of parents
     and of the down-sets tried (_first_parent reads the case).  The class
     of D - x is read off its degree pairs, the sorted (|up|, |down|) of its
     elements, when they are those of one parent, or when all the parents
     with them lie on one side of P_i; otherwise off its key among theirs.
+
+    Isomorphic lattices have equal sorted degree pairs, so a D of the
+    second case is compared only with the kept siblings of that case whose
+    pairs equal its own, a table per parent, and by keys: D's own, which a
+    growing size has anyway, and each sibling's, made from the masks it
+    was kept with on the first such comparison.  Up to 11 elements no two
+    of these siblings share their pairs, so the last size keys no child of
+    its own; the first that do are met at 12 elements, 5 key searches
+    there against the 19 918 of comparing every such child by key.
 
     A child's successor and predecessor lists, and its up- and down-sets,
     are the parent's, without its top, plus the coatom and the top, so they
@@ -512,8 +541,8 @@ def _lattices_of_size(n, parents, grow):
     every = list(range(n))
     by_pairs, by_key = {}, {}  # the indices of the parents with these pairs; with this key
     for i, (parent, _, key) in enumerate(parents):
-        pairs = sorted(_degree_pairs(columns(parent, n - 1), parent, n))
-        by_pairs.setdefault(tuple(pairs), []).append(i)
+        pairs = _sorted_pairs(_degree_pairs(columns(parent, n - 1), parent, n))
+        by_pairs.setdefault(pairs, []).append(i)
         by_key[key] = i
     for i, (parent, parent_autos, _) in enumerate(parents):
         below = parent[:-1]  # the parent without its top: elements 0..n-3
@@ -522,24 +551,26 @@ def _lattices_of_size(n, parents, grow):
         succ = indices(up)  # each list ends at the top
         to_coatom = [s[:-1] + [c, t] for s in succ]
         coatoms = [x for x, u in enumerate(up) if u == 1 << x | 1 << t]
-        keys = set()  # of the children kept that delete to P_i twice
+        kept = {}  # sorted degree pairs: [key, up, down] of each kept child deleting to P_i
         for ideal, fixing in _orbit_representatives(_admissible_ideals(below), parent_autos):
             child_up, child_down = _child_masks(below, up, ideal)
             others = [x for x in coatoms if not ideal >> x & 1]
-            first = _first_parent(i, others, child_up, child_down, by_pairs, by_key)
+            pairs = _degree_pairs(child_up, child_down, n)
+            first = _first_parent(i, others, child_up, child_down, pairs, by_pairs, by_key)
             if first < i:
                 continue
+            twins = kept.setdefault(_sorted_pairs(pairs), []) if first == i else ()
             key, autos = None, ()
-            if first == i or grow:
+            if grow or twins:
                 child_succ = [to_coatom[e] if ideal >> e & 1 else s for e, s in enumerate(succ)]
                 child_succ += [[c, t], [t]]
                 child_pred = [*pred, [*bit_indices(ideal), c], every]
                 autos = [g + (t,) for g in fixing]  # g fixes the parent's top, now c
                 key = _canonical_key(child_succ, child_pred, autos)
-                if first == i:
-                    if key in keys:
-                        continue
-                    keys.add(key)
+                if any(key == _twin_key(twin) for twin in twins):
+                    continue
+            if first == i:
+                twins.append([key, child_up, child_down])
             child = FiniteLattice._from_lattice_masks(labels, child_up, child_down)
             yield child, tuple(autos), key
 
@@ -561,13 +592,27 @@ def _degree_pairs(up, down, n):
     return [u.bit_count() * n + d.bit_count() for u, d in zip(up, down)]
 
 
-def _first_parent(i, others, up, down, by_pairs, by_key):
+def _sorted_pairs(pairs):
+    """A lattice's degree pairs (_degree_pairs), sorted: isomorphic lattices
+    have equal ones."""
+    return tuple(sorted(pairs))
+
+
+def _twin_key(twin):
+    """The key of a kept sibling [key, up, down], made from its masks and
+    stored on first use when it was kept without one."""
+    if twin[0] is None:
+        twin[0] = _canonical_key(indices(twin[1]), indices(twin[2]))
+    return twin[0]
+
+
+def _first_parent(i, others, up, down, pairs, by_pairs, by_key):
     """The least index of a parent isomorphic to D - x, over the coatoms x
     of the child D in others, when it lies below i; else i when one D - x is
     isomorphic to P_i, and i + 1 when none is.  up and down are D's masks,
-    by_pairs maps the sorted degree pairs of the n - 1 element classes to
-    the indices of the parents that have them, ascending, and by_key a
-    parent's key to its index.
+    pairs its _degree_pairs, by_pairs maps the sorted degree pairs of the
+    n - 1 element classes to the indices of the parents that have them,
+    ascending, and by_key a parent's key to its index.
 
     D - x has D's degree pairs without x's, with one up less for each
     element below x and one down less for the top.  They decide each D - x
@@ -575,13 +620,11 @@ def _first_parent(i, others, up, down, by_pairs, by_key):
     ends the scan; the rest are keyed after it.
     """
     n, least, unsure = len(up), i + 1, []
-    pairs = _degree_pairs(up, down, n)
-    pairs[-1] -= 1  # the top of D - x has one element less below it
+    pairs = [*pairs[:-1], pairs[-1] - 1]  # the top of D - x has one element less below it
     for x in others:
         lower = down[x] ^ 1 << x  # one element less above each
         deleted = [p - n if lower >> e & 1 else p for e, p in enumerate(pairs) if e != x]
-        deleted.sort()
-        found = by_pairs[tuple(deleted)]
+        found = by_pairs[_sorted_pairs(deleted)]
         if found[-1] < i:
             return found[-1]
         if found == [i]:

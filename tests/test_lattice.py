@@ -443,7 +443,7 @@ def test_canonical_key_classes_match_the_permutation_key_up_to_eight_elements(mo
     classes, keyed = _keyed_by_enumeration(monkeypatch, 8)
     keys = [helpers.canonical_key(up, down) for up, down in keyed]
     oracle = [helpers.canonical_key_by_permutations(up, down) for up, down in keyed]
-    assert _same_partition(keys, oracle) and len(keyed) == 120
+    assert _same_partition(keys, oracle) and len(keyed) == 78
 
     # every child tried is kept exactly when its oracle key is new
     seen, kept = set(), []
@@ -520,10 +520,11 @@ def _enumeration_digest(max_size):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+DIGEST_8 = "ec6777f67ae47e5a6bc428fcbdd351ff51588b0961760e81c74495539c1809ce"
+
+
 def test_representatives_and_keys_are_frozen_up_to_eight_elements():
-    assert _enumeration_digest(8) == (
-        "ec6777f67ae47e5a6bc428fcbdd351ff51588b0961760e81c74495539c1809ce"
-    )
+    assert _enumeration_digest(8) == DIGEST_8
 
 
 @pytest.mark.census
@@ -735,13 +736,9 @@ def test_coatom_growth_labels_naturally_and_deletes_to_a_smaller_class(monkeypat
     counts = {}
     for up, _ in keyed:
         counts[len(up)] = counts.get(len(up), 0) + 1
-    # each class that grows, and at 8 the children that delete to their parent twice
-    assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 42}
-    for up, down in keyed:
-        if len(up) == 8:  # the new coatom 6 first, then the parent's outside the ideal
-            coatoms = [6, *(x for x in range(6) if up[x] == 1 << x | 1 << 7)]
-            keys = [helpers.canonical_key_by_permutations(*_deleted(up, down, x)) for x in coatoms]
-            assert keys[0] in keys[1:]
+    # each class that grows; at 8 every child that deletes to its parent
+    # twice differs from its kept siblings in its degree pairs
+    assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
 
     keys = {n: set() for n in range(1, 9)}
     for lat in classes:
@@ -836,13 +833,49 @@ def test_key_searches_start_from_the_parent_automorphisms_that_fix_the_ideal(mon
     monkeypatch.setattr(lattice_module, "leaves", counting)
     assert len(list(enumerate_lattices(8, override=True))) == 300
     monkeypatch.undo()
-    assert len(searches) == 120 and len(visited) == 184  # 277 unseeded
-    assert sum(1 for *_, seeds, _ in searches if seeds) == 63
+    assert len(searches) == 78 and len(visited) == 99  # 148 unseeded
+    assert sum(1 for *_, seeds, _ in searches if seeds) == 38
     for succ, pred, seeds, key in searches:
         up = [sum(1 << j for j in s) for s in succ]
         child = FiniteLattice._from_up_masks(tuple(map(str, range(len(up)))), up)
         assert all(helpers.is_order_isomorphism(child, child, g) for g in seeds)
         assert key == _canonical_key(succ, pred)
+
+
+def test_siblings_keyed_on_colliding_degree_pairs_keep_every_decision(monkeypatch):
+    """With one sorted degree-pair tuple for every lattice, every coatom
+    deletion and every child that deletes to its parent is keyed, and the
+    representatives, their order and keys stay those of the pairs."""
+    import flatlat.lattice as lattice_module
+
+    def collide():
+        monkeypatch.setattr(lattice_module, "_sorted_pairs", lambda pairs: ())
+
+    collide()
+    classes, keyed = _keyed_by_enumeration(monkeypatch, 8)  # undoes both patches
+    assert [(lat.labels, lat._up) for lat in classes] == [
+        (lat.labels, lat._up) for lat in enumerate_lattices(8, override=True)
+    ]
+    last = [(up, down) for up, down in keyed if len(up) == 8]
+    assert len(last) > 0
+    for up, down in last:  # the new coatom 6 first, then the parent's outside the ideal
+        coatoms = [6, *(x for x in range(6) if up[x] == 1 << x | 1 << 7)]
+        keys = [helpers.canonical_key_by_permutations(*_deleted(up, down, x)) for x in coatoms]
+        assert keys[0] in keys[1:]
+    collide()
+    assert _enumeration_digest(8) == DIGEST_8
+
+
+def test_the_last_size_yields_the_classes_a_growing_size_yields():
+    parents = []
+    for n in range(1, 10):
+        grown = list(_lattices_of_size(n, parents, True))
+        last = list(_lattices_of_size(n, parents, False))
+        assert [(lat.labels, lat._up) for lat, *_ in last] == [
+            (lat.labels, lat._up) for lat, *_ in grown
+        ]
+        assert all(k is None or k == key for (*_, k), (*_, key) in zip(last, grown))
+        parents = [(lat._down, autos, key) for lat, autos, key in grown]
 
 
 def _assert_kept_automorphisms_generate_the_group(max_size):
