@@ -189,7 +189,7 @@ def _cmd_brsc(args, complex_, override):
 def _cmd_realizable(args, lat, override):
     report = is_realizable(lat, force_general=args.force_general, override=override)
     if args.oracle:
-        general = report if args.force_general else is_realizable(
+        general = report if report.method == "general" else is_realizable(
             lat, force_general=True, override=override
         )
         where = (

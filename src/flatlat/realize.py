@@ -132,17 +132,55 @@ class RealizabilityReport(NamedTuple):
         return {k: v for k, v in self._asdict().items() if v is not None}
 
 
+def _height_le_2(lattice, override):
+    """Height h <= 2: the flat lattice of the uniform matroid U(h, k) on its k atoms."""
+    return (True, {}) if lattice.height <= 2 else None
+
+
+def _height_3(lattice, override):
+    """Height 3: by the paper, realizable iff its atom graph has no superclique."""
+    if lattice.height != 3:
+        return None
+    graph = top_join_graph(lattice)
+    cliques = tuple(tuple(graph.ordered(w)) for w in find_supercliques(graph))
+    return not cliques, {"supercliques": cliques or None}
+
+
+def _boolean(lattice, override):
+    """Height = atom count: the atoms enumerate along a chain, so T(L) is a simplex."""
+    if lattice.height != len(lattice.atoms):
+        return None
+    return lattice.is_boolean, {}
+
+
+def _general(lattice, override):
+    """Realizable iff T(L) has |L| flats; one element is the flat lattice of a loop."""
+    n = len(lattice)
+    if n == 1:
+        return True, {"canonical_flat_count": 1}
+    count = len(transversal_complex(lattice, override).complex.flat_closure.flat_masks)
+    return count == n, {"canonical_flat_count": count}
+
+
+# the rows tried on an atomistic lattice, in order: decide returns None when
+# its row does not apply, else the answer and its report's evidence fields
+_DECIDERS = (
+    ("height-le-2", _height_le_2),
+    ("height-3", _height_3),
+    ("boolean", _boolean),
+    ("general", _general),
+)
+
+
 def is_realizable(lattice, force_general=False, override=False):
     """Decide whether the lattice is a lattice of flats, with evidence.
 
-    Shortcuts, tried in order unless force_general is set: atomistic of
-    height at most 2 is always realizable; height exactly 3 reduces to the
-    superclique test on the atom graph; an atomistic lattice whose height
-    equals its atom count is realizable only when it is boolean.  The
-    general path counts the flats of the canonical complex and compares
-    with the lattice size; the complex has a vertex per atom, so
-    transversal_complex holds the atoms to FLATS_SOFT_LIMIT before it is
-    built.
+    A non-atomistic lattice is not, with the first element that is not a
+    join of atoms as witness.  Otherwise the rows of _DECIDERS are tried in
+    order, or only the general row when force_general is set, and the first
+    that applies decides.  The general row builds T(L), which has a vertex
+    per atom, so transversal_complex holds the atoms to FLATS_SOFT_LIMIT
+    before it is built.
     """
     n = len(lattice)
     violation = lattice.atomistic_violation
@@ -154,49 +192,11 @@ def is_realizable(lattice, force_general=False, override=False):
             lattice_size=n,
             non_atomistic_witness=lattice.labels[violation],
         )
-    if not force_general:
-        if lattice.height <= 2:
-            return RealizabilityReport(
-                atomistic=True,
-                realizable=True,
-                method="height-le-2",
-                lattice_size=n,
-            )
-        if lattice.height == 3:
-            graph = top_join_graph(lattice)
-            cliques = find_supercliques(graph)
-            return RealizabilityReport(
-                atomistic=True,
-                realizable=not cliques,
-                method="height-3",
-                lattice_size=n,
-                supercliques=tuple(tuple(graph.ordered(w)) for w in cliques) or None,
-            )
-        if lattice.height == len(lattice.atoms):
-            return RealizabilityReport(
-                atomistic=True,
-                realizable=lattice.is_boolean,
-                method="boolean",
-                lattice_size=n,
-            )
-    if n == 1:
-        # the canonical complex degenerates (no atoms); the one-element
-        # lattice is the flat lattice of a single loop vertex
-        return RealizabilityReport(
-            atomistic=True,
-            realizable=True,
-            method="general",
-            lattice_size=1,
-            canonical_flat_count=1,
-        )
-    count = len(transversal_complex(lattice, override).complex.flat_closure.flat_masks)
-    return RealizabilityReport(
-        atomistic=True,
-        realizable=count == n,
-        method="general",
-        lattice_size=n,
-        canonical_flat_count=count,
-    )
+    for method, decide in _DECIDERS[-1:] if force_general else _DECIDERS:
+        answer = decide(lattice, override)
+        if answer is not None:
+            realizable, evidence = answer
+            return RealizabilityReport(True, realizable, method, n, **evidence)
 
 
 def boolean_matrix(lattice):

@@ -272,7 +272,11 @@ def test_realizable_oracle_flags_disagreement(capsys, monkeypatch):
     )
 
 
-def test_realizable_oracle_reuses_the_general_path_it_was_asked_for(capsys, monkeypatch):
+def test_realizable_oracle_reuses_the_general_path_it_was_asked_for(
+    capsys, monkeypatch, tmp_path
+):
+    """The oracle builds T(L) no second time when the general row decided,
+    whether it was forced or, on Pi_5, is the first row that applies."""
     import flatlat.realize as realize
 
     calls, build = [], realize.transversal_complex
@@ -285,6 +289,41 @@ def test_realizable_oracle_reuses_the_general_path_it_was_asked_for(capsys, monk
     code, out, err = run(capsys, "realizable", NONREAL6, "--force-general", "--oracle")
     assert (code, err, len(calls)) == (1, "", 1)
     assert "method: general" in out.splitlines()
+
+    calls.clear()
+    path = tmp_path / "pi5.lat"
+    path.write_text(format_lattice(helpers.partition_lattice(5)))
+    code, out, err = run(capsys, "realizable", str(path), "--oracle")
+    assert (code, err, len(calls)) == (0, "", 1)
+    assert "method: general" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "lattice, method, count",
+    [
+        (lambda: helpers.powerset_lattice("abcd"), "boolean", None),
+        (lambda: helpers.partition_lattice(5), "general", 52),
+    ],
+    ids=["B4", "Pi5"],
+)
+def test_realizable_reaches_the_boolean_and_general_rows(
+    capsys, tmp_path, lattice, method, count
+):
+    """B4 has height 4 = its atom count, and Pi_5 height 4 with 10 atoms, so
+    neither is decided by an earlier row."""
+    path = tmp_path / "input.lat"
+    path.write_text(format_lattice(lattice()))
+    code, out, err = run(capsys, "realizable", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert f"method: {method}" in lines
+    if count is not None:
+        assert f"canonical_flat_count: {count} (lattice has {count} elements)" in lines
+    code, out, err = run(capsys, "realizable", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["realizable"], data["method"]) == (True, method)
+    assert data.get("canonical_flat_count") == count
 
 
 def test_construct_text_reparses(capsys, chain3):

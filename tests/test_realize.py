@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -284,14 +285,25 @@ def test_trivial_lattice_is_realizable():
 
 
 def test_shortcuts_agree_with_general_path():
-    # and the general path's count is that of the flats all_flats lists
-    for lat in helpers.atomistic_lattices(8, override=True):
+    """Every row of realize._DECIDERS that applies, not only the first,
+    agrees with the general row on the atomistic classes up to 9 elements;
+    and the general path's count is that of the flats all_flats lists."""
+    first, applies = Counter(), Counter()
+    for lat in helpers.atomistic_lattices(9, override=True):
         fast = is_realizable(lat)
         slow = is_realizable(lat, force_general=True)
         assert fast.realizable == slow.realizable
+        first[fast.method] += 1
+        for method, decide in realize._DECIDERS:
+            answer = decide(lat, False)
+            if answer is not None:
+                applies[method] += 1
+                assert answer[0] == slow.realizable, (method, lat.labels)
         if len(lat) > 1:
             flats = all_flats(transversal_complex(lat).complex)
             assert slow.canonical_flat_count == len(flats)
+    assert first == {"height-le-2": 8, "height-3": 25, "boolean": 5, "general": 3}
+    assert applies == {"height-le-2": 8, "height-3": 25, "boolean": 11, "general": 41}
 
 
 def test_general_path_holds_the_atoms_to_the_flats_limit_before_building_t_of_l(
