@@ -243,9 +243,10 @@ class IndexMap:
         return f"IndexMap(mapping={self.mapping!r})"
 
 
-# A relation on nodes 0..n-1 is given by the successors and predecessors
-# of each node, as lists of indices: j is in succ[i] and i in pred[j] when
-# i -> j.  indices(masks) decodes bitmask rows into such lists.
+# A relation on nodes 0..n-1 is given as the objects hold it, by mask rows:
+# bit j of up[i] and bit i of down[j] are set when i -> j.  leaves and
+# find_isomorphism take these rows; leaves lists them once, with indices,
+# as the successor and predecessor lists that refine walks.
 
 
 def indices(masks):
@@ -295,11 +296,12 @@ def individualize(colours, node):
     return [t if i == node else c + (c >= t) for i, c in enumerate(colours)]
 
 
-def leaves(succ, pred, colours, autos=None):
+def leaves(up, down, colours, autos=None):
     """Yield (reading, order) for each leaf of an individualization-
-    refinement search (McKay 1981) over a relation from the given colours:
-    order lists the nodes by their discrete leaf colours, and reading is
-    the successor lists in that order, as masks over the new positions.
+    refinement search (McKay 1981) over the relation with mask rows up and
+    down, from the given colours: order lists the nodes by their discrete
+    leaf colours, and reading is the up rows in that order, as masks over
+    the new positions.
 
     The children of a refined colouring individualize each node of its
     first class of several and refine again.  The tree is built from the
@@ -320,7 +322,7 @@ def leaves(succ, pred, colours, autos=None):
     the way from the root to the node at hand, the child tried last in each
     frame on it, pushed and popped with the frames.
     """
-    n = len(succ)
+    n, succ, pred = len(up), indices(up), indices(down)
     frames = []  # the colourings not discrete on the path, outermost first
     path = []
     best = None  # the least leaf so far: its reading, order and path
@@ -370,13 +372,13 @@ def leaves(succ, pred, colours, autos=None):
 
 def _degrees(relation):
     """The sorted (colour, out-degree, in-degree) triples of the nodes."""
-    succ, pred, colours = relation
-    return sorted(zip(colours, map(len, succ), map(len, pred)))
+    up, down, colours = relation
+    return sorted(zip(colours, map(int.bit_count, up), map(int.bit_count, down)))
 
 
 def find_isomorphism(a, b):
     """A colour-keeping bijection m with i -> j in a iff m[i] -> m[j] in b,
-    as a tuple, or None; a and b are (succ, pred, colours).
+    as a tuple, or None; a and b are (up, down, colours) with mask rows.
 
     The first leaf of a's search is matched against the leaves of b's: if
     a and b are isomorphic, some leaf of b reads like it (see leaves), and

@@ -35,6 +35,7 @@ from .formats import _parse, emit_dot_hasse, emit_json, format_complex
 from .graphs import find_supercliques, supercliques_bruteforce, top_join_graph
 from .lattice import FiniteLattice
 from .realize import (
+    _DECIDERS,
     boolean_matrix,
     is_chain_transversal_bruteforce,
     is_realizable,
@@ -188,15 +189,15 @@ def _cmd_brsc(args, complex_, override):
 
 def _cmd_realizable(args, lat, override):
     report = is_realizable(lat, force_general=args.force_general, override=override)
-    if args.oracle:
-        general = report if report.method == "general" else is_realizable(
+    if args.oracle and report.atomistic:  # every row that applies, against the general row
+        general = report.realizable if report.method == "general" else is_realizable(
             lat, force_general=True, override=override
+        ).realizable
+        _oracle(
+            (f": {method} says {answer[0]}, general path says {general}", answer[0], general)
+            for method, decide in _DECIDERS[:-1]
+            if (answer := decide(lat, override)) is not None
         )
-        where = (
-            f": {report.method} says {report.realizable}, "
-            f"general path says {general.realizable}"
-        )
-        _oracle([(where, report.realizable, general.realizable)])
     text = _lines(
         report.to_jsonable(),
         ["atomistic", "realizable", "method", "non_atomistic_witness"],

@@ -11,7 +11,7 @@ from functools import cached_property
 
 from ._util import (
     GroundSet, IndexMap, bit_indices, closed_sets, columns, common,
-    find_isomorphism, indices, mask_sort_key, maximal_masks,
+    find_isomorphism, mask_sort_key, maximal_masks,
 )
 from .errors import ConstructionMismatch, EmptyRestriction
 
@@ -293,15 +293,13 @@ class SimplicialComplex(GroundSet):
     @cached_property
     def _incidence(self):
         """Vertices (colour 0), then facets (colour 1), as find_isomorphism
-        takes them: the vertex i -> the k-th facet when i lies in it."""
+        takes them: the vertex i -> the k-th facet when i lies in it, so a
+        vertex's row is its column of the facets, shifted past the vertices,
+        and a facet's is its mask."""
         n, facets = len(self.vertices), self.facet_masks
-        members = indices(facets)
-        succ = [[] for _ in range(n)]
-        for k, vertices in enumerate(members, n):
-            for i in vertices:
-                succ[i].append(k)
-        succ += [[] for _ in facets]
-        return succ, [[] for _ in range(n)] + members, [0] * n + [1] * len(facets)
+        up = [col << n for col in columns(facets, n)] + [0] * len(facets)
+        down = [0] * n + list(facets)
+        return up, down, [0] * n + [1] * len(facets)
 
 
 class ByteTable(dict):

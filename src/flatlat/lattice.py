@@ -33,7 +33,7 @@ import itertools
 from functools import cached_property
 
 from ._util import (
-    IndexMap, bit_indices, check_limit, columns, common, find_isomorphism, indices, leaves,
+    IndexMap, bit_indices, check_limit, columns, common, find_isomorphism, leaves,
 )
 from .errors import NotALattice, NotAPartialOrder
 
@@ -331,9 +331,9 @@ class FiniteLattice:
 
     @property
     def _relation(self):
-        """The order as leaves and find_isomorphism take it: the elements
-        above and below each element, itself included, and one colour."""
-        return indices(self._up), indices(self._down), [0] * len(self)
+        """The order as leaves and find_isomorphism take it: the up- and
+        down-set masks, each element in its own, and one colour."""
+        return self._up, self._down, [0] * len(self)
 
     @cached_property
     def canonical_key(self):
@@ -343,18 +343,17 @@ class FiniteLattice:
         best leaf of an individualization-refinement search (_canonical_key):
         keys are equal exactly for isomorphic lattices, and mean nothing else.
         """
-        succ, pred, _ = self._relation
-        return _canonical_key(succ, pred)
+        return _canonical_key(self._up, self._down)
 
 
-def _canonical_key(succ, pred, autos=None):
-    """The canonical_key of the lattice in which succ[i] and pred[i] list
-    the elements above and below i, i itself included: the least reading of
-    a leaf of the search _util.leaves, from one colour.  autos, when given,
-    may hold automorphisms known on entry, which prune the search from its
-    first frame without changing the key; those it finds are appended.
+def _canonical_key(up, down, autos=None):
+    """The canonical_key of the lattice with up- and down-set masks up and
+    down: the least reading of a leaf of the search _util.leaves, from one
+    colour.  autos, when given, may hold automorphisms known on entry,
+    which prune the search from its first frame without changing the key;
+    those it finds are appended.
     """
-    return min(reading for reading, _ in leaves(succ, pred, [0] * len(succ), autos))
+    return min(reading for reading, _ in leaves(up, down, [0] * len(up), autos))
 
 
 def _raise_first_failing_pair(labels, up, down, by_up, by_down):
@@ -528,9 +527,8 @@ def _lattices_of_size(n, parents, grow):
     its own; the first that do are met at 12 elements, 5 key searches
     there against the 19 918 of comparing every such child by key.
 
-    A child's successor and predecessor lists, and its up- and down-sets,
-    are the parent's, without its top, plus the coatom and the top, so they
-    are read off the parent's masks once per parent.
+    A child's key search and its FiniteLattice both take the up- and
+    down-set masks that _child_masks reads off the parent's.
     """
     labels = tuple(str(i) for i in range(n))
     if n <= 2:  # the chain
@@ -538,7 +536,6 @@ def _lattices_of_size(n, parents, grow):
         yield chain, (), chain.canonical_key if grow else None
         return
     c, t = n - 2, n - 1
-    every = list(range(n))
     by_pairs, by_key = {}, {}  # the indices of the parents with these pairs; with this key
     for i, (parent, _, key) in enumerate(parents):
         pairs = _sorted_pairs(_degree_pairs(columns(parent, n - 1), parent, n))
@@ -547,9 +544,6 @@ def _lattices_of_size(n, parents, grow):
     for i, (parent, parent_autos, _) in enumerate(parents):
         below = parent[:-1]  # the parent without its top: elements 0..n-3
         up = [u | 1 << t for u in columns(below, c)]
-        pred = indices(below)
-        succ = indices(up)  # each list ends at the top
-        to_coatom = [s[:-1] + [c, t] for s in succ]
         coatoms = [x for x, u in enumerate(up) if u == 1 << x | 1 << t]
         kept = {}  # sorted degree pairs: [key, up, down] of each kept child deleting to P_i
         for ideal, fixing in _orbit_representatives(_admissible_ideals(below), parent_autos):
@@ -562,11 +556,8 @@ def _lattices_of_size(n, parents, grow):
             twins = kept.setdefault(_sorted_pairs(pairs), []) if first == i else ()
             key, autos = None, ()
             if grow or twins:
-                child_succ = [to_coatom[e] if ideal >> e & 1 else s for e, s in enumerate(succ)]
-                child_succ += [[c, t], [t]]
-                child_pred = [*pred, [*bit_indices(ideal), c], every]
                 autos = [g + (t,) for g in fixing]  # g fixes the parent's top, now c
-                key = _canonical_key(child_succ, child_pred, autos)
+                key = _canonical_key(child_up, child_down, autos)
                 if any(key == _twin_key(twin) for twin in twins):
                     continue
             if first == i:
@@ -602,7 +593,7 @@ def _twin_key(twin):
     """The key of a kept sibling [key, up, down], made from its masks and
     stored on first use when it was kept without one."""
     if twin[0] is None:
-        twin[0] = _canonical_key(indices(twin[1]), indices(twin[2]))
+        twin[0] = _canonical_key(twin[1], twin[2])
     return twin[0]
 
 
@@ -633,11 +624,11 @@ def _first_parent(i, others, up, down, pairs, by_pairs, by_key):
             unsure.append(x)
     for x in unsure:
         keep = (1 << x) - 1
-        succ, pred = (
-            indices([m & keep | m >> 1 & ~keep for e, m in enumerate(masks) if e != x])
+        deleted = (
+            [m & keep | m >> 1 & ~keep for e, m in enumerate(masks) if e != x]
             for masks in (up, down)
         )
-        least = min(least, by_key[_canonical_key(succ, pred)])
+        least = min(least, by_key[_canonical_key(*deleted)])
         if least < i:
             break
     return least

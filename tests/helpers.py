@@ -86,7 +86,7 @@ from flatlat import (
     lattice_from_covers,
 )
 from flatlat._util import (
-    bit_indices, columns, individualize, indices, mask_sort_key, maximal_masks, refine,
+    bit_indices, columns, individualize, mask_sort_key, maximal_masks, refine,
 )
 from flatlat.complexes import FlatClosure, _facet_implications
 from flatlat.flats import _transversal_order
@@ -663,7 +663,7 @@ def lattices_by_meet_prefixes(n):
     seen = set()
     labels = tuple(str(i) for i in range(n))
     for up, down in meet_prefix_candidates(n):
-        key = canonical_key(up, down)
+        key = _canonical_key(up, down)
         if key not in seen:
             seen.add(key)
             order = [[(down[j] >> i) & 1 for j in range(n)] for i in range(n)]
@@ -703,12 +703,6 @@ def m_lattice(k):
     n = k + 2
     order = [[i == j or i == 0 or j == n - 1 for j in range(n)] for i in range(n)]
     return FiniteLattice([str(i) for i in range(n)], order)
-
-
-def canonical_key(up, down):
-    """The library's canonical key of the lattice with these up- and
-    down-set masks."""
-    return _canonical_key(indices(up), indices(down))
 
 
 def canonical_key_by_permutations(up, down):

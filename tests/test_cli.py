@@ -272,6 +272,24 @@ def test_realizable_oracle_flags_disagreement(capsys, monkeypatch):
     )
 
 
+def test_realizable_oracle_checks_every_row_that_applies(capsys, monkeypatch):
+    """On B2 height-le-2 decides, and boolean and general apply too: the
+    oracle names the boolean row when only that row is flipped."""
+
+    def flipped(decide):
+        def decide_flipped(lat, override):
+            answer = decide(lat, override)
+            return answer and (not answer[0], answer[1])
+
+        return decide_flipped
+
+    rows = [(m, flipped(d) if m == "boolean" else d) for m, d in cli._DECIDERS]
+    monkeypatch.setattr(cli, "_DECIDERS", tuple(rows))
+    code, out, err = run(capsys, "realizable", BOOL2, "--oracle")
+    assert code == 4 and out == ""
+    assert err == "oracle disagreement: boolean says False, general path says True\n"
+
+
 def test_realizable_oracle_reuses_the_general_path_it_was_asked_for(
     capsys, monkeypatch, tmp_path
 ):

@@ -20,7 +20,7 @@ from flatlat import (
 )
 
 import helpers
-from flatlat._util import columns, leaves, refine
+from flatlat._util import columns, indices, leaves, refine
 from flatlat.lattice import (
     _admissible_ideals,
     _canonical_key,
@@ -412,10 +412,9 @@ def _keyed_by_enumeration(monkeypatch, max_size):
 
     keyed = []
 
-    def recording(succ, pred, autos=None):
-        up, down = (tuple(sum(1 << j for j in s) for s in lists) for lists in (succ, pred))
+    def recording(up, down, autos=None):
         keyed.append((up, down))
-        return _canonical_key(succ, pred, autos)
+        return _canonical_key(up, down, autos)
 
     monkeypatch.setattr(lattice_module, "_canonical_key", recording)
     classes = list(enumerate_lattices(max_size, override=True))
@@ -427,7 +426,7 @@ def test_canonical_key_classes_match_the_permutation_key_up_to_eight_elements(mo
     # every candidate of the prefix walk, the oracle enumeration
     candidates = [c for n in range(1, 9) for c in helpers.meet_prefix_candidates(n)]
     assert len(candidates) == 4008
-    keys = [helpers.canonical_key(up, down) for up, down in candidates]
+    keys = [_canonical_key(up, down) for up, down in candidates]
     oracle = [helpers.canonical_key_by_permutations(up, down) for up, down in candidates]
     assert _same_partition(keys, oracle)
 
@@ -441,7 +440,7 @@ def test_canonical_key_classes_match_the_permutation_key_up_to_eight_elements(mo
 
     # every relation coatom growth keys
     classes, keyed = _keyed_by_enumeration(monkeypatch, 8)
-    keys = [helpers.canonical_key(up, down) for up, down in keyed]
+    keys = [_canonical_key(up, down) for up, down in keyed]
     oracle = [helpers.canonical_key_by_permutations(up, down) for up, down in keyed]
     assert _same_partition(keys, oracle) and len(keyed) == 78
 
@@ -546,7 +545,7 @@ def test_a_rigid_lattice_deletes_to_one_class_at_two_coatoms():
     lat = FiniteLattice._from_up_masks(tuple(map(str, range(12))), list(up))
     assert helpers.automorphism_count(lat) == 1
     coatoms = [x for x in range(11) if up[x] == 1 << x | 1 << 11]
-    keys = [helpers.canonical_key(*_deleted(up, lat._down, x)) for x in coatoms]
+    keys = [_canonical_key(*_deleted(up, lat._down, x)) for x in coatoms]
     assert coatoms == [6, 8, 10] and keys[0] == keys[2] != keys[1]
 
 
@@ -818,10 +817,10 @@ def test_key_searches_start_from_the_parent_automorphisms_that_fix_the_ideal(mon
 
     searches, visited = [], []
 
-    def recording(succ, pred, autos=None):
+    def recording(up, down, autos=None):
         seeds = list(autos or ())  # the search appends what it finds
-        key = _canonical_key(succ, pred, autos)
-        searches.append((succ, pred, seeds, key))
+        key = _canonical_key(up, down, autos)
+        searches.append((up, down, seeds, key))
         return key
 
     def counting(*args):
@@ -835,11 +834,10 @@ def test_key_searches_start_from_the_parent_automorphisms_that_fix_the_ideal(mon
     monkeypatch.undo()
     assert len(searches) == 78 and len(visited) == 99  # 148 unseeded
     assert sum(1 for *_, seeds, _ in searches if seeds) == 38
-    for succ, pred, seeds, key in searches:
-        up = [sum(1 << j for j in s) for s in succ]
+    for up, down, seeds, key in searches:
         child = FiniteLattice._from_up_masks(tuple(map(str, range(len(up)))), up)
         assert all(helpers.is_order_isomorphism(child, child, g) for g in seeds)
-        assert key == _canonical_key(succ, pred)
+        assert key == _canonical_key(up, down)
 
 
 def test_siblings_keyed_on_colliding_degree_pairs_keep_every_decision(monkeypatch):
@@ -959,14 +957,23 @@ def _cubic_incidence_lattices():
 
 
 def _random_relations(count, max_nodes):
-    """Seeded random digraphs, each with a random starting colouring."""
+    """Seeded random digraphs as mask rows, each with a random starting
+    colouring."""
     rng = random.Random(27)
     for _ in range(count):
         n = rng.randint(1, max_nodes)
         density = rng.choice((0.1, 0.3, 0.6))
         succ = [[j for j in range(n) if rng.random() < density] for _ in range(n)]
-        pred = [[i for i in range(n) if j in succ[i]] for j in range(n)]
-        yield succ, pred, [rng.randrange(rng.randint(1, 3)) for _ in range(n)]
+        up = [sum(1 << j for j in s) for s in succ]
+        down = [sum(1 << i for i in range(n) if j in succ[i]) for j in range(n)]
+        yield up, down, [rng.randrange(rng.randint(1, 3)) for _ in range(n)]
+
+
+def _listed(relation):
+    """A relation's mask rows as the successor and predecessor lists that
+    refine and the list-based oracles take."""
+    up, down, colours = relation
+    return indices(up), indices(down), colours
 
 
 def test_refine_gives_the_colours_of_full_signatures():
@@ -975,7 +982,7 @@ def test_refine_gives_the_colours_of_full_signatures():
         *(lat._relation for lat in enumerate_lattices(7)),
         *(lat._relation for lat in _cubic_incidence_lattices()),
     ]
-    for relation in relations:
+    for relation in map(_listed, relations):
         assert refine(*relation) == helpers.refine_by_full_signatures(*relation)
 
 
@@ -988,5 +995,5 @@ def test_leaves_visit_the_leaves_and_find_the_automorphisms_of_rebuilt_paths():
     for relation in relations:
         got, want = [], []  # the automorphisms found
         visited = list(leaves(*relation, got))
-        assert visited == list(helpers.leaves_by_rebuilt_paths(*relation, want))
+        assert visited == list(helpers.leaves_by_rebuilt_paths(*_listed(relation), want))
         assert got == want

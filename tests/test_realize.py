@@ -284,12 +284,13 @@ def test_trivial_lattice_is_realizable():
     assert rep.realizable
 
 
-def test_shortcuts_agree_with_general_path():
-    """Every row of realize._DECIDERS that applies, not only the first,
-    agrees with the general row on the atomistic classes up to 9 elements;
-    and the general path's count is that of the flats all_flats lists."""
+def _rows_against_general(max_size):
+    """Run every row of realize._DECIDERS that applies, not only the first,
+    on the atomistic classes up to max_size elements, each checked against
+    the general row, and the general path's count against the flats that
+    all_flats lists; return how often each row came first, and applied."""
     first, applies = Counter(), Counter()
-    for lat in helpers.atomistic_lattices(9, override=True):
+    for lat in helpers.atomistic_lattices(max_size, override=True):
         fast = is_realizable(lat)
         slow = is_realizable(lat, force_general=True)
         assert fast.realizable == slow.realizable
@@ -302,8 +303,20 @@ def test_shortcuts_agree_with_general_path():
         if len(lat) > 1:
             flats = all_flats(transversal_complex(lat).complex)
             assert slow.canonical_flat_count == len(flats)
+    return first, applies
+
+
+def test_shortcuts_agree_with_general_path():
+    first, applies = _rows_against_general(9)
     assert first == {"height-le-2": 8, "height-3": 25, "boolean": 5, "general": 3}
     assert applies == {"height-le-2": 8, "height-3": 25, "boolean": 11, "general": 41}
+
+
+@pytest.mark.census
+def test_shortcuts_agree_with_general_path_up_to_eleven_elements():
+    first, applies = _rows_against_general(11)
+    assert first == {"height-le-2": 10, "height-3": 112, "boolean": 30, "general": 129}
+    assert applies == {"height-le-2": 10, "height-3": 112, "boolean": 36, "general": 281}
 
 
 def test_general_path_holds_the_atoms_to_the_flats_limit_before_building_t_of_l(
